@@ -29,6 +29,7 @@ from .core import (
     PairSet,
     PPSSpec,
     exhaustive_search,
+    json_field,
     verify_pps,
 )
 from .designs import (
@@ -62,7 +63,7 @@ def _deadline() -> float | None:
 
 def _load_json(path: str) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        return json_field(json.load(fh), dict, f"the top level of {path}")
 
 
 def _emit(obj: dict, as_json: bool) -> None:

@@ -24,6 +24,13 @@ class BudgetExceededError(RuntimeError):
     """A search ran out of its configured time or size budget."""
 
 
+def json_field(value, kind: type, field: str):
+    """A value read from JSON that must be of type ``kind`` (int excludes bool)."""
+    if not isinstance(value, kind) or isinstance(value, bool):
+        raise ValueError(f"{field} must be of type {kind.__name__}, got {value!r}")
+    return value
+
+
 @dataclass(frozen=True)
 class PairSet:
     """A modulus v and a tuple of unordered residue pairs.
@@ -58,7 +65,10 @@ class PairSet:
 
     @classmethod
     def from_json(cls, obj: dict) -> "PairSet":
-        return cls(int(obj["v"]), tuple((int(x), int(y)) for x, y in obj["pairs"]))
+        pairs = [json_field(p, list, "pair") for p in json_field(obj["pairs"], list, "pairs")]
+        return cls(json_field(obj["v"], int, "v"), tuple(
+            (json_field(x, int, "pair entry"), json_field(y, int, "pair entry"))
+            for x, y in pairs))
 
 
 class SetKind(enum.Enum):
@@ -351,81 +361,96 @@ def scale_set(s: PairSet, lam: int) -> PairSet:
     return PairSet(s.v, tuple((x * lam % s.v, y * lam % s.v) for x, y in s.pairs))
 
 
-@lru_cache(maxsize=None)
-def _candidate_table(v: int) -> tuple[tuple[tuple[int, int, int], ...], ...]:
-    """Per branch element e: candidate co-elements y with closure bitmasks.
+DEADLINE_EVERY = 1024  # nodes between deadline checks in exact_cover
 
-    A candidate (y, m1, m2) stands for the pair {e, y}; m1 marks the four
-    residues +-{e, y} and m2 the four residues +-{e+y, e-y}.  The mirror
-    pair {e, v-y} has identical masks, so only the representative with the
-    smaller co-element is kept.
+
+def exact_cover(cover: list[int], clash: list[int], covered_by: list[int], open_items: int,
+                alive: int, branch, *, deadline: float | None = None) -> list[int] | None:
+    """Knuth's Algorithm X over int bitsets: the first exact cover found, or None.
+
+    Option o covers the items in ``cover[o]`` and rules out the options in
+    ``clash[o]`` (itself and every option sharing an item with it);
+    ``covered_by[i]`` holds the options covering item i.  A search state is
+    (open primary items, alive options), so selecting is two AND-NOTs with no
+    undo.  Items never open are secondary: covered at most once.  The node
+    branches on the item ``branch(open_items, alive, covered_by)`` and tries
+    its alive options in ascending order.  Returns the chosen options in order.
+    The deadline is checked on the first node, then every DEADLINE_EVERY nodes.
     """
-    table: list[tuple[tuple[int, int, int], ...]] = []
-    for e in range(v):
-        row = []
-        for y in range(e + 1, v):
-            if y == v - e:
-                continue
-            vy = v - y
-            if e < vy < y:
-                continue
-            m1 = (1 << e) | (1 << y) | (1 << (v - e)) | (1 << vy)
-            total, diff = (e + y) % v, (e - y) % v
-            m2 = ((1 << total) | (1 << ((v - total) % v))
-                  | (1 << diff) | (1 << ((v - diff) % v)))
-            row.append((y, m1, m2))
-        table.append(tuple(row))
-    return tuple(table)
+    stack: list[tuple[int, int, int, int]] = []  # (open, alive, untried, chosen) per level
+    nodes = 0
+    while open_items:
+        if deadline is not None and nodes % DEADLINE_EVERY == 0 and time.monotonic() > deadline:
+            raise BudgetExceededError("exact-cover search hit its deadline")
+        nodes += 1
+        untried = alive & covered_by[branch(open_items, alive, covered_by)]
+        while not untried:
+            if not stack:
+                return None
+            open_items, alive, untried, _ = stack.pop()
+        low = untried & -untried
+        option = low.bit_length() - 1
+        stack.append((open_items, alive, untried ^ low, option))
+        open_items &= ~cover[option]
+        alive &= ~clash[option]
+    return [frame[3] for frame in stack]
 
 
-def exhaustive_search(
-    spec: PPSSpec,
-    *,
-    max_pairs: int = 6,
-    max_v: int = 40,
-    force: bool = False,
-    deadline: float | None = None,
-) -> PairSet | None:
+def option_masks(cover: list[int], n_items: int) -> tuple[list[int], list[int]]:
+    """The ``clash`` and ``covered_by`` masks of :func:`exact_cover` from ``cover``."""
+    members = [[i for i in range(n_items) if items >> i & 1] for items in cover]
+    covered_by = [0] * n_items
+    for option, items in enumerate(members):
+        for i in items:
+            covered_by[i] |= 1 << option
+    clash = [0] * len(cover)
+    for option, items in enumerate(members):
+        for i in items:
+            clash[option] |= covered_by[i]
+    return clash, covered_by
+
+
+# exhaustive_search refuses more pairs than this over a larger modulus unless forced.
+EXHAUSTIVE_MAX_PAIRS = 6
+EXHAUSTIVE_MAX_V = 40
+
+
+@lru_cache(maxsize=None)
+def _pair_options(v: int) -> tuple[tuple[tuple[int, int], ...], list[int], list[int], list[int]]:
+    """Exact-cover options over Z_v: pairs (a, b), a < b, of negation classes c <= v/2.
+
+    Class c is element-side item c and sum/difference-side item v//2 + 1 + c.
+    Option (a, b) covers element classes a, b and sum/difference classes [a+b], b-a.
+    """
+    h = v // 2 + 1
+    pairs = tuple((a, b) for a in range(1, h) for b in range(a + 1, h))
+    cover = [(1 << a) | (1 << b) | (1 << h + min(a + b, v - a - b)) | (1 << h + b - a)
+             for a, b in pairs]
+    return (pairs, cover) + option_masks(cover, 2 * h)
+
+
+def exhaustive_search(spec: PPSSpec, *, force: bool = False,
+                      deadline: float | None = None) -> PairSet | None:
     """Backtracking oracle: the lexicographically first valid pair set, or None.
 
-    Candidate pairs are canonicalized up to negation; branching always covers
-    the smallest residue still required on the element side, so the result is
-    deterministic.  Refuses instances beyond the size budget unless forced.
+    An :func:`exact_cover` of the element classes outside A1 by class pairs,
+    each sum/difference class outside A2 hit at most once.  It branches on the
+    smallest uncovered element class and tries co-elements in ascending order.
+    The deadline is checked on the first node, then every DEADLINE_EVERY nodes.
+    Unless forced, refuses more than EXHAUSTIVE_MAX_PAIRS pairs over v > EXHAUSTIVE_MAX_V.
     """
     v = spec.v
-    if not force and spec.pair_count > max_pairs and v > max_v:
+    if not force and spec.pair_count > EXHAUSTIVE_MAX_PAIRS and v > EXHAUSTIVE_MAX_V:
         raise BudgetExceededError(
             f"search for {spec.pair_count} pairs over Z_{v} exceeds the default budget")
-    if deadline is not None and time.monotonic() > deadline:
-        raise BudgetExceededError("exhaustive search hit its deadline")
-    full = (1 << v) - 1
-    used1 = used2 = 0
-    for z in spec.a1:
-        used1 |= 1 << z
-    for z in spec.a2:
-        used2 |= 1 << z
-    table = _candidate_table(v)
-    chosen: list[tuple[int, int]] = []
-    nodes = 0
-
-    def descend(u1: int, u2: int) -> bool:
-        nonlocal nodes
-        if u1 == full:
-            return True
-        nodes += 1
-        if deadline is not None and nodes % 4096 == 0 and time.monotonic() > deadline:
-            raise BudgetExceededError("exhaustive search hit its deadline")
-        free = (~u1) & full
-        e = (free & -free).bit_length() - 1
-        for y, m1, m2 in table[e]:
-            if (m1 & u1) or (m2 & u2):
-                continue
-            chosen.append((e, y))
-            if descend(u1 | m1, u2 | m2):
-                return True
-            chosen.pop()
-        return False
-
-    if descend(used1, used2):
-        return PairSet(v, tuple(chosen))
-    return None
+    pairs, cover, clash, covered_by = _pair_options(v)
+    h = v // 2 + 1
+    alive = (1 << len(pairs)) - 1
+    for c in spec.a1:
+        alive &= ~covered_by[min(c, v - c)]
+    for c in spec.a2:
+        alive &= ~covered_by[h + min(c, v - c)]
+    open_items = sum(1 << c for c in range(1, h) if c not in spec.a1)
+    chosen = exact_cover(cover, clash, covered_by, open_items, alive,
+                         lambda items, *_: (items & -items).bit_length() - 1, deadline=deadline)
+    return None if chosen is None else PairSet(v, tuple(pairs[o] for o in chosen))

@@ -12,7 +12,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Union
 
-from .core import PairSet, PPSSpec, verify_pps
+from .core import PairSet, PPSSpec, json_field, verify_pps
 
 INF = "inf"  # the adjoined player for tournaments on 4n players; INF + 1 = INF
 
@@ -79,9 +79,11 @@ class WhistTournament:
     @classmethod
     def from_json(cls, obj: dict) -> "WhistTournament":
         rounds = tuple(
-            tuple(tuple(seat if seat == INF else int(seat) for seat in g) for g in rnd)
-            for rnd in obj["rounds"])
-        v = int(obj["v"])
+            tuple(tuple(seat if seat == INF else json_field(seat, int, "seat")
+                        for seat in json_field(g, list, "game"))
+                  for g in json_field(rnd, list, "round"))
+            for rnd in json_field(obj["rounds"], list, "rounds"))
+        v = json_field(obj["v"], int, "v")
         u = v - 1 if any(INF in g for rnd in rounds for g in rnd) else v
         return cls(v, u, rounds, bool(obj.get("cyclic", False)))
 
@@ -243,8 +245,12 @@ class DifferenceMatrix:
 
     @classmethod
     def from_json(cls, obj: dict) -> "DifferenceMatrix":
-        return cls(int(obj["k"]), int(obj["v"]),
-                   tuple(tuple(int(x) for x in r) for r in obj["rows"]))
+        rows = tuple(tuple(json_field(x, int, "row entry") for x in json_field(r, list, "row"))
+                     for r in json_field(obj["rows"], list, "rows"))
+        k, v = json_field(obj["k"], int, "k"), json_field(obj["v"], int, "v")
+        if v < 1 or len(rows) != k or any(len(r) != v for r in rows):
+            raise ValueError(f"rows must form a {k} x {v} array with v positive")
+        return cls(k, v, rows)
 
 
 def cdm_from_round(r0: tuple[Game, ...] | list[Game]) -> DifferenceMatrix:

@@ -11,12 +11,11 @@ multiset is constant along each element orbit.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass
 
 from sympy.ntheory import factorint
 
-from .core import BudgetExceededError, PairSet, PPSSpec, verify_pps
+from .core import PairSet, PPSSpec, exact_cover, option_masks, verify_pps
 from .modarith import crt_lift, mult_order
 
 
@@ -205,84 +204,42 @@ def build_system(group: MultiplierGroup, spec: PPSSpec,
     return CoverSystem(tuple(tuple(r) for r in rows), j, labels, index.pair_reps)
 
 
+def _fewest_options(open_items: int, alive: int, covered_by: list[int]) -> int:
+    """The open row with the fewest alive columns, ties to the lowest row."""
+    best = item = None
+    while open_items:
+        row = (open_items & -open_items).bit_length() - 1
+        count = (alive & covered_by[row]).bit_count()
+        if count <= 1:  # a later row with none would be a dead end under any branch
+            return row
+        if best is None or count < best:
+            best, item = count, row
+        open_items &= open_items - 1
+    return item
+
+
 def solve_binary(system: CoverSystem, *, deadline: float | None = None) -> tuple[int, ...] | None:
     """First 0-1 solution of M X = J under a fixed branching order, or None.
 
-    Columns that hit a forbidden (J=0) row, or hit any required row more
-    than once, can never be selected and are dropped; what remains is a pure
-    exact cover over the required rows, solved by Algorithm X branching on
-    the row with fewest remaining columns.
+    Columns that hit a forbidden (J=0) row, or any row more than once, are
+    dropped; the rest go to :func:`~designforge.core.exact_cover` over the
+    required rows.  It branches on the row with the fewest remaining columns,
+    ties to the lowest row, and tries columns in ascending order.  The
+    deadline is checked on the first node, then every DEADLINE_EVERY nodes.
     """
-    required = [i for i, ji in enumerate(system.j) if ji == 1]
-    required_set = set(required)
-    usable: dict[int, frozenset[int]] = {}
-    for col in range(system.m):
-        covered = set()
-        ok = True
-        for i in range(2 * system.n):
-            w = system.matrix[i][col]
-            if w == 0:
-                continue
-            if i not in required_set or w > 1:
-                ok = False
-                break
-            covered.add(i)
-        if ok:
-            usable[col] = frozenset(covered)
-    candidates: dict[int, set[int]] = {i: set() for i in required}
-    for col, covered in usable.items():
-        for i in covered:
-            candidates[i].add(col)
-
-    selection: list[int] = []
-    nodes = 0
-
-    # Dict-based Algorithm X: selecting a column pops every row it covers and
-    # hides all competing columns; deselect restores the popped snapshots.
-    def select(col: int) -> list[tuple[int, set[int]]]:
-        removed = []
-        for i in usable[col]:
-            removed.append((i, candidates.pop(i)))
-        for i, cols in removed:
-            for other in cols:
-                if other == col:
-                    continue
-                for k in usable[other]:
-                    if k in candidates:
-                        candidates[k].discard(other)
-        return removed
-
-    def deselect(col: int, removed: list[tuple[int, set[int]]]) -> None:
-        for i, cols in reversed(removed):
-            candidates[i] = cols
-            for other in cols:
-                if other == col:
-                    continue
-                for k in usable[other]:
-                    if k in candidates:
-                        candidates[k].add(other)
-
-    def descend() -> bool:
-        nonlocal nodes
-        if not candidates:
-            return True
-        nodes += 1
-        if deadline is not None and time.monotonic() > deadline:
-            raise BudgetExceededError("exact-cover search hit its deadline")
-        row = min(candidates, key=lambda i: (len(candidates[i]), i))
-        for col in sorted(candidates[row]):
-            selection.append(col)
-            removed = select(col)
-            if descend():
-                return True
-            deselect(col, removed)
-            selection.pop()
-        return False
-
-    if not descend():
+    columns, cover = [], []
+    for col, weights in enumerate(zip(*system.matrix)):
+        if all(w == 0 or (w == 1 and ji) for w, ji in zip(weights, system.j)):
+            columns.append(col)
+            cover.append(sum(1 << i for i, w in enumerate(weights) if w))
+    clash, covered_by = option_masks(cover, len(system.j))
+    required = sum(ji << i for i, ji in enumerate(system.j))
+    chosen = exact_cover(cover, clash, covered_by, required, (1 << len(columns)) - 1,
+                         _fewest_options, deadline=deadline)
+    if chosen is None:
         return None
-    chosen = set(selection)
-    return tuple(int(c in chosen) for c in range(system.m))
+    selected = {columns[option] for option in chosen}
+    return tuple(int(c in selected) for c in range(system.m))
 
 
 def develop(initial: list[tuple[int, int]] | tuple, group: MultiplierGroup) -> PairSet:

@@ -14,7 +14,7 @@ from collections import Counter
 from dataclasses import dataclass
 
 from .construct import silver_pps_p2, silver_witness, union_pps_pq
-from .core import BudgetExceededError, PairSet, SetKind, infer_params
+from .core import BudgetExceededError, PairSet, SetKind, infer_params, json_field
 from .modarith import crt_lift, mod_sqrt
 
 
@@ -25,6 +25,8 @@ class OOCode:
     codewords: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
+        if self.n < 1:
+            raise ValueError("code length must be positive")
         norm = []
         for cw in self.codewords:
             entries = tuple(sorted(x % self.n for x in cw))
@@ -41,8 +43,10 @@ class OOCode:
 
     @classmethod
     def from_json(cls, obj: dict) -> "OOCode":
-        return cls(int(obj["n"]), int(obj["k"]),
-                   tuple(tuple(int(x) for x in c) for c in obj["codewords"]))
+        codewords = tuple(
+            tuple(json_field(x, int, "codeword entry") for x in json_field(c, list, "codeword"))
+            for c in json_field(obj["codewords"], list, "codewords"))
+        return cls(json_field(obj["n"], int, "n"), json_field(obj["k"], int, "k"), codewords)
 
 
 @dataclass(frozen=True)
@@ -232,10 +236,13 @@ def is_maximal(code: OOCode, *, candidate_limit: int = 64,
     A new codeword needs k(k-1) distinct differences drawn from the leave
     minus 0, so translate it to contain 0 and search cliques among the
     residues whose +- pair lies in the leave.  Returns (False, witness) with
-    an extending codeword when one exists.
+    an extending codeword when one exists.  Raises ValueError when the
+    code's own differences repeat, since it is then no OOC to extend.
     """
     n, k = code.n, code.k
     report = verify_ooc(code)
+    if not report.differences_distinct:
+        raise ValueError(f"code differences repeat: {sorted(report.repeated)}")
     leave_nz = set(report.leave) - {0}
     if len(leave_nz) < k * (k - 1):
         return True, None

@@ -195,3 +195,26 @@ def test_budget_env_respected(example_file, monkeypatch, capsys):
     code = main(["search", "km", "--v", "133", "--type", "ps",
                  "--generators", "122"])
     assert code == 3
+
+
+@pytest.mark.parametrize("command, payload", [
+    (["verify", "--type", "ps"], [1, 2]),
+    (["verify", "--type", "ps"], {"v": 13, "pairs": [[1, None]]}),
+    (["verify", "--type", "ps"], {"v": 13, "pairs": 5}),
+    (["verify", "--type", "ps"], {"v": 13, "pairs": [[1, 2, 3]]}),
+    (["verify", "--type", "ps"], {"v": "13", "pairs": []}),
+    (["whist", "round"], None),
+    (["whist", "verify"], {"v": 13, "rounds": [[[0, 1, 2, None]]]}),
+    (["cdm", "verify"], {"k": 5, "v": 13, "rows": [[0, 1], None]}),
+    (["cdm", "verify"], {"k": 5, "v": 13, "rows": [[0, 1]]}),
+    (["ooc", "verify"], {"n": 39, "k": 4, "codewords": "0123"}),
+    (["ooc", "verify"], {"n": 0, "k": 4, "codewords": [[0, 1, 2, 3]]}),
+    (["ooc", "maximal"], {"n": 39, "k": 4, "codewords": [[0, 1, 2, 3], [0, 1, 2, 4]]}),
+])
+def test_malformed_input_is_a_usage_error(example_file, capsys, command, payload):
+    path = example_file("bad.json", payload)
+    assert main(command + ["--file", path]) == 2
+    captured = capsys.readouterr()
+    lines = captured.err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:"), captured.err
+    assert "Traceback" not in captured.err and not captured.out

@@ -267,3 +267,58 @@ def test_every_valid_set_has_exact_pair_count():
         found = exhaustive_search(spec)
         assert found is not None
         assert len(found.pairs) == spec.pair_count
+
+
+def _class(z: int, v: int) -> int:
+    z %= v
+    return min(z, v - z)
+
+
+def _matchings(classes: tuple[int, ...]):
+    if not classes:
+        yield ()
+        return
+    a, rest = classes[0], classes[1:]
+    for i, b in enumerate(rest):
+        for tail in _matchings(rest[:i] + rest[i + 1:]):
+            yield ((a, b),) + tail
+
+
+def _lexmin_by_leave(v: int, free: tuple[int, ...]) -> dict:
+    """Brute-force oracle over every perfect matching of the free negation classes.
+
+    Keeps the matchings whose sum/difference classes are pairwise distinct
+    and maps the set of classes they leave uncovered to the lexicographically
+    least such matching.
+    """
+    classes = set(range(1, v // 2 + 1))
+    best: dict = {}
+    for matching in _matchings(free):
+        hit = [_class(a + b, v) for a, b in matching] + [_class(a - b, v) for a, b in matching]
+        if len(set(hit)) != len(hit):
+            continue
+        leave = frozenset(classes - set(hit))
+        key = tuple(sorted(matching))
+        if leave not in best or key < best[leave]:
+            best[leave] = key
+    return best
+
+
+def test_exhaustive_search_is_the_lexicographically_least_matching():
+    for v in range(3, 28, 4):
+        half = (v - 1) // 2
+        for alpha in range(1, half + 1):
+            best = _lexmin_by_leave(v, tuple(c for c in range(1, half + 1) if c != alpha))
+            for beta in range(1, half + 1):
+                spec = PPSSpec.aps(v, alpha, beta)
+                expected = best.get(frozenset({beta}))
+                found = exhaustive_search(spec)
+                if expected is None:
+                    assert found is None, (v, alpha, beta)
+                    continue
+                assert verify_pps(PairSet(v, expected), spec).valid
+                assert found is not None and found.pairs == expected, (v, alpha, beta)
+    for v in range(5, 26, 4):
+        expected = _lexmin_by_leave(v, tuple(range(1, (v - 1) // 2 + 1))).get(frozenset())
+        found = exhaustive_search(PPSSpec.ps(v))
+        assert (None if found is None else found.pairs) == expected, v

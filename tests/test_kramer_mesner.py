@@ -4,9 +4,11 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from designforge.catalog import APS651_INITIAL_PAIRS, PS133_INITIAL_PAIRS, get
-from designforge.core import PairSet, PPSSpec, verify_pps
+from designforge.core import PairSet, PPSSpec, aps_necessary, exhaustive_search, verify_pps
 from designforge.kramer_mesner import (
     CoverSystem,
     MultiplierGroup,
@@ -227,3 +229,28 @@ def test_sparse_export():
         assert system.matrix[i][j] == w
     nonzero = sum(1 for row in system.matrix for w in row if w)
     assert len(triples) == nonzero
+
+
+@pytest.mark.parametrize("v, generators, spec, m, support", [
+    (13, [12], PPSSpec.ps(13), 42, (9, 17, 34)),
+    (27, [26], PPSSpec.aps(27, 3, 6), 182, (15, 47, 108, 121, 133, 158)),
+    (133, [122], PPSSpec.ps(133), 1474,
+     (22, 294, 404, 530, 638, 751, 916, 998, 1055, 1202, 1235)),
+])
+def test_solve_binary_pinned_solutions(v, generators, spec, m, support):
+    """The first solution under fewest-candidates branching, ties to the lowest row."""
+    system = build_system(MultiplierGroup.generate(v, generators), spec)
+    assert system.m == m
+    assert solve_binary(system) == tuple(int(c in support) for c in range(m))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_sign_group_search_agrees_with_exhaustive_search(data):
+    v = data.draw(st.sampled_from(range(3, 28, 4)), label="v")
+    alpha = data.draw(st.integers(1, v - 1), label="alpha")
+    beta = data.draw(st.integers(1, v - 1), label="beta")
+    spec = PPSSpec.aps(v, alpha, beta)
+    by_orbits = km_search(v, [1, v - 1], spec)
+    direct = exhaustive_search(spec)
+    assert (by_orbits is not None) == (direct is not None) == aps_necessary(v, alpha, beta)

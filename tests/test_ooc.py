@@ -166,6 +166,13 @@ def test_repeated_codeword_is_flagged():
     assert not report.differences_distinct and report.repeated
 
 
+def test_is_maximal_refuses_repeated_differences():
+    code = OOCode(39, 4, ((0, 1, 2, 3), (0, 1, 2, 4)))
+    assert not verify_ooc(code).differences_distinct
+    with pytest.raises(ValueError):
+        is_maximal(code)
+
+
 def test_is_maximal_translation_invariant():
     code = ooc_from_pairs(PS13, 4)
     sub = OOCode(39, 4, code.codewords[1:])
