@@ -74,6 +74,13 @@ def _emit(obj: dict, as_json: bool) -> None:
         print(f"{key}: {value}")
 
 
+def _require(args, command: str, *flags: str) -> None:
+    """Raise ValueError naming the first of ``flags`` that was not given."""
+    for flag in flags:
+        if getattr(args, flag) is None:
+            raise ValueError(f"--{flag} is required for {command}")
+
+
 def _spec_from_args(args, v: int) -> PPSSpec:
     if args.type == "ps":
         return PPSSpec.ps(v)
@@ -125,12 +132,22 @@ def _print_construction(result: tuple[PairSet, PPSSpec], as_json: bool) -> int:
     return OK if payload["valid"] else INVALID
 
 
+_CONSTRUCT_FLAGS = {
+    "silver": ("p",), "silver-square": ("p",), "inflate": ("file", "u"),
+    "compose": ("ps", "aps"), "product": ("ps", "ps2"), "cyclotomic": ("p", "q"),
+    "union": ("p", "q"),
+}
+
+
 def _cmd_construct(args) -> int:
+    command = f"construct {args.what}"
+    _require(args, command, *_CONSTRUCT_FLAGS[args.what])
     if args.what == "silver":
-        if args.alpha is not None:
-            result = aps_with_params(args.p, args.alpha, args.beta)
-        else:
+        if args.alpha is None and args.beta is None:
             result = silver_aps(args.p)
+        else:
+            _require(args, f"{command} with --alpha or --beta", "alpha", "beta")
+            result = aps_with_params(args.p, args.alpha, args.beta)
     elif args.what == "silver-square":
         alpha = 1 if args.alpha is None else args.alpha
         beta = args.beta if args.beta is not None else mod_sqrt(2, args.p ** 2)
@@ -191,8 +208,13 @@ def _cmd_cdm(args) -> int:
     return OK if report.valid else INVALID
 
 
+_OOC_BUILD_FLAGS = {"pairs": ("file",), "block45": ("file",), "pq": ("p", "q"), "p2": ("p",)}
+
+
 def _cmd_ooc(args) -> int:
     if args.action == "build":
+        _require(args, "ooc build", "kind")
+        _require(args, f"ooc build --kind {args.kind}", *_OOC_BUILD_FLAGS[args.kind])
         if args.kind == "pairs":
             code = ooc_from_pairs(PairSet.from_json(_load_json(args.file)), args.k)
         elif args.kind == "block45":
@@ -207,6 +229,7 @@ def _cmd_ooc(args) -> int:
             code = maximal_ooc_p2(args.p, args.k)
         _emit(code.to_json(), args.json)
         return OK
+    _require(args, f"ooc {args.action}", "file")
     code = OOCode.from_json(_load_json(args.file))
     if args.action == "verify":
         report = verify_ooc(code)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from sympy import isprime
 
-from .core import PairSet, PPSSpec, SetKind, infer_params, scale_set, verify_pps
+from .core import PairSet, PPSSpec, SetKind, infer_params, verify_pps
 from .modarith import crt_lift, generates_mod_pm_one, mod_sqrt
 
 
@@ -40,10 +40,10 @@ def silver_witness(p: int, *, square: bool = False) -> SilverWitness:
     return SilverWitness(p, m, theta, generates_mod_pm_one(theta, m))
 
 
-def _power_chain(theta: int, m: int, count: int) -> list[tuple[int, int]]:
-    """Pairs {theta^(2i-1), theta^(2i)} for i = 1..count."""
+def _power_chain(theta: int, m: int, count: int, scale: int) -> list[tuple[int, int]]:
+    """Pairs {scale*theta^(2i-1), scale*theta^(2i)} for i = 1..count."""
     pairs = []
-    x = 1
+    x = scale
     for _ in range(count):
         a = x * theta % m
         b = a * theta % m
@@ -58,7 +58,7 @@ def silver_aps(p: int) -> tuple[PairSet, PPSSpec]:
     if not w.generates:
         raise ValueError(
             f"1 + sqrt(2) does not generate the units of Z_{p} up to sign")
-    pairs = _power_chain(w.theta, p, (p - 3) // 4)
+    pairs = _power_chain(w.theta, p, (p - 3) // 4, 1)
     return PairSet(p, tuple(pairs)), PPSSpec.aps(p, 1, w.theta - 1)
 
 
@@ -82,11 +82,21 @@ def aps_with_params(p: int, alpha: int, beta: int) -> tuple[PairSet, PPSSpec]:
     spec = PPSSpec.aps(p, alpha, beta)
     root = w.theta - 1
     for theta in (1 + root, 1 + (p - root)):
-        base = PairSet(p, tuple(_power_chain(theta % p, p, (p - 3) // 4)))
-        scaled = scale_set(base, alpha)
-        if verify_pps(scaled, spec).valid:
-            return scaled, spec
+        chain = PairSet(p, tuple(_power_chain(theta % p, p, (p - 3) // 4, alpha)))
+        if verify_pps(chain, spec).valid:
+            return chain, spec
     raise ValueError(f"no scaling of the power chain realizes APS({p},{alpha},{beta})")
+
+
+def _checked_spec(s: PairSet, spec: PPSSpec | None, name: str) -> PPSSpec:
+    """spec once s is verified against it, or s's inferred spec when none is given."""
+    if spec is None:
+        spec = infer_params(s)
+        if spec is None:
+            raise ValueError(f"{name} is not a valid partial pair set")
+    elif not verify_pps(s, spec).valid:
+        raise ValueError(f"{name} fails its stated spec")
+    return spec
 
 
 def fill(
@@ -100,23 +110,23 @@ def fill(
 
     outer must cover Z_v minus the subgroup H of multiples of d, on both
     sides; inner lives on Z_h with h = v/d and is embedded via x -> d*x.
+    Raises ValueError unless all this holds and inner meets inner_spec (inferred if None).
     """
     v = outer.v
     if v % d != 0:
         raise ValueError(f"{d} does not divide {v}")
-    h = v // d
-    if inner.v != h:
+    if inner.v != v // d:
         raise ValueError(f"inner modulus {inner.v} != {v}/{d}")
     subgroup = frozenset(range(0, v, d))
-    outer_spec = PPSSpec(v, subgroup, subgroup)
-    if not verify_pps(outer, outer_spec).valid:
+    if not verify_pps(outer, PPSSpec(v, subgroup, subgroup)).valid:
         raise ValueError("outer pair set does not cover the complement of the subgroup")
-    if inner_spec is None:
-        inner_spec = infer_params(inner)
-        if inner_spec is None:
-            raise ValueError("inner pair set is not a valid partial pair set")
-    elif not verify_pps(inner, inner_spec).valid:
-        raise ValueError("inner pair set fails its stated spec")
+    return _embed(outer, inner, d, _checked_spec(inner, inner_spec, "inner pair set"))
+
+
+def _embed(outer: PairSet, inner: PairSet, d: int,
+           inner_spec: PPSSpec) -> tuple[PairSet, PPSSpec]:
+    """fill without its checks, for callers that built or verified both sets."""
+    v = outer.v
     pairs = outer.pairs + tuple((d * x % v, d * y % v) for x, y in inner.pairs)
     spec = PPSSpec(
         v,
@@ -135,16 +145,12 @@ def inflate(
     """Stretch a pair set on Z_v to Z_{vu} by the {x + sv, y + 2sv} family.
 
     Needs gcd(u, 6) = 1 so that the shifts s, 2s and 3s each run over all of
-    Z_u.  The excluded sets lift to all of their preimages modulo v.
+    Z_u, and s to meet spec (inferred if None); raises ValueError otherwise.
+    The excluded sets lift to all of their preimages modulo v.
     """
     if math.gcd(u, 6) != 1:
         raise ValueError(f"u = {u} must be coprime to 6")
-    if spec is None:
-        spec = infer_params(s)
-        if spec is None:
-            raise ValueError("input pair set is not a valid partial pair set")
-    elif not verify_pps(s, spec).valid:
-        raise ValueError("input pair set fails its stated spec")
+    spec = _checked_spec(s, spec, "input pair set")
     v, n = s.v, s.v * u
     pairs = tuple(
         ((x + k * v) % n, (y + 2 * k * v) % n) for x, y in s.pairs for k in range(u))
@@ -161,13 +167,11 @@ def compose_ps_aps(sv: PairSet, su: PairSet) -> tuple[PairSet, PPSSpec]:
     u = su.v
     if u % 12 not in (7, 11):
         raise ValueError(f"u = {u} must be 7 or 11 modulo 12")
-    if not verify_pps(sv, PPSSpec.ps(sv.v)).valid:
-        raise ValueError("first argument is not a valid PS")
     su_spec = infer_params(su)
     if su_spec is None or su_spec.kind is not SetKind.APS:
         raise ValueError("second argument is not a valid APS")
     outer, _ = inflate(sv, u, spec=PPSSpec.ps(sv.v))
-    return fill(outer, su, sv.v, inner_spec=su_spec)
+    return _embed(outer, su, sv.v, su_spec)
 
 
 def ps_product(su: PairSet, sv: PairSet) -> tuple[PairSet, PPSSpec]:
@@ -175,11 +179,10 @@ def ps_product(su: PairSet, sv: PairSet) -> tuple[PairSet, PPSSpec]:
     u, v = su.v, sv.v
     if u % 4 != 1 or v % 4 != 1:
         raise ValueError("both moduli must be 1 modulo 4")
-    for s in (su, sv):
-        if not verify_pps(s, PPSSpec.ps(s.v)).valid:
-            raise ValueError(f"input over Z_{s.v} is not a valid PS")
+    if not verify_pps(su, PPSSpec.ps(u)).valid:
+        raise ValueError(f"input over Z_{u} is not a valid PS")
     outer, _ = inflate(sv, u, spec=PPSSpec.ps(v))
-    return fill(outer, su, v, inner_spec=PPSSpec.ps(u))
+    return _embed(outer, su, v, PPSSpec.ps(u))
 
 
 def _nonzero_squares(p: int) -> set[int]:
@@ -280,28 +283,27 @@ def silver_pps_p2(p: int, alpha: int, beta: int) -> tuple[PairSet, PPSSpec]:
     """Pair set on Z_{p^2} excluding {0, +-alpha, +-p*alpha} / the beta analogue.
 
     Two power chains of theta = 1 + sqrt(2) mod p**2 are glued: one through
-    the units, one through p times the units, then both are scaled by alpha.
+    the units, one through p times the units, both started at alpha.
     Requires 2*alpha**2 == beta**2 (mod p**2) and that theta generates the
     units of Z_{p^2} up to sign (which fails for some p, e.g. 31).
     """
-    m = p * p
+    w = silver_witness(p, square=True)
+    m = w.modulus
     alpha %= m
     beta %= m
     if math.gcd(alpha, p) != 1:
         raise ValueError("alpha must be a unit modulo p")
     if (2 * alpha * alpha - beta * beta) % m != 0:
         raise ValueError(f"2*{alpha}^2 - {beta}^2 is not 0 modulo {m}; no such set exists")
-    w = silver_witness(p, square=True)
     if not w.generates:
         raise ValueError(
             f"1 + sqrt(2) does not generate the units of Z_{p}^2 up to sign")
-    unit_chain = _power_chain(w.theta, m, (m - p - 2) // 4)
+    unit_chain = _power_chain(w.theta, m, (m - p - 2) // 4, alpha)
     sub_chain = [(p * x % m, p * y % m)
-                 for x, y in _power_chain(w.theta, m, (p - 3) // 4)]
-    scaled = scale_set(PairSet(m, tuple(unit_chain + sub_chain)), alpha)
+                 for x, y in _power_chain(w.theta, m, (p - 3) // 4, alpha)]
     spec = PPSSpec(
         m,
         frozenset({0, alpha, -alpha % m, p * alpha % m, -p * alpha % m}),
         frozenset({0, beta, -beta % m, p * beta % m, -p * beta % m}),
     )
-    return scaled, spec
+    return PairSet(m, tuple(unit_chain + sub_chain)), spec

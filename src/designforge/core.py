@@ -86,6 +86,8 @@ class PPSSpec:
     a2: frozenset[int]
 
     def __post_init__(self) -> None:
+        if self.v < 1:
+            raise ValueError(f"modulus must be positive, got {self.v}")
         a1 = frozenset(x % self.v for x in self.a1)
         a2 = frozenset(x % self.v for x in self.a2)
         object.__setattr__(self, "a1", a1)
@@ -143,14 +145,6 @@ class PPSSpec:
         if self.kind is SetKind.APS:
             return {"type": "APS", "v": self.v, "alpha": self.alpha, "beta": self.beta}
         return {"v": self.v, "A1": sorted(self.a1), "A2": sorted(self.a2)}
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "PPSSpec":
-        if obj.get("type") == "PS":
-            return cls.ps(int(obj["v"]))
-        if obj.get("type") == "APS":
-            return cls.aps(int(obj["v"]), int(obj["alpha"]), int(obj["beta"]))
-        return cls(int(obj["v"]), frozenset(obj["A1"]), frozenset(obj["A2"]))
 
 
 @dataclass(frozen=True)
@@ -303,15 +297,15 @@ def admissible_witness(v: int) -> tuple[int, int] | None:
     """One nonzero (alpha, beta) passing aps_necessary, assembled by CRT.
 
     Works at any scale, unlike the full scan: the congruence is solved in
-    one prime-power component (a repeated prime factor, a prime with 2 a
-    square, or the 3-part) and zero-filled elsewhere.  Returns None exactly
-    when an arithmetic obstruction rules every pair out.
+    one prime-power component (the smallest repeated prime factor, else the
+    smallest prime with 2 a square, or the 3-part) and zero-filled elsewhere.
+    Returns None exactly when an arithmetic obstruction rules every pair out.
     """
     if v % 4 != 3:
         raise ValueError("v must be 3 modulo 4")
     if nonexistence_case(v) is not None:
         return None
-    factors = dict(factorint(v))
+    factors = dict(sorted(factorint(v).items()))
     three_exp = factors.pop(3, 0)
     moduli = [p ** e for p, e in factors.items()]
     alpha = {m: 0 for m in moduli}

@@ -11,11 +11,12 @@ multiset is constant along each element orbit.
 from __future__ import annotations
 
 import math
+import time
 from dataclasses import dataclass
 
 from sympy.ntheory import factorint
 
-from .core import PairSet, PPSSpec, exact_cover, option_masks, verify_pps
+from .core import BudgetExceededError, PairSet, PPSSpec, exact_cover, option_masks, verify_pps
 from .modarith import crt_lift, mult_order
 
 
@@ -260,6 +261,11 @@ def develop(initial: list[tuple[int, int]] | tuple, group: MultiplierGroup) -> P
     return PairSet(v, tuple(sorted(out)))
 
 
+def _check_deadline(deadline: float | None) -> None:
+    if deadline is not None and time.monotonic() > deadline:
+        raise BudgetExceededError("orbit search hit its deadline")
+
+
 def km_search(
     v: int,
     generators: tuple[int, ...] | list[int],
@@ -267,10 +273,16 @@ def km_search(
     *,
     deadline: float | None = None,
 ) -> PairSet | None:
-    """End-to-end orbit search: orbits, system, 0-1 solve, develop, verify."""
+    """End-to-end orbit search: orbits, system, 0-1 solve, develop, verify.
+
+    The deadline is checked on entry and between the orbit, system and solve stages.
+    """
+    _check_deadline(deadline)
     group = MultiplierGroup.generate(v, generators)
     index = orbits(group)
+    _check_deadline(deadline)
     system = build_system(group, spec, index)
+    _check_deadline(deadline)
     x = solve_binary(system, deadline=deadline)
     if x is None:
         return None

@@ -13,7 +13,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 
-from .construct import silver_pps_p2, silver_witness, union_pps_pq
+from .construct import silver_pps_p2, union_pps_pq
 from .core import BudgetExceededError, PairSet, SetKind, infer_params, json_field
 from .modarith import crt_lift, mod_sqrt
 
@@ -220,9 +220,6 @@ def maximal_ooc_p2(p: int, k: int) -> OOCode:
     """
     if k not in (4, 5):
         raise ValueError("k must be 4 or 5")
-    if not silver_witness(p, square=True).generates:
-        raise ValueError(
-            f"1 + sqrt(2) does not generate the units of Z_{p}^2 up to sign")
     beta = mod_sqrt(2, p * p)
     pairs, _ = silver_pps_p2(p, 1, beta)
     return OOCode((3 if k == 4 else 5) * p * p, k,

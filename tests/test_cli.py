@@ -218,3 +218,30 @@ def test_malformed_input_is_a_usage_error(example_file, capsys, command, payload
     lines = captured.err.strip().splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:"), captured.err
     assert "Traceback" not in captured.err and not captured.out
+
+
+@pytest.mark.parametrize("command, needle", [
+    (["construct", "silver", "--p", "23", "--alpha", "1"], "--beta"),
+    (["construct", "silver"], "--p"),
+    (["construct", "silver", "--p", "23", "--beta", "5"], "--alpha"),
+    (["construct", "silver-square"], "--p"),
+    (["construct", "silver-square", "--p", "13"], "got 13"),
+    (["construct", "inflate", "--u", "5"], "--file"),
+    (["construct", "inflate", "--file", "ps.json"], "--u"),
+    (["construct", "compose"], "--ps"),
+    (["construct", "product"], "--ps"),
+    (["construct", "cyclotomic"], "--p"),
+    (["ooc", "build", "--kind", "pairs"], "--file"),
+    (["ooc", "build", "--kind", "p2"], "--p"),
+    (["ooc", "build", "--kind", "pq"], "--p"),
+    (["ooc", "verify"], "--file"),
+    (["ooc", "maximal"], "--file"),
+    (["search", "exhaustive", "--v", "0", "--type", "ps"], "got 0"),
+    (["search", "km", "--v", "0", "--type", "ps", "--generators", "1"], "got 0"),
+])
+def test_missing_flag_is_a_usage_error(capsys, command, needle):
+    assert main(command) == 2
+    captured = capsys.readouterr()
+    lines = captured.err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:") and needle in lines[0], captured.err
+    assert "Traceback" not in captured.err and not captured.out

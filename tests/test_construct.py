@@ -3,6 +3,7 @@ from __future__ import annotations
 import pytest
 from sympy import primerange
 
+from designforge import construct
 from designforge.catalog import (
     CYCLOTOMIC_WITNESSES_P,
     CYCLOTOMIC_WITNESSES_Q,
@@ -27,6 +28,7 @@ from designforge.core import PairSet, PPSSpec, verify_pps
 
 PS5 = PairSet(5, ((1, 2),))
 PS13 = PairSet(13, ((1, 5), (2, 3), (4, 6)))
+BROKEN13 = PairSet(13, ((1, 5), (2, 3), (4, 5)))  # covers 5 twice and 6 never
 
 
 def test_silver_witness_basics():
@@ -148,6 +150,43 @@ def test_ps_product():
         assert verify_pps(out, spec).valid
     with pytest.raises(ValueError):
         ps_product(PS5, PairSet(7, ((1, 4),)))
+
+
+def test_compositions_reject_invalid_arguments():
+    aps7, _ = aps_with_params(7, 2, 1)
+    with pytest.raises(ValueError):
+        compose_ps_aps(BROKEN13, aps7)
+    with pytest.raises(ValueError):
+        compose_ps_aps(PS13, PairSet(7, ((1, 2), (1, 3))))
+    for sa, sb in ((BROKEN13, PS5), (PS5, BROKEN13)):
+        with pytest.raises(ValueError):
+            ps_product(sa, sb)
+
+
+def test_inflate_and_fill_reject_invalid_arguments():
+    with pytest.raises(ValueError, match="fails its stated spec"):
+        inflate(BROKEN13, 5, spec=PPSSpec.ps(13))
+    with pytest.raises(ValueError, match="not a valid partial pair set"):
+        inflate(BROKEN13, 5)
+    outer65, _ = inflate(PS13, 5)
+    with pytest.raises(ValueError, match="outer pair set"):
+        fill(PairSet(65, outer65.pairs[1:]), PS5, 13)
+
+
+def test_compositions_check_each_argument_once(monkeypatch):
+    aps7, _ = aps_with_params(7, 2, 1)
+    checked = []
+    for name in ("verify_pps", "infer_params"):
+        def record(s, *args, _name=name, _real=getattr(construct, name)):
+            checked.append((_name, s.v))
+            return _real(s, *args)
+        monkeypatch.setattr(construct, name, record)
+
+    compose_ps_aps(PS13, aps7)
+    assert sorted(checked) == [("infer_params", 7), ("verify_pps", 13)]
+    checked.clear()
+    ps_product(PS5, PS13)
+    assert sorted(checked) == [("verify_pps", 5), ("verify_pps", 13)]
 
 
 def test_cyclotomic_witnesses_match_known_table():

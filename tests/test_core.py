@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from designforge import core
 from designforge.core import (
     BudgetExceededError,
     NonexistenceCase,
@@ -47,13 +48,14 @@ def test_spec_shapes():
     assert aps.pair_count == 6
     pps = PPSSpec(35, frozenset(range(0, 35, 5)), frozenset(range(0, 35, 5)))
     assert pps.kind is SetKind.PPS
-    for spec in (ps, aps, pps):
-        assert PPSSpec.from_json(spec.to_json()) == spec
 
 
 def test_spec_invariants_enforced():
     with pytest.raises(ValueError):
         PPSSpec.aps(27, 0, 3)
+    for v in (0, -5):
+        with pytest.raises(ValueError, match="modulus must be positive"):
+            PPSSpec.ps(v)
     with pytest.raises(ValueError):
         PPSSpec(9, frozenset({0, 1}), frozenset({0, 8}))  # A1 not negation-closed
     with pytest.raises(ValueError):
@@ -191,6 +193,14 @@ def test_admissible_witness_beyond_scan_range():
     assert aps_necessary(3 ** 13, alpha, beta)
     # an obstructed composite stays empty: squarefree product of 3 (mod 8) primes
     assert admissible_witness(11 * 13 * 29) is None  # 4147 = 7 mod 12, all +-3 mod 8
+
+
+def test_admissible_witness_plants_in_the_smallest_prime(monkeypatch):
+    v = 3 * 10007 * 10039
+    assert admissible_witness(v) == (78484902, 129543256)
+    real = core.factorint
+    monkeypatch.setattr(core, "factorint", lambda n: dict(reversed(real(n).items())))
+    assert admissible_witness(v) == (78484902, 129543256)
 
 
 def test_admissible_solution_counts_on_silver_primes():

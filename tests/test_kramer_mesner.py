@@ -2,13 +2,22 @@ from __future__ import annotations
 
 import itertools
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from designforge import kramer_mesner
 from designforge.catalog import APS651_INITIAL_PAIRS, PS133_INITIAL_PAIRS, get
-from designforge.core import PairSet, PPSSpec, aps_necessary, exhaustive_search, verify_pps
+from designforge.core import (
+    BudgetExceededError,
+    PairSet,
+    PPSSpec,
+    aps_necessary,
+    exhaustive_search,
+    verify_pps,
+)
 from designforge.kramer_mesner import (
     CoverSystem,
     MultiplierGroup,
@@ -254,3 +263,25 @@ def test_sign_group_search_agrees_with_exhaustive_search(data):
     by_orbits = km_search(v, [1, v - 1], spec)
     direct = exhaustive_search(spec)
     assert (by_orbits is not None) == (direct is not None) == aps_necessary(v, alpha, beta)
+
+
+def test_km_search_checks_its_deadline_before_the_costly_stages(monkeypatch):
+    spec = PPSSpec.aps(651, 217, 217)
+    started = time.monotonic()
+    with pytest.raises(BudgetExceededError):
+        km_search(651, [68], spec, deadline=time.monotonic() - 1)
+    assert time.monotonic() - started < 0.1
+
+    # a deadline that passes during orbits stops the search before build_system
+    real_orbits = kramer_mesner.orbits
+
+    def slow_orbits(group):
+        index = real_orbits(group)
+        time.sleep(0.02)
+        return index
+
+    monkeypatch.setattr(kramer_mesner, "orbits", slow_orbits)
+    monkeypatch.setattr(kramer_mesner, "build_system",
+                        lambda *args: pytest.fail("build_system ran past the deadline"))
+    with pytest.raises(BudgetExceededError):
+        km_search(27, [26], PPSSpec.aps(27, 3, 6), deadline=time.monotonic() + 0.01)

@@ -144,8 +144,10 @@ def test_maximal_ooc_p2():
     assert len(verify_ooc(code5).leave) == 25
     assert is_maximal(code5)[0]
 
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="does not generate"):
         maximal_ooc_p2(31, 4)  # generation fails over 31^2
+    with pytest.raises(ValueError, match="congruent to 7 modulo 8"):
+        maximal_ooc_p2(13, 4)  # 2 has no square root modulo 13^2
 
 
 def test_removing_any_codeword_breaks_maximality():
