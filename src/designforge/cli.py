@@ -22,6 +22,7 @@ from .construct import (
     ps_product,
     silver_aps,
     silver_pps_p2,
+    silver_witness,
     union_pps_pq,
 )
 from .core import (
@@ -42,7 +43,6 @@ from .designs import (
     verify_whist,
 )
 from .kramer_mesner import km_search
-from .modarith import mod_sqrt
 from .ooc import (
     OOCode,
     is_maximal,
@@ -150,7 +150,9 @@ def _cmd_construct(args) -> int:
             result = aps_with_params(args.p, args.alpha, args.beta)
     elif args.what == "silver-square":
         alpha = 1 if args.alpha is None else args.alpha
-        beta = args.beta if args.beta is not None else mod_sqrt(2, args.p ** 2)
+        # theta - 1 is sqrt(2) mod p^2, so alpha * sqrt(2) meets 2 alpha^2 = beta^2.
+        beta = (args.beta if args.beta is not None
+                else alpha * (silver_witness(args.p, square=True).theta - 1))
         result = silver_pps_p2(args.p, alpha, beta)
     elif args.what == "inflate":
         result = inflate(PairSet.from_json(_load_json(args.file)), args.u)
@@ -174,9 +176,6 @@ def _cmd_construct(args) -> int:
 def _cmd_whist(args) -> int:
     if args.action == "verify":
         tournament = WhistTournament.from_json(_load_json(args.file))
-        if args.cyclic:
-            tournament = WhistTournament(tournament.v, tournament.u,
-                                         tournament.rounds, True)
         results = verify_whist(tournament, tuple(args.checks.split(",")))
         _emit({name: res.passed if args.json else f"{res.passed} {res.detail}".strip()
                for name, res in results.items()}, args.json)
@@ -314,8 +313,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="pair-set file (round/develop) or tournament file (verify)")
     p.add_argument("--alpha", type=int, help="special-game parameter for APS input")
     p.add_argument("--checks", default="basic,zcps,directed,ordered")
-    p.add_argument("--cyclic", action="store_true",
-                   help="treat a loaded tournament as cyclically developed")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_whist)
 

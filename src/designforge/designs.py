@@ -8,7 +8,6 @@ development by +1 then yields the full schedule.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from typing import Union
 
@@ -24,14 +23,39 @@ def _shift(seat: Seat, k: int, u: int) -> Seat:
     return seat if seat == INF else (seat + k) % u
 
 
-def partner_pairs(game: Game) -> tuple[frozenset, frozenset]:
+def partner_pairs(game: Game) -> tuple[tuple[Seat, Seat], ...]:
     a, b, c, d = game
-    return frozenset((a, c)), frozenset((b, d))
+    return (a, c), (b, d)
 
 
-def opponent_pairs(game: Game) -> tuple[frozenset, ...]:
+def opponent_pairs(game: Game) -> tuple[tuple[Seat, Seat], ...]:
+    """Each seat with its left-hand opponent, the next seat round the table."""
     a, b, c, d = game
-    return (frozenset((a, b)), frozenset((c, d)), frozenset((a, d)), frozenset((b, c)))
+    return (a, b), (b, c), (c, d), (d, a)
+
+
+def _first_kind_pairs(game: Game) -> tuple[tuple[Seat, Seat], ...]:
+    a, b, c, d = game
+    return (a, b), (a, d), (c, b), (c, d)
+
+
+def _pair_counts(players, pairs) -> list[int]:
+    """Entry i * n + j counts the pairs (players[i], players[j]), n = len(players).
+
+    A pair with a seat that is no player counts nowhere.
+    """
+    n = len(players)
+    index = {p: i for i, p in enumerate(players)}
+    counts = [0] * (n * n)
+    for x, y in pairs:
+        i, j = index.get(x), index.get(y)
+        if i is not None and j is not None:
+            counts[i * n + j] += 1
+    return counts
+
+
+def _seat_pairs(t: WhistTournament, pairs_of):
+    return (p for rnd in t.rounds for g in rnd for p in pairs_of(g))
 
 
 def initial_round(s: PairSet, alpha: int | None = None) -> tuple[Game, ...]:
@@ -60,7 +84,10 @@ def initial_round(s: PairSet, alpha: int | None = None) -> tuple[Game, ...]:
 
 @dataclass(frozen=True)
 class WhistTournament:
-    """A full schedule; players are Z_u, plus INF when v = u + 1."""
+    """A full schedule; players are Z_u, plus INF when v = u + 1.
+
+    cyclic says that the rounds are the cyclic development of round 0.
+    """
 
     v: int
     u: int
@@ -73,7 +100,7 @@ class WhistTournament:
         return base + [INF] if self.v == self.u + 1 else base
 
     def to_json(self) -> dict:
-        return {"v": self.v, "cyclic": self.cyclic,
+        return {"v": self.v,
                 "rounds": [[list(g) for g in rnd] for rnd in self.rounds]}
 
     @classmethod
@@ -85,7 +112,8 @@ class WhistTournament:
             for rnd in json_field(obj["rounds"], list, "rounds"))
         v = json_field(obj["v"], int, "v")
         u = v - 1 if any(INF in g for rnd in rounds for g in rnd) else v
-        return cls(v, u, rounds, bool(obj.get("cyclic", False)))
+        cyclic = bool(rounds) and develop_rounds(rounds[0], u).rounds == rounds
+        return cls(v, u, rounds, cyclic)
 
 
 def develop_rounds(r0: tuple[Game, ...] | list[Game], u: int) -> WhistTournament:
@@ -111,41 +139,36 @@ def _check_basic(t: WhistTournament) -> CheckResult:
     expected_rounds = v - 1 if v % 4 == 0 else v
     if len(t.rounds) != expected_rounds:
         return CheckResult(False, f"expected {expected_rounds} rounds, got {len(t.rounds)}")
-    players = set(t.players)
-    misses: Counter = Counter()
+    players = t.players
+    everyone = set(players)
+    sat_out: set[Seat] = set()
     for rnd in t.rounds:
         if len(rnd) != n:
             return CheckResult(False, f"a round has {len(rnd)} games, expected {n}")
         seen: list[Seat] = [seat for g in rnd for seat in g]
         if len(set(seen)) != len(seen):
             return CheckResult(False, "a player appears twice in one round")
-        if not set(seen) <= players:
+        if not set(seen) <= everyone:
             return CheckResult(False, "unknown player in a round")
-        absent = players - set(seen)
+        absent = everyone - set(seen)
         if v % 4 == 0:
             if absent:
                 return CheckResult(False, f"players {sorted(map(str, absent))} sit out a round")
         else:
             if len(absent) != 1:
                 return CheckResult(False, "exactly one player must sit out each round")
-            misses[next(iter(absent))] += 1
-    if v % 4 == 1 and (len(misses) != v or any(c != 1 for c in misses.values())):
+            sat_out |= absent
+    # v rounds with one absentee each: v distinct absentees is once each.
+    if v % 4 == 1 and len(sat_out) != v:
         return CheckResult(False, "each player must sit out exactly one round")
-    partners: Counter = Counter()
-    opponents: Counter = Counter()
-    for rnd in t.rounds:
-        for g in rnd:
-            partners.update(partner_pairs(g))
-            opponents.update(opponent_pairs(g))
-    all_pairs = {frozenset((x, y)) for x in players for y in players if x != y}
-    bad = [p for p in all_pairs if partners.get(p, 0) != 1]
-    if bad:
-        pair = sorted(map(str, next(iter(bad))))
-        return CheckResult(False, f"partner count wrong for pair {pair}")
-    bad = [p for p in all_pairs if opponents.get(p, 0) != 2]
-    if bad:
-        pair = sorted(map(str, next(iter(bad))))
-        return CheckResult(False, f"opponent count wrong for pair {pair}")
+    m = len(players)
+    for kind, pairs_of, want in (("partner", partner_pairs, 1), ("opponent", opponent_pairs, 2)):
+        counts = _pair_counts(players, _seat_pairs(t, pairs_of))
+        for i in range(m):
+            for j in range(i + 1, m):
+                if counts[i * m + j] + counts[j * m + i] != want:
+                    pair = sorted(map(str, (players[i], players[j])))
+                    return CheckResult(False, f"{kind} count wrong for pair {pair}")
     return CheckResult(True)
 
 
@@ -156,70 +179,37 @@ def _check_zcps(t: WhistTournament) -> CheckResult:
     starter = {frozenset((x, (-x) % u)) for x in range(1, u)}
     if t.v == u + 1:
         starter.add(frozenset((INF, 0)))
-    got = set()
-    for g in t.rounds[0]:
-        got.update(partner_pairs(g))
+    got = {frozenset(p) for g in t.rounds[0] for p in partner_pairs(g)}
     if got != starter:
         return CheckResult(False, "initial-round partner pairs are not the patterned starter")
     return CheckResult(True)
 
 
-def _left_pairs(game: Game) -> tuple[tuple[Seat, Seat], ...]:
-    a, b, c, d = game
-    return ((a, b), (b, c), (c, d), (d, a))
-
-
-def _first_kind_pairs(game: Game) -> tuple[tuple[Seat, Seat], ...]:
-    a, b, c, d = game
-    return ((a, b), (a, d), (c, b), (c, d))
-
-
-def _check_ordered_pair_cover(t: WhistTournament, pairs_of) -> CheckResult:
-    tally: Counter = Counter()
-    for rnd in t.rounds:
-        for g in rnd:
-            tally.update(pairs_of(g))
-    players = t.players
-    for x in players:
-        for y in players:
-            if x == y:
-                continue
-            if tally.get((x, y), 0) != 1:
-                return CheckResult(False, f"ordered pair ({x}, {y}) covered "
-                                          f"{tally.get((x, y), 0)} times")
-    return CheckResult(True)
-
-
-def _check_directed(t: WhistTournament) -> CheckResult:
+def _check_pair_rule(t: WhistTournament, pairs_of, name: str) -> CheckResult:
+    """Every ordered pair of players once among pairs_of(game), over all games."""
     # Difference shortcut is only sound for cyclic tournaments without INF.
     if t.cyclic and t.v == t.u:
         u = t.u
-        diffs = [(b - a) % u
-                 for g in t.rounds[0]
-                 for (a, b) in _left_pairs(g)]
-        if sorted(diffs) != list(range(1, u)):
-            return CheckResult(False, "left-opponent differences do not tile Z_v - {0}")
+        diffs = sorted((y - x) % u for g in t.rounds[0] for x, y in pairs_of(g))
+        if diffs != list(range(1, u)):
+            return CheckResult(False, f"{name} differences do not tile Z_v - {{0}}")
         return CheckResult(True)
-    return _check_ordered_pair_cover(t, _left_pairs)
-
-
-def _check_ordered(t: WhistTournament) -> CheckResult:
-    if t.cyclic and t.v == t.u:
-        u = t.u
-        diffs = [(b - a) % u
-                 for g in t.rounds[0]
-                 for (a, b) in _first_kind_pairs(g)]
-        if sorted(diffs) != list(range(1, u)):
-            return CheckResult(False, "first-kind opponent differences do not tile Z_v - {0}")
-        return CheckResult(True)
-    return _check_ordered_pair_cover(t, _first_kind_pairs)
+    players = t.players
+    n = len(players)
+    counts = _pair_counts(players, _seat_pairs(t, pairs_of))
+    for i, x in enumerate(players):
+        for j, y in enumerate(players):
+            if i != j and counts[i * n + j] != 1:
+                return CheckResult(False, f"ordered pair ({x}, {y}) covered "
+                                          f"{counts[i * n + j]} times")
+    return CheckResult(True)
 
 
 _CHECKS = {
     "basic": _check_basic,
     "zcps": _check_zcps,
-    "directed": _check_directed,
-    "ordered": _check_ordered,
+    "directed": lambda t: _check_pair_rule(t, opponent_pairs, "left-opponent"),
+    "ordered": lambda t: _check_pair_rule(t, _first_kind_pairs, "first-kind opponent"),
 }
 
 
@@ -273,7 +263,7 @@ def cdm_from_round(r0: tuple[Game, ...] | list[Game]) -> DifferenceMatrix:
         diff % v for a, b, c, d in games for diff in (a - c, c - a, b - d, d - b))
     if partner_diffs != list(range(1, v)):
         raise ValueError("partner differences do not tile Z_v - {0}")
-    directed_diffs = sorted((b - a) % v for g in games for a, b in _left_pairs(g))
+    directed_diffs = sorted((b - a) % v for g in games for a, b in opponent_pairs(g))
     if directed_diffs != list(range(1, v)):
         raise ValueError("directed condition fails: left-opponent differences do not tile")
     rows = [[0] for _ in range(5)]
@@ -321,16 +311,13 @@ def verify_cbsec(v: int, k: int, blocks, cyclic: bool = False) -> CbsecReport:
             raise ValueError(f"block {b} is not a {k}-subset")
     if cyclic:
         blocks = [tuple(sorted((x + j) % v for x in b)) for b in blocks for j in range(v)]
-    tally: Counter = Counter()
-    for b in blocks:
-        for i in range(k):
-            for j in range(i + 1, k):
-                tally[frozenset((b[i], b[j]))] += 1
+    counts = _pair_counts(range(v), ((b[i], b[j]) for b in blocks
+                                     for i in range(k) for j in range(i + 1, k)))
     contiguous_hits = []
     miscovered = []
     for x in range(v):
         for y in range(x + 1, v):
-            count = tally.get(frozenset((x, y)), 0)
+            count = counts[x * v + y] + counts[y * v + x]
             if (y - x) % v in (1, v - 1):
                 if count:
                     contiguous_hits.append((x, y))

@@ -10,7 +10,6 @@ whose own differences tile Z_m four times over.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
 
 from .construct import silver_pps_p2, union_pps_pq
@@ -65,21 +64,22 @@ class OOCReport:
         }
 
 
-def _difference_counts(code: OOCode) -> Counter:
-    counts: Counter = Counter()
-    for cw in code.codewords:
-        for a in cw:
-            for b in cw:
-                if a != b:
-                    counts[(a - b) % code.n] += 1
+def _difference_counts(n: int, blocks) -> list[int]:
+    """counts[d]: how often a - b = d (mod n), a and b at two places of one block."""
+    counts = [0] * n
+    for block in blocks:
+        for i, a in enumerate(block):
+            for b in block[i + 1:]:
+                counts[(a - b) % n] += 1
+                counts[(b - a) % n] += 1
     return counts
 
 
 def verify_ooc(code: OOCode) -> OOCReport:
     """Difference distinctness, the leave, and the maximum test |L| <= k(k-1)."""
-    counts = _difference_counts(code)
-    repeated = frozenset(d for d, c in counts.items() if c > 1)
-    leave = frozenset(set(range(code.n)) - set(counts))
+    counts = _difference_counts(code.n, code.codewords)
+    repeated = frozenset(d for d, c in enumerate(counts) if c > 1)
+    leave = frozenset(d for d, c in enumerate(counts) if c == 0)
     return OOCReport(not repeated, repeated, leave,
                      len(leave) <= code.k * (code.k - 1))
 
@@ -120,12 +120,7 @@ class SDFReport:
 
 
 def verify_sdf(sdf: SDF) -> SDFReport:
-    counts = [0] * sdf.g
-    for block in sdf.base_blocks:
-        for i, a in enumerate(block):
-            for j, b in enumerate(block):
-                if i != j:
-                    counts[(a - b) % sdf.g] += 1
+    counts = _difference_counts(sdf.g, sdf.base_blocks)
     return SDFReport(all(c == sdf.mu for c in counts), tuple(counts))
 
 

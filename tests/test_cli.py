@@ -6,6 +6,7 @@ import pytest
 
 from designforge.catalog import get
 from designforge.cli import main
+from designforge.construct import silver_pps_p2
 from designforge.core import PairSet
 
 
@@ -94,6 +95,13 @@ def test_construct_recursive_commands(example_file, capsys):
     assert main(["construct", "inflate", "--file", ps5, "--u", "3"]) == 2
 
 
+def test_construct_silver_square_default_beta_follows_alpha(capsys):
+    assert main(["construct", "silver-square", "--p", "23", "--alpha", "2", "--json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["valid"] is True
+    assert payload["pairs"]["pairs"] == silver_pps_p2(23, 2, 312)[0].to_json()["pairs"]
+
+
 def test_construct_union_with_default_silver_inputs(capsys):
     assert main(["construct", "union", "--p", "23", "--q", "7", "--json"]) == 0
     payload = json.loads(capsys.readouterr().out)
@@ -112,8 +120,21 @@ def test_whist_pipeline(example_file, capsys):
                                  "directed": True, "ordered": True}
 
     tournament_path = example_file("t13.json", {k: payload[k] for k in ("v", "rounds")})
-    assert main(["whist", "verify", "--file", tournament_path, "--cyclic",
+    assert main(["whist", "verify", "--file", tournament_path,
                  "--checks", "basic,zcps"]) == 0
+
+
+@pytest.mark.parametrize("check", ["basic", "zcps", "directed", "ordered"])
+def test_whist_verify_works_out_cyclic_from_the_rounds(example_file, capsys, check):
+    # Round 5 overwritten with round 6: no longer a cyclic development, so the
+    # round-0 shortcuts must not vouch for it, whatever the file claims.
+    path = example_file("ps13.json", get("ps-13").pair_set().to_json())
+    assert main(["whist", "develop", "--file", path, "--json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    payload["rounds"][5] = payload["rounds"][6]
+    bad = example_file("bad.json", {"v": payload["v"], "rounds": payload["rounds"],
+                                    "cyclic": True})
+    assert main(["whist", "verify", "--file", bad, "--checks", check]) == 1
 
 
 def test_whist_verify_failure(example_file):

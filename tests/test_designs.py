@@ -1,8 +1,12 @@
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import replace
+from itertools import combinations, permutations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from designforge.catalog import get
 from designforge.core import PairSet
@@ -85,6 +89,108 @@ def test_whist_difference_shortcut_matches_full_count():
            {"directed": True, "ordered": True}
 
 
+# Seat-level references for the whist checks: plain counts over every game,
+# sharing nothing with the verifiers in designforge.designs.
+
+def _reference_basic(t: WhistTournament) -> bool:
+    players = t.players
+    v = len(players)
+    if v % 4 not in (0, 1) or len(t.rounds) != (v - 1 if v % 4 == 0 else v):
+        return False
+    sat_out: Counter = Counter()
+    for rnd in t.rounds:
+        seats = Counter(seat for g in rnd for seat in g)
+        absent = [p for p in players if p not in seats]
+        if (len(rnd) != v // 4 or any(c != 1 for c in seats.values())
+                or any(seat not in players for seat in seats) or len(absent) != v % 4):
+            return False
+        sat_out.update(absent)
+    if v % 4 == 1 and any(sat_out[p] != 1 for p in players):
+        return False
+    partners: Counter = Counter()
+    opponents: Counter = Counter()
+    for rnd in t.rounds:
+        for a, b, c, d in rnd:
+            partners.update(frozenset(p) for p in ((a, c), (b, d)))
+            opponents.update(frozenset(p) for p in ((a, b), (b, c), (c, d), (d, a)))
+    return all(partners[frozenset(p)] == 1 and opponents[frozenset(p)] == 2
+               for p in combinations(players, 2))
+
+
+def _reference_cover(t: WhistTournament, rule) -> bool:
+    """Each ordered pair of players once among rule(game), over all games."""
+    tally = Counter(pair for rnd in t.rounds for g in rnd for pair in rule(*g))
+    return all(tally[pair] == 1 for pair in permutations(t.players, 2))
+
+
+def _left(a, b, c, d):
+    return (a, b), (b, c), (c, d), (d, a)
+
+
+def _first_kind(a, b, c, d):
+    return (a, b), (a, d), (c, b), (c, d)
+
+
+WHIST_STARTS = {
+    5: initial_round(PS5),
+    13: initial_round(PS13),
+    27: initial_round(get("aps-27-3-3").pair_set(), alpha=3),
+}
+
+
+@st.composite
+def whist_corpus(draw):
+    """A development of PS(5), PS(13) or APS(27,3,3), often corrupted.
+
+    The result passes through the JSON boundary, which works out whether the
+    rounds are still a cyclic development.
+    """
+    u = draw(st.sampled_from(sorted(WHIST_STARTS)))
+    r0 = [list(g) for g in WHIST_STARTS[u]]
+    kind = draw(st.sampled_from(["none", "swap", "swap-start", "overwrite", "outside"]))
+    if kind == "swap-start":  # a corrupted start, developed: still cyclic
+        seats = [(g, s) for g in range(len(r0)) for s in range(4)]
+        (g1, s1), (g2, s2) = draw(st.lists(st.sampled_from(seats), min_size=2, max_size=2))
+        r0[g1][s1], r0[g2][s2] = r0[g2][s2], r0[g1][s1]
+    t = develop_rounds(r0, u)
+    rounds = [[list(g) for g in rnd] for rnd in t.rounds]
+    r = draw(st.integers(0, u - 1))
+    g, s = draw(st.integers(0, len(r0) - 1)), draw(st.integers(0, 3))
+    if kind == "swap":
+        g2, s2 = draw(st.integers(0, len(r0) - 1)), draw(st.integers(0, 3))
+        rounds[r][g][s], rounds[r][g2][s2] = rounds[r][g2][s2], rounds[r][g][s]
+    elif kind == "overwrite":
+        rounds[r] = [list(game) for game in rounds[draw(st.integers(0, u - 1))]]
+    elif kind == "outside":
+        rounds[r][g][s] = draw(st.sampled_from([-1, u, u + 2, 3 * u]))
+    return WhistTournament.from_json({"v": t.v, "rounds": rounds})
+
+
+@settings(max_examples=300, deadline=None)
+@given(whist_corpus())
+def test_whist_checks_agree_with_seat_level_reference(t):
+    results = verify_whist(t, ("basic", "directed", "ordered"))
+    assert results["basic"].passed == _reference_basic(t)
+    assert results["directed"].passed == _reference_cover(t, _left)
+    assert results["ordered"].passed == _reference_cover(t, _first_kind)
+    if not results["basic"].passed:
+        assert results["basic"].detail
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from([PS5, PS13, get("ps-133").pair_set()]), st.data())
+def test_whist_difference_shortcut_agrees_on_developed_starts(s, data):
+    games = initial_round(s)
+    seats = [seat for g in games for seat in g]
+    if data.draw(st.booleans()):
+        seats = data.draw(st.permutations(seats))
+    t = develop_rounds([tuple(seats[i:i + 4]) for i in range(0, len(seats), 4)], s.v)
+    assert t.cyclic and WhistTournament.from_json(t.to_json()).cyclic
+    shortcut = verify_whist(t, ("directed", "ordered"))
+    full = verify_whist(replace(t, cyclic=False), ("directed", "ordered"))
+    assert {k: r.passed for k, r in shortcut.items()} == {k: r.passed for k, r in full.items()}
+
+
 def test_whist_detects_perturbation():
     games = [list(g) for g in initial_round(PS13)]
     games[0][0], games[1][0] = games[1][0], games[0][0]
@@ -103,6 +209,17 @@ def test_whist_json_round_trip():
 def test_zcps_requires_cyclic_flag():
     t = develop_rounds(initial_round(PS13), 13)
     assert not verify_whist(replace(t, cyclic=False), ("zcps",))["zcps"].passed
+
+
+def test_from_json_works_out_cyclic_from_the_rounds():
+    t = develop_rounds(initial_round(PS13), 13)
+    payload = t.to_json()
+    assert "cyclic" not in payload and WhistTournament.from_json(payload).cyclic
+    payload["rounds"][5] = payload["rounds"][6]
+    payload["cyclic"] = True
+    assert not WhistTournament.from_json(payload).cyclic
+    assert not WhistTournament.from_json({"v": 13, "rounds": payload["rounds"][:1]}).cyclic
+    assert not WhistTournament.from_json({"v": 13, "rounds": []}).cyclic
 
 
 def test_cdm_from_ps5():
@@ -173,3 +290,30 @@ def test_cbsec_base_block_is_exhaustively_minimal():
         if first:
             break
     assert first == (0, 2, 5)
+
+
+def _reference_cbsec(v, k, blocks, cyclic):
+    if cyclic:
+        blocks = [{(x + j) % v for x in b} for b in blocks for j in range(v)]
+    hits, miscovered = [], []
+    for x, y in combinations(range(v), 2):
+        count = sum(1 for b in blocks if x in b and y in b)
+        if (y - x) % v in (1, v - 1):
+            if count:
+                hits.append((x, y))
+        elif count != 1:
+            miscovered.append((x, y, count))
+    return not hits and not miscovered, tuple(hits), tuple(miscovered)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_cbsec_agrees_with_reference(data):
+    v = data.draw(st.integers(3, 13))
+    k = data.draw(st.integers(2, min(v, 4)))
+    block = st.lists(st.integers(0, v - 1), min_size=k, max_size=k, unique=True)
+    blocks = data.draw(st.lists(block, max_size=2 * v))
+    cyclic = data.draw(st.booleans())
+    report = verify_cbsec(v, k, blocks, cyclic=cyclic)
+    assert (report.valid, report.contiguous_hits, report.miscovered) == \
+           _reference_cbsec(v, k, blocks, cyclic)

@@ -3,6 +3,8 @@ from __future__ import annotations
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from designforge.catalog import get
 from designforge.construct import aps_with_params, silver_aps
@@ -13,6 +15,7 @@ from designforge.ooc import (
     SIGMA5,
     SIGMA45,
     OOCode,
+    OOCReport,
     is_maximal,
     max_codeword_bound,
     maximal_ooc_p2,
@@ -221,3 +224,32 @@ def test_leave_structure_for_pq_code():
     # scaled parameters, or +-1 mod 3 with the beta pattern
     by_residue = Counter(z % 3 for z in leave)
     assert by_residue == Counter({0: 5, 1: 5, 2: 5})
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_verify_ooc_agrees_with_reference(data):
+    n = data.draw(st.integers(2, 60))
+    k = data.draw(st.integers(2, min(n, 5)))
+    word = st.lists(st.integers(-n, 2 * n), min_size=k, max_size=k, unique_by=lambda x: x % n)
+    code = OOCode(n, k, tuple(map(tuple, data.draw(st.lists(word, max_size=8)))))
+    diffs = Counter((a - b) % n for cw in code.codewords for a in cw for b in cw if a != b)
+    leave = frozenset(d for d in range(n) if diffs[d] == 0)
+    repeated = frozenset(d for d, c in diffs.items() if c > 1)
+    assert verify_ooc(code) == OOCReport(not repeated, repeated, leave,
+                                         len(leave) <= k * (k - 1))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_verify_sdf_agrees_with_reference(data):
+    g = data.draw(st.integers(1, 15))
+    k = data.draw(st.integers(1, 5))
+    blocks = data.draw(st.lists(st.lists(st.integers(0, 2 * g), min_size=k, max_size=k),
+                                max_size=6))
+    mu = data.draw(st.integers(0, 4))
+    report = verify_sdf(SDF(g, k, mu, tuple(map(tuple, blocks))))
+    counts = Counter((a - b) % g for block in blocks
+                     for i, a in enumerate(block) for j, b in enumerate(block) if i != j)
+    assert report.counts == tuple(counts[d] for d in range(g))
+    assert report.valid == all(counts[d] == mu for d in range(g))
