@@ -191,33 +191,29 @@ class CatalogEntry:
         }
 
 
-def _entry(id: str, kind: str, params: dict, data: tuple, provenance: str) -> CatalogEntry:
-    return CatalogEntry(id, kind, params, data, provenance)
-
-
 ENTRIES: dict[str, CatalogEntry] = {
     e.id: e
     for e in (
-        _entry("ps-13", "PS", {"v": 13}, _PS13,
-               "classical 13-player patterned-starter round, first two seats"),
-        _entry("aps-27-3-6", "APS", {"v": 27, "alpha": 3, "beta": 6}, _APS27_3_6,
-               "published six-pair witness over Z_27"),
-        _entry("aps-27-3-3", "APS", {"v": 27, "alpha": 3, "beta": 3}, _APS27_3_3,
-               "extracted from the 28-player patterned-starter round"),
-        _entry("ps-133", "PS", {"v": 133}, _PS133,
-               "exact-cover search under the multiplier group <122> on Z_133"),
-        _entry("aps-651-217", "APS", {"v": 651, "alpha": 217, "beta": 217}, _APS651,
-               "exact-cover search under the multiplier group <68> on Z_651"),
-        _entry("aps-243-18", "APS", {"v": 243, "alpha": 18, "beta": 18}, _APS243,
-               "exact-cover search under the sign group on Z_243"),
-        _entry("aps-255-85", "APS", {"v": 255, "alpha": 85, "beta": 85}, _APS255,
-               "exact-cover search under the sign group on Z_255"),
-        _entry("aps-275-110", "APS", {"v": 275, "alpha": 110, "beta": 110}, _APS275,
-               "exact-cover search under the sign group on Z_275"),
-        _entry("wh-13-round", "Wh", {"v": 13, "u": 13}, _WH13_ROUND,
-               "classical 13-player patterned-starter initial round"),
-        _entry("wh-28-round", "Wh", {"v": 28, "u": 27}, _WH28_ROUND,
-               "classical 28-player patterned-starter initial round"),
+        CatalogEntry("ps-13", "PS", {"v": 13}, _PS13,
+                     "classical 13-player patterned-starter round, first two seats"),
+        CatalogEntry("aps-27-3-6", "APS", {"v": 27, "alpha": 3, "beta": 6}, _APS27_3_6,
+                     "published six-pair witness over Z_27"),
+        CatalogEntry("aps-27-3-3", "APS", {"v": 27, "alpha": 3, "beta": 3}, _APS27_3_3,
+                     "extracted from the 28-player patterned-starter round"),
+        CatalogEntry("ps-133", "PS", {"v": 133}, _PS133,
+                     "exact-cover search under the multiplier group <122> on Z_133"),
+        CatalogEntry("aps-651-217", "APS", {"v": 651, "alpha": 217, "beta": 217}, _APS651,
+                     "exact-cover search under the multiplier group <68> on Z_651"),
+        CatalogEntry("aps-243-18", "APS", {"v": 243, "alpha": 18, "beta": 18}, _APS243,
+                     "exact-cover search under the sign group on Z_243"),
+        CatalogEntry("aps-255-85", "APS", {"v": 255, "alpha": 85, "beta": 85}, _APS255,
+                     "exact-cover search under the sign group on Z_255"),
+        CatalogEntry("aps-275-110", "APS", {"v": 275, "alpha": 110, "beta": 110}, _APS275,
+                     "exact-cover search under the sign group on Z_275"),
+        CatalogEntry("wh-13-round", "Wh", {"v": 13, "u": 13}, _WH13_ROUND,
+                     "classical 13-player patterned-starter initial round"),
+        CatalogEntry("wh-28-round", "Wh", {"v": 28, "u": 27}, _WH28_ROUND,
+                     "classical 28-player patterned-starter initial round"),
     )
 }
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from sympy import isprime
 
 from .core import PairSet, PPSSpec, SetKind, infer_params, verify_pps
-from .modarith import crt_lift, generates_mod_pm_one, mod_sqrt
+from .modarith import crt_basis, generates_mod_pm_one, mod_sqrt
 
 
 @dataclass(frozen=True)
@@ -238,12 +238,9 @@ def cyclotomic_pps(p: int, q: int) -> tuple[PairSet, PPSSpec]:
         raise ValueError("need primes p > q > 3 with p, q = 3 modulo 4")
     (x1, y1), (x2, y2) = cyclotomic_witnesses(p, q)
     n = p * q
-    pairs = []
-    for s1 in sorted(_nonzero_squares(p)):
-        for s2 in sorted(_nonzero_squares(q)):
-            a = crt_lift([x1 * s1 % p, x2 * s2 % q], [p, q])
-            b = crt_lift([y1 * s1 % p, y2 * s2 % q], [p, q])
-            pairs.append((a, b))
+    ep, eq = crt_basis([p, q])
+    pairs = [((x1 * s1 * ep + x2 * s2 * eq) % n, (y1 * s1 * ep + y2 * s2 * eq) % n)
+             for s1 in sorted(_nonzero_squares(p)) for s2 in sorted(_nonzero_squares(q))]
     excluded = frozenset(z for z in range(n) if z % p == 0 or z % q == 0)
     return PairSet(n, tuple(pairs)), PPSSpec(n, excluded, excluded)
 

@@ -186,7 +186,7 @@ def _check_zcps(t: WhistTournament) -> CheckResult:
 
 
 def _check_pair_rule(t: WhistTournament, pairs_of, name: str) -> CheckResult:
-    """Every ordered pair of players once among pairs_of(game), over all games."""
+    """Every ordered pair of distinct players once among pairs_of(game), no player with itself."""
     # Difference shortcut is only sound for cyclic tournaments without INF.
     if t.cyclic and t.v == t.u:
         u = t.u
@@ -199,7 +199,7 @@ def _check_pair_rule(t: WhistTournament, pairs_of, name: str) -> CheckResult:
     counts = _pair_counts(players, _seat_pairs(t, pairs_of))
     for i, x in enumerate(players):
         for j, y in enumerate(players):
-            if i != j and counts[i * n + j] != 1:
+            if counts[i * n + j] != (i != j):
                 return CheckResult(False, f"ordered pair ({x}, {y}) covered "
                                           f"{counts[i * n + j]} times")
     return CheckResult(True)

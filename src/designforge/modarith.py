@@ -49,21 +49,28 @@ def mod_sqrt(a: int, m: int) -> int | None:
     return min(lifted, m - lifted)
 
 
+def crt_basis(moduli: list[int]) -> tuple[int, ...]:
+    """Idempotents e_i of Z_M, M = prod(moduli): e_i = 1 mod m_i and 0 mod the others.
+
+    The residue matching r_i modulo every m_i is then sum(r_i * e_i) mod M.
+    """
+    if not moduli:
+        raise ValueError("need at least one modulus")
+    total = math.prod(moduli)
+    basis = []
+    for m in moduli:
+        rest = total // m
+        if math.gcd(m, rest) != 1:
+            raise ValueError(f"modulus {m} is not coprime to the others in {list(moduli)}")
+        basis.append(rest * pow(rest, -1, m) % total)
+    return tuple(basis)
+
+
 def crt_lift(residues: list[int], moduli: list[int]) -> int:
     """The unique residue modulo prod(moduli) matching every input residue."""
     if len(residues) != len(moduli):
         raise ValueError("residues and moduli must have equal length")
-    if not moduli:
-        raise ValueError("need at least one modulus")
-    for i in range(len(moduli)):
-        for j in range(i + 1, len(moduli)):
-            if math.gcd(moduli[i], moduli[j]) != 1:
-                raise ValueError(f"moduli {moduli[i]} and {moduli[j]} are not coprime")
-    x, m = residues[0] % moduli[0], moduli[0]
-    for r, n in zip(residues[1:], moduli[1:]):
-        x += m * ((r - x) * pow(m, -1, n) % n)
-        m *= n
-    return x % m
+    return sum(r * e for r, e in zip(residues, crt_basis(moduli))) % math.prod(moduli)
 
 
 @lru_cache(maxsize=None)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from .construct import silver_pps_p2, union_pps_pq
 from .core import BudgetExceededError, PairSet, SetKind, infer_params, json_field
-from .modarith import crt_lift, mod_sqrt
+from .modarith import crt_basis, mod_sqrt
 
 
 @dataclass(frozen=True)
@@ -95,6 +95,9 @@ def max_codeword_bound(n: int, k: int) -> int:
 SIGMA3 = ((1, 1, -1, -1),)
 SIGMA5 = ((0, 1, 1, -1, -1),)
 SIGMA45 = ((0, 1, 1, -1, -1),) + ((0, 3, 7, 13, 30),) * 4 + ((0, 5, 14, 26, 34),) * 4
+# First coordinates of the two codewords of Z_45 x {0} that close the leave of
+# the 45v code down to five elements.
+LEAVE45 = ((0, 1, 3, 29, 35), (0, 5, 20, 27, 41))
 
 
 @dataclass(frozen=True)
@@ -124,22 +127,23 @@ def verify_sdf(sdf: SDF) -> SDFReport:
     return SDFReport(all(c == sdf.mu for c in counts), tuple(counts))
 
 
-def _mixed(i: int, m: int, x: int, v: int) -> int:
-    """The residue of Z_{mv} that is i mod m and x mod v."""
-    return crt_lift([i % m, x % v], [m, v])
+def _template(k: int) -> tuple[int, tuple[int, ...]]:
+    """(m, block): the SIGMA3 or SIGMA5 block that carries each pair at k = 4 or 5."""
+    if k not in (4, 5):
+        raise ValueError("k must be 4 or 5")
+    return (3, SIGMA3[0]) if k == 4 else (5, SIGMA5[0])
 
 
-def _pair_template_codewords(pairs, v: int, k: int) -> list[tuple[int, ...]]:
-    """Codewords {(1,x),(1,-x),(-1,y),(-1,-y)} (plus (0,0) when k=5)."""
-    m = 3 if k == 4 else 5
-    out = []
-    for x, y in pairs:
-        cw = [_mixed(1, m, x, v), _mixed(1, m, -x, v),
-              _mixed(-1, m, y, v), _mixed(-1, m, -y, v)]
-        if k == 5:
-            cw.append(0)
-        out.append(tuple(sorted(cw)))
-    return out
+def _lift(m: int, v: int, rows) -> tuple[tuple[int, ...], ...]:
+    """Each (block, seconds) row of Z_m x Z_v as a codeword of Z_{mv}, for OOCode to reduce."""
+    em, ev = crt_basis([m, v])
+    return tuple(tuple(i * em + x * ev for i, x in zip(block, seconds)) for block, seconds in rows)
+
+
+def _pair_template_code(m: int, block: tuple[int, ...], pairs, v: int) -> OOCode:
+    """Codewords {(1,x),(1,-x),(-1,y),(-1,-y)} (plus (0,0) when k=5) over Z_{mv}."""
+    k = len(block)
+    return OOCode(m * v, k, _lift(m, v, ((block, (0, x, -x, y, -y)[5 - k:]) for x, y in pairs)))
 
 
 def ooc_from_pairs(s: PairSet, k: int) -> OOCode:
@@ -148,18 +152,14 @@ def ooc_from_pairs(s: PairSet, k: int) -> OOCode:
     The leave is the multiples of v (size 3 or 5) for a PS input, or the
     9/15-element sets determined by the APS parameters.
     """
-    if k not in (4, 5):
-        raise ValueError("k must be 4 or 5")
+    m, block = _template(k)
     v = s.v
-    if k == 4 and math.gcd(v, 6) != 1:
-        raise ValueError(f"gcd({v}, 6) must be 1")
-    if k == 5 and math.gcd(v, 10) != 1:
-        raise ValueError(f"gcd({v}, 10) must be 1")
+    if math.gcd(v, 2 * m) != 1:
+        raise ValueError(f"gcd({v}, {2 * m}) must be 1")
     spec = infer_params(s)
     if spec is None or spec.kind is SetKind.PPS:
         raise ValueError("input must be a valid PS or APS")
-    m = 3 if k == 4 else 5
-    return OOCode(m * v, k, tuple(_pair_template_codewords(s.pairs, v, k)))
+    return _pair_template_code(m, block, s.pairs, v)
 
 
 def ooc_45v_from_ps(s: PairSet) -> OOCode:
@@ -175,23 +175,14 @@ def ooc_45v_from_ps(s: PairSet) -> OOCode:
     spec = infer_params(s)
     if spec is None or spec.kind is not SetKind.PS:
         raise ValueError("input must be a valid PS")
-    m = 45
-    out = []
+    rows = []
     for x, y in s.pairs:
-        out.append(tuple(sorted((0, _mixed(1, m, x, v), _mixed(1, m, -x, v),
-                                 _mixed(-1, m, y, v), _mixed(-1, m, -y, v)))))
-        for z in (x, -x, y, -y):
-            out.append(tuple(sorted((0, _mixed(3, m, z, v), _mixed(7, m, 2 * z, v),
-                                     _mixed(13, m, 3 * z, v), _mixed(30, m, 4 * z, v)))))
-            out.append(tuple(sorted((0, _mixed(5, m, z, v), _mixed(14, m, 2 * z, v),
-                                     _mixed(26, m, 3 * z, v), _mixed(34, m, 4 * z, v)))))
-    extras = [
-        tuple(sorted((0, _mixed(1, m, 0, v), _mixed(3, m, 0, v),
-                      _mixed(29, m, 0, v), _mixed(35, m, 0, v)))),
-        tuple(sorted((0, _mixed(5, m, 0, v), _mixed(20, m, 0, v),
-                      _mixed(27, m, 0, v), _mixed(41, m, 0, v)))),
-    ]
-    return OOCode(45 * v, 5, tuple(out + extras))
+        rows.append((SIGMA45[0], (0, x, -x, y, -y)))
+        for z, a, b in zip((x, -x, y, -y), SIGMA45[1:5], SIGMA45[5:]):
+            multiples = tuple(j * z for j in range(5))
+            rows += [(a, multiples), (b, multiples)]
+    rows += [(block, (0,) * 5) for block in LEAVE45]
+    return OOCode(45 * v, 5, _lift(45, v, rows))
 
 
 def maximal_ooc_pq(p: int, q: int, sp: PairSet, sq: PairSet, k: int) -> OOCode:
@@ -200,11 +191,9 @@ def maximal_ooc_pq(p: int, q: int, sp: PairSet, sq: PairSet, k: int) -> OOCode:
     Feeds the glued coprime-residue pair set of Z_pq (cyclotomic tiling plus
     the two rescaled APS inputs) through the pair template.
     """
-    if k not in (4, 5):
-        raise ValueError("k must be 4 or 5")
+    m, block = _template(k)
     pairs, _ = union_pps_pq(p, q, sp, sq)
-    return OOCode((3 if k == 4 else 5) * p * q, k,
-                  tuple(_pair_template_codewords(pairs.pairs, p * q, k)))
+    return _pair_template_code(m, block, pairs.pairs, p * q)
 
 
 def maximal_ooc_p2(p: int, k: int) -> OOCode:
@@ -213,16 +202,17 @@ def maximal_ooc_p2(p: int, k: int) -> OOCode:
     Requires 1 + sqrt(2) to generate the units of Z_{p^2} up to sign; the
     known failures (e.g. p = 31) surface as a ValueError.
     """
-    if k not in (4, 5):
-        raise ValueError("k must be 4 or 5")
+    m, block = _template(k)
     beta = mod_sqrt(2, p * p)
     pairs, _ = silver_pps_p2(p, 1, beta)
-    return OOCode((3 if k == 4 else 5) * p * p, k,
-                  tuple(_pair_template_codewords(pairs.pairs, p * p, k)))
+    return _pair_template_code(m, block, pairs.pairs, p * p)
 
 
-def is_maximal(code: OOCode, *, candidate_limit: int = 64,
-               ) -> tuple[bool, tuple[int, ...] | None]:
+# Largest leave the extendability search takes on.
+MAXIMAL_LEAVE_LIMIT = 64
+
+
+def is_maximal(code: OOCode) -> tuple[bool, tuple[int, ...] | None]:
     """Exact extendability test: can one more codeword fit inside the leave?
 
     A new codeword needs k(k-1) distinct differences drawn from the leave
@@ -238,9 +228,9 @@ def is_maximal(code: OOCode, *, candidate_limit: int = 64,
     leave_nz = set(report.leave) - {0}
     if len(leave_nz) < k * (k - 1):
         return True, None
-    if len(report.leave) > candidate_limit:
-        raise BudgetExceededError(
-            f"leave of size {len(report.leave)} exceeds the search limit {candidate_limit}")
+    if len(report.leave) > MAXIMAL_LEAVE_LIMIT:
+        raise BudgetExceededError(f"leave of size {len(report.leave)} exceeds "
+                                  f"the search limit {MAXIMAL_LEAVE_LIMIT}")
     candidates = sorted(x for x in leave_nz if (n - x) % n in leave_nz)
 
     def extend(start: int, chosen: list[int], diffs: set[int]):

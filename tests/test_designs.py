@@ -222,6 +222,15 @@ def test_from_json_works_out_cyclic_from_the_rounds():
     assert not WhistTournament.from_json({"v": 13, "rounds": []}).cyclic
 
 
+def test_directed_and_ordered_reject_a_player_paired_with_itself():
+    # An extra game (0, 0, 0, 0) in every round adds only self-pairs, which
+    # the full count must not overlook once the difference shortcut is off.
+    t = develop_rounds(initial_round(PS13) + ((0, 0, 0, 0),), 13)
+    results = verify_whist(replace(t, cyclic=False), ("directed", "ordered"))
+    assert not results["directed"].passed and not results["ordered"].passed
+    assert "(0, 0)" in results["directed"].detail
+
+
 def test_cdm_from_ps5():
     matrix = cdm_from_round(initial_round(PS5))
     assert matrix.rows == (

@@ -4,9 +4,13 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from sympy import primerange, totient as sym_totient
+from sympy.ntheory.modular import crt as sym_crt
 
 from designforge.modarith import (
+    crt_basis,
     crt_lift,
     cyclotomic_index,
     generates_mod_pm_one,
@@ -80,6 +84,44 @@ def test_crt_lift_rejects_noncoprime():
         crt_lift([1, 2], [6, 4])
     with pytest.raises(ValueError):
         crt_lift([1], [])
+
+
+def _coprime_moduli(candidates):
+    """The candidates, in order, each kept only if coprime to those kept before it."""
+    kept = []
+    for m in candidates:
+        if all(math.gcd(m, k) == 1 for k in kept):
+            kept.append(m)
+    return kept
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(1, 10 ** 5), min_size=1, max_size=6), st.data())
+def test_crt_basis_and_lift_agree_with_sympy(candidates, data):
+    moduli = _coprime_moduli(candidates)
+    total = math.prod(moduli)
+    basis = crt_basis(moduli)
+    for i, e in enumerate(basis):
+        unit = [int(i == j) for j in range(len(moduli))]
+        assert e == sym_crt(moduli, unit)[0] % total
+    residues = data.draw(st.lists(st.integers(-10 ** 6, 10 ** 6),
+                                  min_size=len(moduli), max_size=len(moduli)))
+    assert crt_lift(residues, moduli) == sym_crt(moduli, residues)[0] % total
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.integers(1, 10 ** 4), min_size=2, max_size=5), st.integers(2, 50),
+       st.data())
+def test_crt_rejects_moduli_sharing_a_factor(candidates, d, data):
+    moduli = list(candidates)
+    i, j = data.draw(st.lists(st.integers(0, len(moduli) - 1), min_size=2, max_size=2,
+                              unique=True))
+    moduli[i] *= d
+    moduli[j] *= d
+    with pytest.raises(ValueError):
+        crt_basis(moduli)
+    with pytest.raises(ValueError):
+        crt_lift([1] * len(moduli), moduli)
 
 
 def test_mult_order_examples():

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import math
 from collections import Counter
 
 import pytest
@@ -7,9 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from designforge.catalog import get
-from designforge.construct import aps_with_params, silver_aps
-from designforge.core import BudgetExceededError, PairSet
+from designforge.construct import aps_with_params, silver_aps, silver_pps_p2, union_pps_pq
+from designforge.core import BudgetExceededError, PairSet, scale_set
+from designforge.modarith import mod_sqrt
 from designforge.ooc import (
+    LEAVE45,
     SDF,
     SIGMA3,
     SIGMA5,
@@ -253,3 +256,64 @@ def test_verify_sdf_agrees_with_reference(data):
                      for i, a in enumerate(block) for j, b in enumerate(block) if i != j)
     assert report.counts == tuple(counts[d] for d in range(g))
     assert report.valid == all(counts[d] == mu for d in range(g))
+
+
+def _pair_rows(pairs, k):
+    """(block, second coordinates) of each pair's codeword in the k = 4 or 5 template."""
+    if k == 4:
+        return [(SIGMA3[0], (x, -x, y, -y)) for x, y in pairs]
+    return [(SIGMA5[0], (0, x, -x, y, -y)) for x, y in pairs]
+
+
+def _rows_45v(pairs):
+    """Rows of the 45v code: nine per pair, then the two LEAVE45 codewords."""
+    rows = []
+    for x, y in pairs:
+        rows.append((SIGMA45[0], (0, x, -x, y, -y)))
+        for j, z in enumerate((x, -x, y, -y)):
+            rows += [(SIGMA45[1 + j], tuple(t * z for t in range(5))),
+                     (SIGMA45[5 + j], tuple(t * z for t in range(5)))]
+    return rows + [(block, (0,) * 5) for block in LEAVE45]
+
+
+def _assert_table_rows(code, m, v, rows):
+    """Codeword i, read in Z_m x Z_v, is row i's block beside its second coordinates."""
+    assert code.n == m * v and len(code.codewords) == len(rows)
+    for cw, (block, seconds) in zip(code.codewords, rows):
+        assert (Counter((c % m, c % v) for c in cw)
+                == Counter((b % m, x % v) for b, x in zip(block, seconds)))
+
+
+PS133 = get("ps-133").pair_set()
+# (pair set, m): the builder that places it in Z_m x Z_v.
+PAIR_INPUTS = ((PS13, 3), (PS13, 5), (PS133, 3), (PS133, 5), (get("aps-27-3-3").pair_set(), 5),
+               (get("aps-275-110").pair_set(), 3), (silver_aps(7)[0], 3),
+               (silver_aps(23)[0], 5), (silver_aps(47)[0], 3), (PS13, 45), (PS133, 45))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(PAIR_INPUTS), st.data())
+def test_pair_set_codes_are_table_blocks_beside_their_pairs(case, data):
+    s, m = case
+    lam = data.draw(st.integers(1, s.v - 1).filter(lambda x: math.gcd(x, s.v) == 1))
+    s = scale_set(s, lam)
+    if m == 45:
+        _assert_table_rows(ooc_45v_from_ps(s), m, s.v, _rows_45v(s.pairs))
+    else:
+        k = 4 if m == 3 else 5
+        _assert_table_rows(ooc_from_pairs(s, k), m, s.v, _pair_rows(s.pairs, k))
+
+
+@pytest.mark.parametrize("k", [4, 5])
+@pytest.mark.parametrize("p, q", [(23, 7), (71, 23)])
+def test_maximal_pq_codes_are_table_blocks_beside_their_pairs(p, q, k):
+    sp, sq = silver_aps(p)[0], silver_aps(q)[0]
+    rows = _pair_rows(union_pps_pq(p, q, sp, sq)[0].pairs, k)
+    _assert_table_rows(maximal_ooc_pq(p, q, sp, sq, k), 3 if k == 4 else 5, p * q, rows)
+
+
+@pytest.mark.parametrize("k", [4, 5])
+@pytest.mark.parametrize("p", [7, 23, 47])
+def test_maximal_p2_codes_are_table_blocks_beside_their_pairs(p, k):
+    rows = _pair_rows(silver_pps_p2(p, 1, mod_sqrt(2, p * p))[0].pairs, k)
+    _assert_table_rows(maximal_ooc_p2(p, k), 3 if k == 4 else 5, p * p, rows)
