@@ -19,10 +19,6 @@ Seat = Union[int, str]
 Game = tuple[Seat, Seat, Seat, Seat]
 
 
-def _shift(seat: Seat, k: int, u: int) -> Seat:
-    return seat if seat == INF else (seat + k) % u
-
-
 def partner_pairs(game: Game) -> tuple[tuple[Seat, Seat], ...]:
     a, b, c, d = game
     return (a, c), (b, d)
@@ -86,13 +82,27 @@ def initial_round(s: PairSet, alpha: int | None = None) -> tuple[Game, ...]:
 class WhistTournament:
     """A full schedule; players are Z_u, plus INF when v = u + 1.
 
-    cyclic says that the rounds are the cyclic development of round 0.
+    cyclic says that the rounds are the cyclic development of round 0; the
+    constructor refuses cyclic=True on any other rounds, so the checks may
+    work from round 0 alone.
     """
 
     v: int
     u: int
     rounds: tuple[tuple[Game, ...], ...]
     cyclic: bool
+
+    def __post_init__(self):
+        if self.cyclic and not _is_development(self.rounds, self.u):
+            raise ValueError("cyclic is set, but the rounds are not the cyclic "
+                             "development of round 0")
+
+    @classmethod
+    def _unchecked(cls, v: int, u: int, rounds, cyclic: bool) -> "WhistTournament":
+        """Build without the cyclic check, for callers that made or checked the rounds."""
+        t = object.__new__(cls)
+        t.__dict__.update(v=v, u=u, rounds=rounds, cyclic=cyclic)
+        return t
 
     @property
     def players(self) -> list[Seat]:
@@ -112,23 +122,66 @@ class WhistTournament:
             for rnd in json_field(obj["rounds"], list, "rounds"))
         v = json_field(obj["v"], int, "v")
         u = v - 1 if any(INF in g for rnd in rounds for g in rnd) else v
-        cyclic = bool(rounds) and develop_rounds(rounds[0], u).rounds == rounds
-        return cls(v, u, rounds, cyclic)
+        return cls._unchecked(v, u, rounds, _is_development(rounds, u))
+
+
+def _development(r0, u: int):
+    """Yield round 0 shifted by j = 0, 1, ..., u - 1 over Z_u, INF staying fixed."""
+    if u < 1:
+        return
+    # Four-seat games of integers are shifted by a lookup in the rotated ring;
+    # games with INF (or of another shape) are shifted seat by seat and put
+    # back at their place.
+    plain = [len(g) == 4 and all(isinstance(seat, int) for seat in g) for g in r0]
+    special = [(i, g) for i, g in enumerate(r0) if not plain[i]]
+    seats = [seat % u for g, p in zip(r0, plain) if p for seat in g]
+    ring = list(range(u))
+    for j in range(u):
+        shifted = map((ring[j:] + ring[:j]).__getitem__, seats)  # a -> (a + j) % u
+        rnd = list(zip(shifted, shifted, shifted, shifted))
+        for i, g in special:
+            rnd.insert(i, tuple(seat if seat == INF else (seat + j) % u for seat in g))
+        yield tuple(rnd)
+
+
+def _is_development(rounds, u: int) -> bool:
+    """Whether rounds are the cyclic development of rounds[0], stopping at the first miss."""
+    return (bool(rounds) and len(rounds) == u
+            and all(rnd == dev for rnd, dev in zip(rounds, _development(rounds[0], u))))
 
 
 def develop_rounds(r0: tuple[Game, ...] | list[Game], u: int) -> WhistTournament:
     """Cyclic development: round j adds j to every seat, INF staying fixed."""
     r0 = tuple(tuple(g) for g in r0)
+    rounds = tuple(_development(r0, u))
     has_inf = any(INF in g for g in r0)
-    rounds = tuple(
-        tuple(tuple(_shift(seat, j, u) for seat in g) for g in r0) for j in range(u))
-    return WhistTournament(u + 1 if has_inf else u, u, rounds, True)
+    return WhistTournament._unchecked(u + 1 if has_inf else u, u, rounds, True)
 
 
 @dataclass(frozen=True)
 class CheckResult:
     passed: bool
     detail: str = ""
+
+
+def _starter_counts(t: WhistTournament, pairs_of):
+    """Count the pairs of round 0: those in Z_u by difference y - x, those with INF by shape.
+
+    In a cyclic tournament round j covers (x + j, y + j) for each pair (x, y)
+    of round 0.  So by_diff[d] is how often each pair (z, z + d) is covered,
+    and with_inf[(0, INF)] how often each (z, INF) is, whatever z; likewise
+    (INF, z).  (INF, INF) is the same pair in all u rounds.
+    """
+    u = t.u
+    by_diff = [0] * u
+    with_inf = {(0, INF): 0, (INF, 0): 0, (INF, INF): 0}
+    for g in t.rounds[0]:
+        for x, y in pairs_of(g):
+            if x == INF or y == INF:
+                with_inf[(INF if x == INF else 0, INF if y == INF else 0)] += u if x == y else 1
+            else:
+                by_diff[(y - x) % u] += 1
+    return by_diff, with_inf
 
 
 def _check_basic(t: WhistTournament) -> CheckResult:
@@ -142,7 +195,9 @@ def _check_basic(t: WhistTournament) -> CheckResult:
     players = t.players
     everyone = set(players)
     sat_out: set[Seat] = set()
-    for rnd in t.rounds:
+    # Round j of a cyclic tournament is round 0 under a bijection of the
+    # players, so it is seated correctly exactly when round 0 is.
+    for rnd in t.rounds[:1] if t.cyclic else t.rounds:
         if len(rnd) != n:
             return CheckResult(False, f"a round has {len(rnd)} games, expected {n}")
         seen: list[Seat] = [seat for g in rnd for seat in g]
@@ -158,17 +213,25 @@ def _check_basic(t: WhistTournament) -> CheckResult:
             if len(absent) != 1:
                 return CheckResult(False, "exactly one player must sit out each round")
             sat_out |= absent
-    # v rounds with one absentee each: v distinct absentees is once each.
-    if v % 4 == 1 and len(sat_out) != v:
+    # v rounds with one absentee each: v distinct absentees is once each.  In a
+    # cyclic tournament round j's absentee is round 0's plus j, so they are.
+    if v % 4 == 1 and not t.cyclic and len(sat_out) != v:
         return CheckResult(False, "each player must sit out exactly one round")
     m = len(players)
     for kind, pairs_of, want in (("partner", partner_pairs, 1), ("opponent", opponent_pairs, 2)):
-        counts = _pair_counts(players, _seat_pairs(t, pairs_of))
-        for i in range(m):
-            for j in range(i + 1, m):
-                if counts[i * m + j] + counts[j * m + i] != want:
-                    pair = sorted(map(str, (players[i], players[j])))
-                    return CheckResult(False, f"{kind} count wrong for pair {pair}")
+        if t.cyclic:
+            # {z, z + d} is covered as often as round 0 has difference d or -d,
+            # so the first miscounted pair in player order is some (0, d).  INF,
+            # seated once, has one partner and two opponents in every round.
+            by_diff, _ = _starter_counts(t, pairs_of)
+            covered = (((0, d), by_diff[d] + by_diff[-d]) for d in range(1, t.u))
+        else:
+            counts = _pair_counts(players, _seat_pairs(t, pairs_of))
+            covered = (((players[i], players[j]), counts[i * m + j] + counts[j * m + i])
+                       for i in range(m) for j in range(i + 1, m))
+        for pair, count in covered:
+            if count != want:
+                return CheckResult(False, f"{kind} count wrong for pair {sorted(map(str, pair))}")
     return CheckResult(True)
 
 
@@ -185,31 +248,32 @@ def _check_zcps(t: WhistTournament) -> CheckResult:
     return CheckResult(True)
 
 
-def _check_pair_rule(t: WhistTournament, pairs_of, name: str) -> CheckResult:
+def _check_pair_rule(t: WhistTournament, pairs_of) -> CheckResult:
     """Every ordered pair of distinct players once among pairs_of(game), no player with itself."""
-    # Difference shortcut is only sound for cyclic tournaments without INF.
-    if t.cyclic and t.v == t.u:
-        u = t.u
-        diffs = sorted((y - x) % u for g in t.rounds[0] for x, y in pairs_of(g))
-        if diffs != list(range(1, u)):
-            return CheckResult(False, f"{name} differences do not tile Z_v - {{0}}")
-        return CheckResult(True)
     players = t.players
-    n = len(players)
-    counts = _pair_counts(players, _seat_pairs(t, pairs_of))
-    for i, x in enumerate(players):
-        for j, y in enumerate(players):
-            if counts[i * n + j] != (i != j):
-                return CheckResult(False, f"ordered pair ({x}, {y}) covered "
-                                          f"{counts[i * n + j]} times")
+    if t.cyclic and t.rounds:
+        # Every pair (z, z + d) is covered alike, and so is every (z, INF) and
+        # every (INF, z): the first miscount in player order is in row 0 or INF.
+        by_diff, with_inf = _starter_counts(t, pairs_of)
+        covered = [((0, d), by_diff[d]) for d in range(t.u)]
+        if INF in players:
+            covered += with_inf.items()
+    else:
+        n = len(players)
+        counts = _pair_counts(players, _seat_pairs(t, pairs_of))
+        covered = (((x, y), counts[i * n + j])
+                   for i, x in enumerate(players) for j, y in enumerate(players))
+    for (x, y), count in covered:
+        if count != (x != y):
+            return CheckResult(False, f"ordered pair ({x}, {y}) covered {count} times")
     return CheckResult(True)
 
 
 _CHECKS = {
     "basic": _check_basic,
     "zcps": _check_zcps,
-    "directed": lambda t: _check_pair_rule(t, opponent_pairs, "left-opponent"),
-    "ordered": lambda t: _check_pair_rule(t, _first_kind_pairs, "first-kind opponent"),
+    "directed": lambda t: _check_pair_rule(t, opponent_pairs),
+    "ordered": lambda t: _check_pair_rule(t, _first_kind_pairs),
 }
 
 

@@ -191,6 +191,77 @@ def test_whist_difference_shortcut_agrees_on_developed_starts(s, data):
     assert {k: r.passed for k, r in shortcut.items()} == {k: r.passed for k, r in full.items()}
 
 
+STARTERS = {**WHIST_STARTS, 133: initial_round(get("ps-133").pair_set())}
+
+
+def _reference_development(r0, u):
+    """Round j adds j to every seat but INF, one seat at a time."""
+    return tuple(tuple(tuple(seat if seat == INF else (seat + j) % u for seat in g) for g in r0)
+                 for j in range(u))
+
+
+@st.composite
+def corrupted_starters(draw):
+    """A PS(5), PS(13), PS(133) or APS(27,3,3) starter, as given or corrupted.
+
+    "re-pair" keeps the shape (x, y, -x, -y), so the partner differences still
+    tile and only the opponent rule can fail; "drop" leaves a three-seat game,
+    which only the absentee rule can catch; "extra" adds a game, which may
+    seat INF twice beside a round that is otherwise directed.
+    """
+    u = draw(st.sampled_from(sorted(STARTERS)))
+    r0 = [list(g) for g in STARTERS[u]]
+    kind = draw(st.sampled_from(["none", "swap", "overwrite", "shuffle", "re-pair", "drop",
+                                 "extra"]))
+    g, s = draw(st.integers(0, len(r0) - 1)), draw(st.integers(0, 3))
+    if kind == "swap":
+        g2, s2 = draw(st.integers(0, len(r0) - 1)), draw(st.integers(0, 3))
+        r0[g][s], r0[g2][s2] = r0[g2][s2], r0[g][s]
+    elif kind == "overwrite":
+        r0[g][s] = draw(st.sampled_from([INF, -1, u]) | st.integers(0, u - 1))
+    elif kind == "shuffle":
+        r0[g] = draw(st.permutations(r0[g]))
+    elif kind == "re-pair":
+        firsts = draw(st.permutations([x for game in r0 if INF not in game for x in game[:2]]))
+        r0 = [game for game in r0 if INF in game] + [
+            [x, y, -x % u, -y % u] for x, y in zip(firsts[::2], firsts[1::2])]
+    elif kind == "drop":
+        del r0[g][s]
+    elif kind == "extra":
+        r0.append(draw(st.lists(st.sampled_from([INF, *range(u)]), min_size=4, max_size=4)))
+    return tuple(map(tuple, r0)), u
+
+
+def _verdicts(t: WhistTournament) -> dict:
+    verdicts = {}
+    for check in ("basic", "directed", "ordered"):
+        try:
+            verdicts[check] = verify_whist(t, (check,))[check]
+        except ValueError:  # a game without four seats has no pairs to count
+            verdicts[check] = ValueError
+    return verdicts
+
+
+@settings(max_examples=300, deadline=None)
+@given(corrupted_starters())
+def test_starter_level_checks_equal_seat_level_checks(start):
+    r0, u = start
+    t = develop_rounds(r0, u)
+    assert t.cyclic and t.rounds == _reference_development(r0, u)
+    assert _verdicts(t) == _verdicts(replace(t, cyclic=False))
+
+
+def test_cyclic_flag_cannot_be_forged():
+    t = develop_rounds(initial_round(PS13), 13)
+    rounds = t.rounds[:5] + t.rounds[6:7] + t.rounds[6:]
+    with pytest.raises(ValueError):
+        WhistTournament(13, 13, rounds, True)
+    with pytest.raises(ValueError):
+        WhistTournament(13, 13, t.rounds[:12], True)
+    assert not WhistTournament(13, 13, rounds, False).cyclic
+    assert replace(replace(t, cyclic=False), cyclic=True) == t
+
+
 def test_whist_detects_perturbation():
     games = [list(g) for g in initial_round(PS13)]
     games[0][0], games[1][0] = games[1][0], games[0][0]
