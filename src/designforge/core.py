@@ -390,18 +390,26 @@ def exact_cover(cover: list[int], clash: list[int], covered_by: list[int], open_
     return [frame[3] for frame in stack]
 
 
-def option_masks(cover: list[int], n_items: int) -> tuple[list[int], list[int]]:
-    """The ``clash`` and ``covered_by`` masks of :func:`exact_cover` from ``cover``."""
-    members = [[i for i in range(n_items) if items >> i & 1] for items in cover]
+def option_masks(members: list[tuple[int, ...]],
+                 n_items: int) -> tuple[list[int], list[int], list[int]]:
+    """The ``cover``, ``clash`` and ``covered_by`` masks of :func:`exact_cover`.
+
+    Option o covers the items listed in ``members[o]``.
+    """
     covered_by = [0] * n_items
     for option, items in enumerate(members):
+        bit = 1 << option
         for i in items:
-            covered_by[i] |= 1 << option
-    clash = [0] * len(cover)
-    for option, items in enumerate(members):
+            covered_by[i] |= bit
+    cover, clash = [], []
+    for items in members:
+        mask = bits = 0
         for i in items:
-            clash[option] |= covered_by[i]
-    return clash, covered_by
+            mask |= 1 << i
+            bits |= covered_by[i]
+        cover.append(mask)
+        clash.append(bits)
+    return cover, clash, covered_by
 
 
 # exhaustive_search refuses more pairs than this over a larger modulus unless forced.
@@ -418,9 +426,8 @@ def _pair_options(v: int) -> tuple[tuple[tuple[int, int], ...], list[int], list[
     """
     h = v // 2 + 1
     pairs = tuple((a, b) for a in range(1, h) for b in range(a + 1, h))
-    cover = [(1 << a) | (1 << b) | (1 << h + min(a + b, v - a - b)) | (1 << h + b - a)
-             for a, b in pairs]
-    return (pairs, cover) + option_masks(cover, 2 * h)
+    members = [(a, b, h + min(a + b, v - a - b), h + b - a) for a, b in pairs]
+    return (pairs,) + option_masks(members, 2 * h)
 
 
 def exhaustive_search(spec: PPSSpec, *, force: bool = False,

@@ -115,14 +115,20 @@ class WhistTournament:
 
     @classmethod
     def from_json(cls, obj: dict) -> "WhistTournament":
-        rounds = tuple(
-            tuple(tuple(seat if seat == INF else json_field(seat, int, "seat")
-                        for seat in json_field(g, list, "game"))
-                  for g in json_field(rnd, list, "round"))
-            for rnd in json_field(obj["rounds"], list, "rounds"))
+        rounds = tuple(tuple(map(_game_from_json, json_field(rnd, list, "round")))
+                       for rnd in json_field(obj["rounds"], list, "rounds"))
         v = json_field(obj["v"], int, "v")
         u = v - 1 if any(INF in g for rnd in rounds for g in rnd) else v
         return cls._unchecked(v, u, rounds, _is_development(rounds, u))
+
+
+def _game_from_json(g) -> Game:
+    """A game read from JSON: a list of int seats and INF, checked in one pass."""
+    if type(g) is not list or not all(type(seat) is int or seat == INF for seat in g):
+        for seat in json_field(g, list, "game"):  # raises on the first bad seat
+            if seat != INF:
+                json_field(seat, int, "seat")
+    return tuple(g)
 
 
 def _development(r0, u: int):

@@ -16,7 +16,8 @@ from dataclasses import dataclass
 
 from sympy.ntheory import factorint
 
-from .core import BudgetExceededError, PairSet, PPSSpec, exact_cover, option_masks, verify_pps
+from .core import (DEADLINE_EVERY, BudgetExceededError, PairSet, PPSSpec, exact_cover, option_masks,
+                   verify_pps)
 from .modarith import crt_lift, mult_order
 
 
@@ -102,7 +103,12 @@ class OrbitIndex:
         return tuple(o[0] for o in self.pair_orbits)
 
 
-def orbits(group: MultiplierGroup) -> OrbitIndex:
+def orbits(group: MultiplierGroup, *, deadline: float | None = None) -> OrbitIndex:
+    """Element and pair orbits of the group.
+
+    The deadline is checked on entry, then every DEADLINE_EVERY pair orbits.
+    """
+    _check_deadline(deadline)
     v, els = group.v, group.elements
     orbit_index = [-1] * v
     element_orbits = []
@@ -120,6 +126,8 @@ def orbits(group: MultiplierGroup) -> OrbitIndex:
         for y in range(x + 1, v):
             if (x, y) in seen:
                 continue
+            if len(pair_orbits) % DEADLINE_EVERY == 0:
+                _check_deadline(deadline)
             orb = sorted({tuple(sorted((x * h % v, y * h % v))) for h in els})
             seen.update(orb)
             pair_orbits.append(tuple(orb))
@@ -129,18 +137,18 @@ def orbits(group: MultiplierGroup) -> OrbitIndex:
 
 @dataclass(frozen=True)
 class CoverSystem:
-    """The orbit-weight system M X = J.
+    """The orbit-weight system M X = J, stored by column.
 
     Rows 0..n-1 count element-side hits of each element orbit, rows n..2n-1
     count sum/difference-side hits; J is 1 exactly on the rows whose orbit
-    lies outside the corresponding excluded set.  Row labels pair each row
-    with its orbit representative and side; column labels are the pair-orbit
+    lies outside the corresponding excluded set.  ``columns[c]`` lists, in
+    ascending order, the rows that pair orbit c hits, a row once per hit, so
+    M[i][c] == columns[c].count(i).  ``col_reps`` holds the pair-orbit
     representatives.
     """
 
-    matrix: tuple[tuple[int, ...], ...]  # 2n x m, dense
+    columns: tuple[tuple[int, ...], ...]
     j: tuple[int, ...]
-    row_labels: tuple[tuple[int, str], ...]
     col_reps: tuple[tuple[int, int], ...]
 
     @property
@@ -151,58 +159,62 @@ class CoverSystem:
     def m(self) -> int:
         return len(self.col_reps)
 
-    def to_sparse_text(self) -> str:
-        """Row/column/value triples for nonzero entries, for external solvers."""
-        lines = [f"# {2 * self.n} rows, {self.m} cols, J = {''.join(map(str, self.j))}"]
-        for i, row in enumerate(self.matrix):
-            for j, w in enumerate(row):
-                if w:
-                    lines.append(f"{i} {j} {w}")
-        return "\n".join(lines) + "\n"
 
-
-def build_system(group: MultiplierGroup, spec: PPSSpec,
-                 index: OrbitIndex | None = None) -> CoverSystem:
+def build_system(group: MultiplierGroup, spec: PPSSpec, index: OrbitIndex | None = None,
+                 *, deadline: float | None = None) -> CoverSystem:
     """Assemble M and J for the given excluded sets.
 
     Both excluded sets must be unions of element orbits, otherwise no orbit
-    selection can avoid them exactly.
+    selection can avoid them exactly.  The deadline is checked on entry, then
+    every DEADLINE_EVERY columns.
     """
     if group.v != spec.v:
         raise ValueError("group and spec moduli differ")
     if index is None:
-        index = orbits(group)
+        index = orbits(group, deadline=deadline)
     v = group.v
     for name, a in (("A1", spec.a1), ("A2", spec.a2)):
         for z in a:
             if any(w not in a for w in index.element_orbits[index.element_orbit_index[z]]):
                 raise ValueError(f"{name} is not a union of orbits of the group")
-    n = len(index.element_orbits)
     reps = index.element_reps
-    rep_set = set(reps)
-    rows: list[list[int]] = [[0] * len(index.pair_orbits) for _ in range(2 * n)]
-    # Tally per negation class {B, -B}: a selected orbit enters the final set
-    # through one member of each class, contributing +-{x, y} and
-    # +-{x+y, x-y}.  A self-negating (degenerate) class double-hits its own
-    # cells, so such columns can never satisfy a 0-1 row.
+    n = len(reps)
+    # The row of each residue on either side when it is an orbit
+    # representative, -1 otherwise; the weight at a representative is the
+    # weight of its whole orbit.
+    u_row = [-1] * v
+    for i, rep in enumerate(reps):
+        u_row[rep] = i
+    d_row = [-1 if row < 0 else n + row for row in u_row]
+    # A selected orbit enters the final set through one member of each
+    # negation class {B, -B}, contributing +-{x, y} and +-{x+y, x-y}.  As -1
+    # is in the group, the orbit holds both B and -B, and each pair (x, y),
+    # x < y, adds its half: x, y, x + y and the one difference whose sign
+    # flips between B and -B.  In a self-negating orbit each class is a single
+    # pair B = -B that double-hits its own cells, so such columns can never
+    # satisfy a 0-1 row.
+    columns = []
     for col, orb in enumerate(index.pair_orbits):
-        done: set[tuple[int, int]] = set()
-        for x, y in orb:
-            if (x, y) in done:
-                continue
-            done.add((x, y))
-            done.add(tuple(sorted(((-x) % v, (-y) % v))))
-            total, diff = (x + y) % v, (x - y) % v
-            for z in (x, y, (-x) % v, (-y) % v):
-                if z in rep_set:
-                    rows[index.element_orbit_index[z]][col] += 1
-            for z in (total, diff, (-total) % v, (-diff) % v):
-                if z in rep_set:
-                    rows[n + index.element_orbit_index[z]][col] += 1
-    j = tuple([int(reps[i] not in spec.a1) for i in range(n)]
-              + [int(reps[i] not in spec.a2) for i in range(n)])
-    labels = tuple([(rep, "U") for rep in reps] + [(rep, "D") for rep in reps])
-    return CoverSystem(tuple(tuple(r) for r in rows), j, labels, index.pair_reps)
+        if col % DEADLINE_EVERY == 0:
+            _check_deadline(deadline)
+        hits: list[int] = []
+        x, y = orb[0]
+        if sorted(((-x) % v, (-y) % v)) == [x, y]:
+            for x, y in orb:
+                hits += (u_row[x], u_row[y], u_row[(-x) % v], u_row[(-y) % v],
+                         d_row[(x + y) % v], d_row[(x - y) % v],
+                         d_row[(-x - y) % v], d_row[(y - x) % v])
+        else:
+            for x, y in orb:
+                s = x + y
+                if s < v:
+                    hits += (u_row[x], u_row[y], d_row[s], d_row[y - x])
+                else:
+                    hits += (u_row[x], u_row[y], d_row[s - v], d_row[v + x - y])
+        hits.sort()
+        columns.append(tuple(hits[hits.count(-1):]))
+    j = tuple([int(rep not in spec.a1) for rep in reps] + [int(rep not in spec.a2) for rep in reps])
+    return CoverSystem(tuple(columns), j, index.pair_reps)
 
 
 def _fewest_options(open_items: int, alive: int, covered_by: list[int]) -> int:
@@ -228,18 +240,16 @@ def solve_binary(system: CoverSystem, *, deadline: float | None = None) -> tuple
     ties to the lowest row, and tries columns in ascending order.  The
     deadline is checked on the first node, then every DEADLINE_EVERY nodes.
     """
-    columns, cover = [], []
-    for col, weights in enumerate(zip(*system.matrix)):
-        if all(w == 0 or (w == 1 and ji) for w, ji in zip(weights, system.j)):
-            columns.append(col)
-            cover.append(sum(1 << i for i, w in enumerate(weights) if w))
-    clash, covered_by = option_masks(cover, len(system.j))
+    allowed = {i for i, ji in enumerate(system.j) if ji}
+    kept = [col for col, rows in enumerate(system.columns)
+            if len(set(rows)) == len(rows) and allowed.issuperset(rows)]
+    cover, clash, covered_by = option_masks([system.columns[col] for col in kept], len(system.j))
     required = sum(ji << i for i, ji in enumerate(system.j))
-    chosen = exact_cover(cover, clash, covered_by, required, (1 << len(columns)) - 1,
+    chosen = exact_cover(cover, clash, covered_by, required, (1 << len(kept)) - 1,
                          _fewest_options, deadline=deadline)
     if chosen is None:
         return None
-    selected = {columns[option] for option in chosen}
+    selected = {kept[option] for option in chosen}
     return tuple(int(c in selected) for c in range(system.m))
 
 
@@ -275,13 +285,13 @@ def km_search(
 ) -> PairSet | None:
     """End-to-end orbit search: orbits, system, 0-1 solve, develop, verify.
 
-    The deadline is checked on entry and between the orbit, system and solve stages.
+    The deadline is checked inside each of the orbit, system and solve
+    stages, and between them.
     """
-    _check_deadline(deadline)
     group = MultiplierGroup.generate(v, generators)
-    index = orbits(group)
+    index = orbits(group, deadline=deadline)
     _check_deadline(deadline)
-    system = build_system(group, spec, index)
+    system = build_system(group, spec, index, deadline=deadline)
     _check_deadline(deadline)
     x = solve_binary(system, deadline=deadline)
     if x is None:

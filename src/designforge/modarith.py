@@ -10,8 +10,7 @@ import math
 from functools import lru_cache
 
 from sympy import isprime
-from sympy.ntheory import discrete_log, factorint
-from sympy.ntheory import primitive_root as _sympy_primitive_root
+from sympy.ntheory import factorint
 from sympy.ntheory import sqrt_mod as _sympy_sqrt_mod
 
 
@@ -109,34 +108,6 @@ def generates_mod_pm_one(x: int, v: int) -> bool:
     minus_one_in_x = t % 2 == 0 and pow(x, t // 2, v) == v - 1
     size = t if minus_one_in_x else 2 * t
     return size == totient(v)
-
-
-def smallest_primitive_root(q: int) -> int:
-    """Smallest positive primitive root of the prime q."""
-    if not isprime(q):
-        raise ValueError(f"{q} is not prime")
-    return int(_sympy_primitive_root(q))
-
-
-def cyclotomic_index(x: int, d: int, q: int, omega: int | None = None) -> int:
-    """Index i in [0, d) of the power-residue class of x modulo the prime q.
-
-    Classes are the cosets of the d-th powers, numbered so that class i is
-    omega**i times the class of the d-th powers.  omega defaults to the
-    smallest primitive root, which fixes the numbering.
-    """
-    if not isprime(q):
-        raise ValueError(f"{q} is not prime")
-    if (q - 1) % d != 0:
-        raise ValueError(f"{d} must divide {q}-1")
-    x %= q
-    if x == 0:
-        raise ValueError("0 has no cyclotomic class")
-    if omega is None:
-        omega = smallest_primitive_root(q)
-    elif mult_order(omega, q) != q - 1:
-        raise ValueError(f"{omega} is not a primitive root modulo {q}")
-    return int(discrete_log(q, x, omega)) % d
 
 
 def q_bound(d: int, m: int) -> float:

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import re
 from collections import Counter
 from dataclasses import replace
 from itertools import combinations, permutations
@@ -291,6 +292,20 @@ def test_from_json_works_out_cyclic_from_the_rounds():
     assert not WhistTournament.from_json(payload).cyclic
     assert not WhistTournament.from_json({"v": 13, "rounds": payload["rounds"][:1]}).cyclic
     assert not WhistTournament.from_json({"v": 13, "rounds": []}).cyclic
+
+
+@pytest.mark.parametrize("seat, shown", [
+    (True, "True"), (False, "False"), (2.0, "2.0"), ("x", "'x'"), ("INF", "'INF'"), (None, "None"),
+])
+def test_from_json_rejects_a_seat_that_is_not_an_int_or_inf(seat, shown):
+    t = develop_rounds(initial_round(get("aps-27-3-3").pair_set(), alpha=3), 27)
+    payload = t.to_json()
+    payload["rounds"][3][2][1] = seat
+    with pytest.raises(ValueError, match=re.escape(f"seat must be of type int, got {shown}")):
+        WhistTournament.from_json(payload)
+    payload["rounds"][3][2] = tuple(payload["rounds"][3][2])
+    with pytest.raises(ValueError, match="game must be of type list, got"):
+        WhistTournament.from_json(payload)
 
 
 def test_directed_and_ordered_reject_a_player_paired_with_itself():

@@ -5,7 +5,7 @@ import random
 import time
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from designforge import kramer_mesner
@@ -105,6 +105,37 @@ def _class_multisets(v, orbit):
     return u_counts, d_counts
 
 
+def _orbit_closed_spec(v, idx):
+    """A spec whose excluded sets are {0} plus at most one element orbit, or None."""
+    for extra in ((),) + idx.element_orbits[1:]:
+        if (v - 1 - len(extra)) % 4 == 0:
+            excluded = frozenset((0,) + extra)
+            return PPSSpec(v, excluded, excluded)
+    return None
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_columns_tally_each_orbit_representative(data):
+    """columns[c].count(i) is pair orbit c's class-multiset weight at row i's representative."""
+    v = data.draw(st.integers(3, 70).filter(lambda u: u % 4), label="v")
+    units = [x for x in range(2, v - 1) if _coprime(x, v)]
+    extra = data.draw(st.lists(st.sampled_from(units), max_size=2), label="extra") if units else []
+    g = MultiplierGroup.generate(v, [v - 1] + extra)
+    idx = orbits(g)
+    spec = _orbit_closed_spec(v, idx)
+    assume(spec is not None)
+    system = build_system(g, spec, idx)
+    n = system.n
+    assert n == len(idx.element_reps) and system.m == len(idx.pair_orbits)
+    for col, orbit in enumerate(idx.pair_orbits):
+        u_counts, d_counts = _class_multisets(v, orbit)
+        assert list(system.columns[col]) == sorted(system.columns[col])
+        for i, rep in enumerate(idx.element_reps):
+            assert system.columns[col].count(i) == u_counts.get(rep, 0), (v, g.generators, col)
+            assert system.columns[col].count(n + i) == d_counts.get(rep, 0), (v, g.generators, col)
+
+
 def test_build_system_v5():
     g = MultiplierGroup.generate(5, [4])
     system = build_system(g, PPSSpec.ps(5))
@@ -117,7 +148,8 @@ def test_build_system_27():
     g = MultiplierGroup.generate(27, [26])
     system = build_system(g, PPSSpec.aps(27, 3, 6))
     n = system.n
-    reps = [label[0] for label in system.row_labels[:n]]
+    reps = orbits(g).element_reps
+    assert len(reps) == n
     for i, rep in enumerate(reps):
         assert system.j[i] == (0 if rep in (0, 3) else 1)
         assert system.j[n + i] == (0 if rep in (0, 6) else 1)
@@ -140,12 +172,12 @@ def test_solve_binary_v5():
     x = solve_binary(system)
     assert x == (0, 0, 1, 0, 0, 0)  # the orbit of {1, 2}; no 0-containing orbit
     for i in range(2 * system.n):
-        assert sum(system.matrix[i][c] * x[c] for c in range(system.m)) == system.j[i]
+        assert sum(system.columns[c].count(i) * x[c] for c in range(system.m)) == system.j[i]
 
 
 def test_solve_binary_infeasible_row():
-    matrix = ((1, 0), (0, 0))  # second row required but uncoverable
-    system = CoverSystem(matrix, (1, 1), ((1, "U"), (1, "D")), ((1, 2), (1, 3)))
+    columns = ((0,), ())  # second row required but uncoverable
+    system = CoverSystem(columns, (1, 1), ((1, 2), (1, 3)))
     assert solve_binary(system) is None
 
 
@@ -158,9 +190,10 @@ def test_solve_binary_matches_bruteforce_on_random_systems():
         matrix = tuple(tuple(rng.choice([0, 0, 0, 1, 1, 2]) for _ in range(cols))
                        for _ in range(2 * rows))
         j = tuple(rng.choice([0, 1]) for _ in range(2 * rows))
-        labels = tuple([(i, "U") for i in range(rows)] + [(i, "D") for i in range(rows)])
         reps = tuple((c + 1, c + 2) for c in range(cols))
-        system = CoverSystem(matrix, j, labels, reps)
+        columns = tuple(tuple(i for i in range(2 * rows) for _ in range(matrix[i][c]))
+                        for c in range(cols))  # weight 2 is a repeated row
+        system = CoverSystem(columns, j, reps)
         got = solve_binary(system)
         solutions = []
         for selection in itertools.product([0, 1], repeat=cols):
@@ -227,19 +260,6 @@ def test_km_search_217_with_suggested_group():
     assert verify_pps(found, PPSSpec.ps(217)).valid
 
 
-def test_sparse_export():
-    g = MultiplierGroup.generate(5, [4])
-    system = build_system(g, PPSSpec.ps(5))
-    text = system.to_sparse_text()
-    lines = text.strip().splitlines()
-    assert lines[0].startswith("#")
-    triples = [tuple(map(int, line.split())) for line in lines[1:]]
-    for i, j, w in triples:
-        assert system.matrix[i][j] == w
-    nonzero = sum(1 for row in system.matrix for w in row if w)
-    assert len(triples) == nonzero
-
-
 @pytest.mark.parametrize("v, generators, spec, m, support", [
     (13, [12], PPSSpec.ps(13), 42, (9, 17, 34)),
     (27, [26], PPSSpec.aps(27, 3, 6), 182, (15, 47, 108, 121, 133, 158)),
@@ -275,8 +295,8 @@ def test_km_search_checks_its_deadline_before_the_costly_stages(monkeypatch):
     # a deadline that passes during orbits stops the search before build_system
     real_orbits = kramer_mesner.orbits
 
-    def slow_orbits(group):
-        index = real_orbits(group)
+    def slow_orbits(group, **kwargs):
+        index = real_orbits(group, **kwargs)
         time.sleep(0.02)
         return index
 
@@ -285,3 +305,18 @@ def test_km_search_checks_its_deadline_before_the_costly_stages(monkeypatch):
                         lambda *args: pytest.fail("build_system ran past the deadline"))
     with pytest.raises(BudgetExceededError):
         km_search(27, [26], PPSSpec.aps(27, 3, 6), deadline=time.monotonic() + 0.01)
+
+
+def test_orbits_and_build_system_check_their_deadlines():
+    spec = PPSSpec.aps(651, 217, 217)
+    started = time.monotonic()
+    with pytest.raises(BudgetExceededError):
+        km_search(651, [68], spec, deadline=started + 0.05)  # orbits alone takes longer
+    assert time.monotonic() - started < 0.2
+
+    g = MultiplierGroup.generate(27, [26])
+    index = orbits(g)
+    with pytest.raises(BudgetExceededError):
+        orbits(g, deadline=time.monotonic() - 1)
+    with pytest.raises(BudgetExceededError):
+        build_system(g, PPSSpec.aps(27, 3, 6), index, deadline=time.monotonic() - 1)

@@ -6,18 +6,16 @@ import random
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from sympy import primerange, totient as sym_totient
+from sympy import totient as sym_totient
 from sympy.ntheory.modular import crt as sym_crt
 
 from designforge.modarith import (
     crt_basis,
     crt_lift,
-    cyclotomic_index,
     generates_mod_pm_one,
     mod_sqrt,
     mult_order,
     q_bound,
-    smallest_primitive_root,
     totient,
 )
 
@@ -199,41 +197,6 @@ def test_generates_matches_subgroup_enumeration():
         for x in sample:
             expected = len(subgroup_with_minus_one(x, v)) == totient(v)
             assert generates_mod_pm_one(x, v) == expected, (x, v)
-
-
-def test_cyclotomic_index_examples():
-    assert smallest_primitive_root(7) == 3
-    assert cyclotomic_index(1, 2, 7, 3) == 0
-    assert cyclotomic_index(3, 2, 7, 3) == 1
-    assert cyclotomic_index(2, 2, 7, 3) == 0  # 2 = 3^2 mod 7
-    with pytest.raises(ValueError):
-        cyclotomic_index(0, 2, 7, 3)
-    with pytest.raises(ValueError):
-        cyclotomic_index(3, 2, 7, 2)  # 2 is not primitive mod 7
-    with pytest.raises(ValueError):
-        cyclotomic_index(3, 4, 11)  # 4 does not divide 10
-
-
-def test_cyclotomic_index_homomorphism():
-    for q in primerange(3, 200):
-        omega = smallest_primitive_root(q)
-        for d in (2, 3, 4):
-            if (q - 1) % d != 0:
-                continue
-            # independent oracle: walk the powers of omega once
-            index_of = {}
-            power = 1
-            for e in range(q - 1):
-                index_of[power] = e % d
-                power = power * omega % q
-            for x in range(1, q):
-                assert cyclotomic_index(x, d, q) == index_of[x]
-            for x, y in [(2, 3), (5, q - 1), (q - 2, q - 2)]:
-                x %= q
-                y %= q
-                if x and y:
-                    assert (cyclotomic_index(x * y % q, d, q)
-                            == (index_of[x] + index_of[y]) % d)
 
 
 def test_q_bound_values():
