@@ -173,41 +173,40 @@ class VerifyReport:
         }
 
 
-def element_cover_counts(s: PairSet) -> list[int]:
-    """Multiplicity of each residue in the union of +-{x, y} over all pairs."""
-    counts = [0] * s.v
+def _cover_counts(s: PairSet) -> tuple[list[int], list[int]]:
+    """Multiplicity of each residue in the unions of +-{x, y} and of +-{x+y, x-y}."""
+    v = s.v
+    c1, c2 = [0] * v, [0] * v
     for x, y in s.pairs:
-        counts[x] += 1
-        counts[y] += 1
-        counts[(-x) % s.v] += 1
-        counts[(-y) % s.v] += 1
-    return counts
-
-
-def sum_diff_cover_counts(s: PairSet) -> list[int]:
-    """Multiplicity of each residue in the union of +-{x+y, x-y} over all pairs."""
-    counts = [0] * s.v
-    for x, y in s.pairs:
-        total, diff = (x + y) % s.v, (x - y) % s.v
-        counts[total] += 1
-        counts[diff] += 1
-        counts[(-total) % s.v] += 1
-        counts[(-diff) % s.v] += 1
-    return counts
+        total, diff = (x + y) % v, (x - y) % v
+        c1[x] += 1
+        c1[y] += 1
+        c1[-x % v] += 1
+        c1[-y % v] += 1
+        c2[total] += 1
+        c2[diff] += 1
+        c2[-total % v] += 1
+        c2[-diff % v] += 1
+    return c1, c2
 
 
 def _diagnose(counts: list[int], excluded: frozenset[int]) -> tuple[frozenset, frozenset]:
+    """(missing, repeated) of one cover; both empty when it is exactly the 0/1 target."""
+    if counts.count(1) == len(counts) - len(excluded) and not any(counts[z] for z in excluded):
+        return frozenset(), frozenset()
     missing = frozenset(z for z, c in enumerate(counts) if c < 1 and z not in excluded)
     repeated = frozenset(
         z for z, c in enumerate(counts) if c > (0 if z in excluded else 1))
     return missing, repeated
 
+
 def verify_pps(s: PairSet, spec: PPSSpec) -> VerifyReport:
     """Check both cover conditions of s against spec, with full diagnostics."""
     if s.v != spec.v:
         raise ValueError(f"pair set modulus {s.v} != spec modulus {spec.v}")
-    m1, r1 = _diagnose(element_cover_counts(s), spec.a1)
-    m2, r2 = _diagnose(sum_diff_cover_counts(s), spec.a2)
+    c1, c2 = _cover_counts(s)
+    m1, r1 = _diagnose(c1, spec.a1)
+    m2, r2 = _diagnose(c2, spec.a2)
     return VerifyReport(not (m1 or r1 or m2 or r2), m1, r1, m2, r2)
 
 
@@ -216,9 +215,8 @@ def infer_params(s: PairSet) -> PPSSpec | None:
 
     The tightest applicable label is available as ``.kind`` on the result.
     """
-    c1 = element_cover_counts(s)
-    c2 = sum_diff_cover_counts(s)
-    if any(c > 1 for c in c1) or any(c > 1 for c in c2):
+    c1, c2 = _cover_counts(s)
+    if max(c1) > 1 or max(c2) > 1:
         return None
     a1 = frozenset(z for z, c in enumerate(c1) if c == 0)
     a2 = frozenset(z for z, c in enumerate(c2) if c == 0)
@@ -275,12 +273,16 @@ def nonexistence_case(v: int) -> NonexistenceCase | None:
     return None
 
 
-def admissible_params(v: int, scan_limit: int = 100_000) -> list[tuple[int, int]]:
+# admissible_params refuses to scan a larger modulus.
+ADMISSIBLE_SCAN_LIMIT = 100_000
+
+
+def admissible_params(v: int) -> list[tuple[int, int]]:
     """All nonzero (alpha, beta) passing aps_necessary, by full scan."""
     if v % 4 != 3:
         raise ValueError("v must be 3 modulo 4")
-    if v > scan_limit:
-        raise BudgetExceededError(f"scan over Z_{v} exceeds limit {scan_limit}")
+    if v > ADMISSIBLE_SCAN_LIMIT:
+        raise BudgetExceededError(f"scan over Z_{v} exceeds limit {ADMISSIBLE_SCAN_LIMIT}")
     target = v // 3 if v % 12 == 3 else 0
     by_square: dict[int, list[int]] = {}
     for b in range(1, v):

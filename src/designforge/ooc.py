@@ -26,6 +26,8 @@ class OOCode:
     def __post_init__(self) -> None:
         if self.n < 1:
             raise ValueError("code length must be positive")
+        if self.k < 2:
+            raise ValueError(f"codeword weight must be at least 2, got {self.k}")
         norm = []
         for cw in self.codewords:
             entries = tuple(sorted(x % self.n for x in cw))
@@ -78,7 +80,8 @@ def _difference_counts(n: int, blocks) -> list[int]:
 def verify_ooc(code: OOCode) -> OOCReport:
     """Difference distinctness, the leave, and the maximum test |L| <= k(k-1)."""
     counts = _difference_counts(code.n, code.codewords)
-    repeated = frozenset(d for d, c in enumerate(counts) if c > 1)
+    repeated = (frozenset(d for d, c in enumerate(counts) if c > 1) if max(counts) > 1
+                else frozenset())
     leave = frozenset(d for d, c in enumerate(counts) if c == 0)
     return OOCReport(not repeated, repeated, leave,
                      len(leave) <= code.k * (code.k - 1))
@@ -86,6 +89,8 @@ def verify_ooc(code: OOCode) -> OOCReport:
 
 def max_codeword_bound(n: int, k: int) -> int:
     """Largest possible codeword count: each codeword burns k(k-1) differences."""
+    if k < 2:
+        raise ValueError(f"codeword weight must be at least 2, got {k}")
     return (n - 1) // (k * (k - 1))
 
 

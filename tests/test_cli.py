@@ -230,6 +230,7 @@ def test_budget_env_respected(example_file, monkeypatch, capsys):
     (["cdm", "verify"], {"k": 5, "v": 13, "rows": [[0, 1]]}),
     (["ooc", "verify"], {"n": 39, "k": 4, "codewords": "0123"}),
     (["ooc", "verify"], {"n": 0, "k": 4, "codewords": [[0, 1, 2, 3]]}),
+    (["ooc", "verify"], {"n": 39, "k": 0, "codewords": []}),
     (["ooc", "maximal"], {"n": 39, "k": 4, "codewords": [[0, 1, 2, 3], [0, 1, 2, 4]]}),
 ])
 def test_malformed_input_is_a_usage_error(example_file, capsys, command, payload):

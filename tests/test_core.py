@@ -1,8 +1,11 @@
 from __future__ import annotations
 
 import random
+from collections import Counter
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from designforge import core
 from designforge.core import (
@@ -11,6 +14,7 @@ from designforge.core import (
     PairSet,
     PPSSpec,
     SetKind,
+    VerifyReport,
     admissible_params,
     admissible_witness,
     aps_necessary,
@@ -103,6 +107,85 @@ def test_infer_params_examples():
     assert verify_pps(EXAMPLE_27_3_6, inferred).valid
 
 
+def _reference_tally(s: PairSet) -> tuple[Counter, Counter]:
+    """The two covers of s, counted residue by residue with a Counter."""
+    c1, c2 = Counter(), Counter()
+    for x, y in s.pairs:
+        c1.update(z % s.v for z in (x, y, -x, -y))
+        c2.update(z % s.v for z in (x + y, x - y, y - x, -x - y))
+    return c1, c2
+
+
+def _reference_report(s: PairSet, spec: PPSSpec) -> VerifyReport:
+    sides = []
+    for counts, excluded in zip(_reference_tally(s), (spec.a1, spec.a2)):
+        sides.append(frozenset(z for z in range(s.v) if z not in excluded and not counts[z]))
+        sides.append(frozenset(z for z in range(s.v) if counts[z] > (z not in excluded)))
+    return VerifyReport(not any(sides), *sides)
+
+
+def _reference_infer(s: PairSet) -> PPSSpec | None:
+    c1, c2 = _reference_tally(s)
+    if max(c1.values(), default=0) > 1 or max(c2.values(), default=0) > 1:
+        return None
+    return PPSSpec(s.v, frozenset(z for z in range(s.v) if not c1[z]),
+                   frozenset(z for z in range(s.v) if not c2[z]))
+
+
+@st.composite
+def _specs(draw, v: int) -> PPSSpec:
+    """Any PPSSpec over Z_v: {0}, v/2 when v is even, and m equal-sized negation classes."""
+    base = {0, v // 2} if v % 2 == 0 else {0}
+    classes = range(1, (v + 1) // 2)
+    m = draw(st.sampled_from(range((v - len(base)) // 2 % 2, len(classes) + 1, 2)))
+    a1, a2 = (draw(st.sets(st.sampled_from(classes), min_size=m, max_size=m)) if m else set()
+              for _ in range(2))
+    return PPSSpec(v, frozenset(base | a1 | {v - c for c in a1}),
+                   frozenset(base | a2 | {v - c for c in a2}))
+
+
+# Valid (pair set, spec) witnesses over small moduli.
+_WITNESS_SPECS = (PPSSpec.ps(5), PPSSpec.ps(13), PPSSpec.ps(17), PPSSpec.aps(7, 2, 1),
+                  PPSSpec.aps(23, 1, 5), PPSSpec.aps(27, 3, 6), PPSSpec.aps(31, 1, 8),
+                  PPSSpec(35, frozenset(range(0, 35, 5)), frozenset(range(0, 35, 5))))
+_WITNESSES = [(exhaustive_search(spec), spec) for spec in _WITNESS_SPECS]
+
+
+@st.composite
+def _tally_cases(draw) -> tuple[PairSet, PPSSpec]:
+    """Random pair sets, or witnesses with up to two entries moved (some into A1 or A2)."""
+    if draw(st.booleans()):
+        v = draw(st.integers(1, 30))
+        entry = st.integers(-v, 2 * v - 1)
+        pairs = draw(st.lists(st.tuples(entry, entry), max_size=(v + 3) // 4 + 1))
+        spec = draw(_specs(v))
+    else:
+        s, spec = draw(st.sampled_from(_WITNESSES))
+        v, pairs = s.v, [list(p) for p in s.pairs]
+        for _ in range(draw(st.integers(0, 2))):
+            i, j = draw(st.integers(0, len(pairs) - 1)), draw(st.integers(0, 1))
+            other = pairs[i][1 - j]
+            target = draw(st.one_of(
+                st.sampled_from(sorted(spec.a1)),
+                st.sampled_from([b + sign * other for b in spec.a2 for sign in (1, -1)]),
+                st.integers(0, v - 1)))
+            pairs[i][j] = target + v * draw(st.integers(-1, 1))
+        if draw(st.booleans()):
+            spec = draw(_specs(v))
+    assume(all((x - y) % v and (x + y) % v for x, y in pairs))
+    return PairSet(v, tuple(map(tuple, pairs))), spec
+
+
+@settings(max_examples=400, deadline=None)
+@given(_tally_cases())
+def test_cover_tally_agrees_with_reference(case):
+    s, spec = case
+    report = verify_pps(s, spec)
+    assert report == _reference_report(s, spec)
+    assert infer_params(s) == _reference_infer(s)
+    assert report.valid == (infer_params(s) == spec)
+
+
 def test_aps_necessary_examples():
     assert aps_necessary(27, 3, 6) is True
     assert aps_necessary(7, 2, 1) is True
@@ -156,7 +239,7 @@ def test_admissible_params_examples():
     with pytest.raises(ValueError):
         admissible_params(13)
     with pytest.raises(BudgetExceededError):
-        admissible_params(100003, scan_limit=100)
+        admissible_params(100003)  # above ADMISSIBLE_SCAN_LIMIT
 
 
 def test_admissible_empty_iff_obstructed():

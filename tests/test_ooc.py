@@ -44,6 +44,11 @@ def test_sdf_fixtures():
 def test_ooc_code_validation():
     with pytest.raises(ValueError):
         OOCode(10, 3, ((1, 1, 2),))
+    for k in (0, 1):  # an empty or one-point codeword has no difference to check
+        with pytest.raises(ValueError, match="at least 2"):
+            OOCode(39, k, ())
+        with pytest.raises(ValueError, match="at least 2"):
+            max_codeword_bound(39, k)
     code = OOCode(10, 3, ((5, 1, 9),))
     assert code.codewords == ((1, 5, 9),)
     assert OOCode.from_json(code.to_json()) == code
