@@ -13,10 +13,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from sympy import isprime
-
-from .core import PairSet, PPSSpec, SetKind, infer_params, verify_pps
-from .modarith import crt_basis, generates_mod_pm_one, mod_sqrt
+from .core import PairSet, PPSSpec, SetKind, infer_params, scale_set, verify_pps
+from .modarith import crt_basis, generates_mod_pm_one, isprime, mod_sqrt
 
 
 @dataclass(frozen=True)
@@ -63,10 +61,10 @@ def silver_aps(p: int) -> tuple[PairSet, PPSSpec]:
 
 
 def aps_with_params(p: int, alpha: int, beta: int) -> tuple[PairSet, PPSSpec]:
-    """APS(p, alpha, beta) for any admissible target, by scaling the chain.
+    """APS(p, alpha, beta) for any admissible target: the silver APS scaled by alpha.
 
-    Requires 2*alpha**2 == beta**2 (mod p); both square roots of 2 are tried
-    before giving up, though the first consistently suffices.
+    Requires 2*alpha**2 == beta**2 (mod p).  Scaling APS(p, 1, sqrt(2)) by
+    alpha excludes {0, +-alpha} and {0, +-alpha*sqrt(2)} = {0, +-beta}.
     """
     alpha %= p
     beta %= p
@@ -75,17 +73,7 @@ def aps_with_params(p: int, alpha: int, beta: int) -> tuple[PairSet, PPSSpec]:
     if (2 * alpha * alpha - beta * beta) % p != 0:
         raise ValueError(
             f"2*{alpha}^2 - {beta}^2 is not 0 modulo {p}; no such APS exists")
-    w = silver_witness(p)
-    if not w.generates:
-        raise ValueError(
-            f"1 + sqrt(2) does not generate the units of Z_{p} up to sign")
-    spec = PPSSpec.aps(p, alpha, beta)
-    root = w.theta - 1
-    for theta in (1 + root, 1 + (p - root)):
-        chain = PairSet(p, tuple(_power_chain(theta % p, p, (p - 3) // 4, alpha)))
-        if verify_pps(chain, spec).valid:
-            return chain, spec
-    raise ValueError(f"no scaling of the power chain realizes APS({p},{alpha},{beta})")
+    return scale_set(silver_aps(p)[0], alpha), PPSSpec.aps(p, alpha, beta)
 
 
 def _checked_spec(s: PairSet, spec: PPSSpec | None, name: str) -> PPSSpec:
@@ -192,41 +180,23 @@ def _nonzero_squares(p: int) -> set[int]:
 def cyclotomic_witnesses(p: int, q: int) -> tuple[tuple[int, int], tuple[int, int]]:
     """Witness pairs (x1, y1) mod p and (x2, y2) mod q for the two-prime tiling.
 
-    Modulo p both entries, their sum and their difference must be squares;
-    modulo q the entries must fall in opposite square classes in the pattern
-    (square, nonsquare) with x2+y2 a square and x2-y2 a nonsquare.  The
-    lexicographically first witnesses are returned.  Above the class-pattern
-    bound q_bound(2, 3) = 45.86 existence is guaranteed; the handful of
-    smaller primes all have witnesses too (pinned in the catalog).
+    Each is the lexicographically first (x, y) whose x, y, x+y and x-y fall
+    in a pattern of square classes: square, square, square, square mod p;
+    square, nonsquare, square, nonsquare mod q (zero is in neither class).
+    Above the class-pattern bound q_bound(2, 3) = 45.86 existence is
+    guaranteed; the handful of smaller primes all have witnesses too (pinned
+    in the catalog).
     """
-    sq_p = _nonzero_squares(p)
-    sq_q = _nonzero_squares(q)
-    first = None
-    for x1 in range(1, p):
-        if x1 not in sq_p:
-            continue
-        for y1 in range(1, p):
-            if (y1 in sq_p and (x1 + y1) % p in sq_p and (x1 - y1) % p in sq_p):
-                first = (x1, y1)
-                break
-        if first:
-            break
-    second = None
-    for x2 in range(1, q):
-        if x2 not in sq_q:
-            continue
-        for y2 in range(1, q):
-            if y2 == 0 or y2 in sq_q:
-                continue
-            total, diff = (x2 + y2) % q, (x2 - y2) % q
-            if total in sq_q and diff != 0 and diff not in sq_q:
-                second = (x2, y2)
-                break
-        if second:
-            break
-    if first is None or second is None:
+    found = []
+    for m, pattern in ((p, (1, 1, 1, 1)), (q, (1, -1, 1, -1))):
+        squares = _nonzero_squares(m)
+        cls = [0] + [1 if z in squares else -1 for z in range(1, m)]
+        found.append(next(((x, y) for x in range(1, m) for y in range(1, m)
+                           if (cls[x], cls[y], cls[(x + y) % m], cls[(x - y) % m]) == pattern),
+                          None))
+    if None in found:
         raise ValueError(f"no cyclotomic witnesses exist for ({p}, {q})")
-    return first, second
+    return tuple(found)
 
 
 def cyclotomic_pps(p: int, q: int) -> tuple[PairSet, PPSSpec]:

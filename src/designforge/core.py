@@ -15,9 +15,7 @@ import time
 from dataclasses import dataclass
 from functools import lru_cache
 
-from sympy.ntheory import factorint
-
-from .modarith import crt_lift, mod_sqrt
+from .modarith import crt_lift, factorint, mod_sqrt
 
 
 class BudgetExceededError(RuntimeError):
@@ -313,23 +311,18 @@ def admissible_witness(v: int) -> tuple[int, int] | None:
     alpha = {m: 0 for m in moduli}
     beta = {m: 0 for m in moduli}
 
-    def plant_nonzero() -> bool:
-        # solve 2a^2 = b^2 with a, b nonzero in one component coprime to 3
+    def plant_nonzero() -> None:
+        # solve 2a^2 = b^2 with a, b nonzero in one component coprime to 3; a part
+        # with no repeated prime and none = +-1 (mod 8) is a nonexistence case
         for p, e in factors.items():
             if e > 1:
-                m = p ** e
-                alpha[m] = beta[m] = p ** (e - 1)
-                return True
-        for p, e in factors.items():
-            if p % 8 in (1, 7):
-                alpha[p] = 1
-                beta[p] = mod_sqrt(2, p)
-                return True
-        return False
+                alpha[p ** e] = beta[p ** e] = p ** (e - 1)
+                return
+        p = next(p for p in factors if p % 8 in (1, 7))
+        alpha[p], beta[p] = 1, mod_sqrt(2, p)
 
     if three_exp == 0:
-        if not plant_nonzero():  # exactly the squarefree +-3 (mod 8) case
-            return None
+        plant_nonzero()
     else:
         # v = 3 (mod 12): hit v/3 = +-3^(d-1) in the 3-part, d odd
         m3 = 3 ** three_exp
@@ -343,8 +336,7 @@ def admissible_witness(v: int) -> tuple[int, int] | None:
         else:
             alpha[m3] = 0
             beta[m3] = root
-            if not plant_nonzero():
-                return None
+            plant_nonzero()
     return (crt_lift([alpha[m] for m in moduli], moduli),
             crt_lift([beta[m] for m in moduli], moduli))
 

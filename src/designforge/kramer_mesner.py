@@ -14,11 +14,9 @@ import math
 import time
 from dataclasses import dataclass
 
-from sympy.ntheory import factorint
-
 from .core import (DEADLINE_EVERY, BudgetExceededError, PairSet, PPSSpec, exact_cover, option_masks,
                    verify_pps)
-from .modarith import crt_lift, mult_order
+from .modarith import crt_lift, factorint, mult_order
 
 
 @dataclass(frozen=True)
@@ -120,16 +118,17 @@ def orbits(group: MultiplierGroup, *, deadline: float | None = None) -> OrbitInd
         for z in orb:
             orbit_index[z] = idx
         element_orbits.append(tuple(orb))
-    seen: set[tuple[int, int]] = set()
+    seen = bytearray(v * v)  # seen[a * v + b] marks the pair (a, b), a < b
     pair_orbits = []
     for x in range(v):
         for y in range(x + 1, v):
-            if (x, y) in seen:
+            if seen[x * v + y]:
                 continue
             if len(pair_orbits) % DEADLINE_EVERY == 0:
                 _check_deadline(deadline)
             orb = sorted({tuple(sorted((x * h % v, y * h % v))) for h in els})
-            seen.update(orb)
+            for a, b in orb:
+                seen[a * v + b] = 1
             pair_orbits.append(tuple(orb))
     return OrbitIndex(group, tuple(element_orbits), tuple(pair_orbits),
                       tuple(orbit_index))

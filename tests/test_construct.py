@@ -24,7 +24,7 @@ from designforge.construct import (
     silver_witness,
     union_pps_pq,
 )
-from designforge.core import PairSet, PPSSpec, verify_pps
+from designforge.core import PairSet, PPSSpec, admissible_params, verify_pps
 
 PS5 = PairSet(5, ((1, 2),))
 PS13 = PairSet(13, ((1, 5), (2, 3), (4, 6)))
@@ -93,6 +93,14 @@ def test_aps_with_params():
         aps_with_params(7, 1, 2)  # 2 - 4 is not 0 mod 7
     with pytest.raises(ValueError):
         aps_with_params(7, 0, 1)
+
+
+@pytest.mark.parametrize("p", [p for p in SILVER_PRIMES if p <= 71])
+def test_aps_with_params_on_every_admissible_target(p):
+    for alpha, beta in admissible_params(p):
+        s, spec = aps_with_params(p, alpha, beta)
+        assert spec == PPSSpec.aps(p, alpha, beta)
+        assert verify_pps(s, spec).valid, (alpha, beta)
 
 
 def test_inflate():
@@ -187,6 +195,9 @@ def test_compositions_check_each_argument_once(monkeypatch):
     checked.clear()
     ps_product(PS5, PS13)
     assert sorted(checked) == [("verify_pps", 5), ("verify_pps", 13)]
+    checked.clear()
+    aps_with_params(23, 2, 10)  # the silver APS scaled by alpha needs no check
+    assert checked == []
 
 
 def test_cyclotomic_witnesses_match_known_table():
@@ -202,6 +213,28 @@ def test_cyclotomic_witnesses_match_known_table():
             continue
         _, got_q = cyclotomic_witnesses(p, q)
         assert got_q == expected, q
+
+
+def _first_witness_by_brute_force(m: int, y_square: bool) -> tuple[int, int]:
+    """The least (x, y) with x, x+y squares mod m and y, x-y squares (or both nonsquares)."""
+    def square(z):
+        return z % m != 0 and pow(z, (m - 1) // 2, m) == 1
+
+    def same_class_as_y(z):
+        return z % m != 0 and square(z) == y_square
+
+    return min((x, y) for x in range(1, m) for y in range(1, m)
+               if square(x) and square(x + y) and same_class_as_y(y) and same_class_as_y(x - y))
+
+
+def test_cyclotomic_witnesses_match_brute_force():
+    primes = [p for p in primerange(5, 150) if p % 4 == 3]
+    mod_p = {p: _first_witness_by_brute_force(p, True) for p in primes[1:]}
+    mod_q = {q: _first_witness_by_brute_force(q, False) for q in primes[:-1]}
+    for p in mod_p:
+        for q in mod_q:
+            if p > q:
+                assert cyclotomic_witnesses(p, q) == (mod_p[p], mod_q[q]), (p, q)
 
 
 def test_cyclotomic_pps():

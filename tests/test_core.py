@@ -278,6 +278,17 @@ def test_admissible_witness_beyond_scan_range():
     assert admissible_witness(11 * 13 * 29) is None  # 4147 = 7 mod 12, all +-3 mod 8
 
 
+def test_admissible_witness_exists_exactly_off_the_obstructions():
+    for v in range(3, 20_000, 4):
+        witness = admissible_witness(v)
+        if nonexistence_case(v) is not None:
+            assert witness is None, v
+        else:
+            alpha, beta = witness
+            assert alpha % v and beta % v, v
+            assert aps_necessary(v, alpha, beta), v
+
+
 def test_admissible_witness_plants_in_the_smallest_prime(monkeypatch):
     v = 3 * 10007 * 10039
     assert admissible_witness(v) == (78484902, 129543256)

@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+import ast
 import math
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -9,6 +11,7 @@ from hypothesis import strategies as st
 from sympy import totient as sym_totient
 from sympy.ntheory.modular import crt as sym_crt
 
+from designforge import modarith
 from designforge.modarith import (
     crt_basis,
     crt_lift,
@@ -208,3 +211,18 @@ def test_q_bound_values():
         q_bound(0, 1)
     with pytest.raises(ValueError):
         q_bound(1, 0)
+
+
+def test_only_modarith_imports_sympy():
+    importers = set()
+    for path in Path(modarith.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                modules = [node.module]
+            else:
+                continue
+            if any(m.split(".")[0] == "sympy" for m in modules):
+                importers.add(path.name)
+    assert importers == {"modarith.py"}
