@@ -209,9 +209,10 @@ def cyclotomic_pps(p: int, q: int) -> tuple[PairSet, PPSSpec]:
     (x1, y1), (x2, y2) = cyclotomic_witnesses(p, q)
     n = p * q
     ep, eq = crt_basis([p, q])
+    squares_q = sorted(_nonzero_squares(q))
     pairs = [((x1 * s1 * ep + x2 * s2 * eq) % n, (y1 * s1 * ep + y2 * s2 * eq) % n)
-             for s1 in sorted(_nonzero_squares(p)) for s2 in sorted(_nonzero_squares(q))]
-    excluded = frozenset(z for z in range(n) if z % p == 0 or z % q == 0)
+             for s1 in sorted(_nonzero_squares(p)) for s2 in squares_q]
+    excluded = frozenset(range(0, n, p)) | frozenset(range(0, n, q))
     return PairSet(n, tuple(pairs)), PPSSpec(n, excluded, excluded)
 
 
@@ -239,10 +240,8 @@ def union_pps_pq(
     pairs = base.pairs
     pairs += tuple((q * x % n, q * y % n) for x, y in sp.pairs)
     pairs += tuple((p * x % n, p * y % n) for x, y in sq.pairs)
-    a1 = frozenset({0, q * sp_spec.alpha % n, -q * sp_spec.alpha % n,
-                    p * sq_spec.alpha % n, -p * sq_spec.alpha % n})
-    a2 = frozenset({0, q * sp_spec.beta % n, -q * sp_spec.beta % n,
-                    p * sq_spec.beta % n, -p * sq_spec.beta % n})
+    a1 = frozenset(q * a % n for a in sp_spec.a1) | frozenset(p * a % n for a in sq_spec.a1)
+    a2 = frozenset(q * a % n for a in sp_spec.a2) | frozenset(p * a % n for a in sq_spec.a2)
     return PairSet(n, pairs), PPSSpec(n, a1, a2)
 
 

@@ -63,8 +63,8 @@ class PairSet:
 
     @classmethod
     def from_json(cls, obj: dict) -> "PairSet":
-        pairs = [json_field(p, list, "pair") for p in json_field(obj["pairs"], list, "pairs")]
-        return cls(json_field(obj["v"], int, "v"), tuple(
+        pairs = [json_field(p, list, "pair") for p in json_field(obj.get("pairs"), list, "pairs")]
+        return cls(json_field(obj.get("v"), int, "v"), tuple(
             (json_field(x, int, "pair entry"), json_field(y, int, "pair entry"))
             for x, y in pairs))
 
@@ -352,6 +352,12 @@ def scale_set(s: PairSet, lam: int) -> PairSet:
 DEADLINE_EVERY = 1024  # nodes between deadline checks in exact_cover
 
 
+def check_deadline(deadline: float | None) -> None:
+    """Raise BudgetExceededError once ``time.monotonic()`` has passed ``deadline``."""
+    if deadline is not None and time.monotonic() > deadline:
+        raise BudgetExceededError("search hit its deadline")
+
+
 def exact_cover(cover: list[int], clash: list[int], covered_by: list[int], open_items: int,
                 alive: int, branch, *, deadline: float | None = None) -> list[int] | None:
     """Knuth's Algorithm X over int bitsets: the first exact cover found, or None.
@@ -368,8 +374,8 @@ def exact_cover(cover: list[int], clash: list[int], covered_by: list[int], open_
     stack: list[tuple[int, int, int, int]] = []  # (open, alive, untried, chosen) per level
     nodes = 0
     while open_items:
-        if deadline is not None and nodes % DEADLINE_EVERY == 0 and time.monotonic() > deadline:
-            raise BudgetExceededError("exact-cover search hit its deadline")
+        if nodes % DEADLINE_EVERY == 0:
+            check_deadline(deadline)
         nodes += 1
         untried = alive & covered_by[branch(open_items, alive, covered_by)]
         while not untried:
@@ -431,13 +437,15 @@ def exhaustive_search(spec: PPSSpec, *, force: bool = False,
     An :func:`exact_cover` of the element classes outside A1 by class pairs,
     each sum/difference class outside A2 hit at most once.  It branches on the
     smallest uncovered element class and tries co-elements in ascending order.
-    The deadline is checked on the first node, then every DEADLINE_EVERY nodes.
+    The deadline is checked before the option table is built or read, then on
+    the first node and every DEADLINE_EVERY nodes.
     Unless forced, refuses more than EXHAUSTIVE_MAX_PAIRS pairs over v > EXHAUSTIVE_MAX_V.
     """
     v = spec.v
     if not force and spec.pair_count > EXHAUSTIVE_MAX_PAIRS and v > EXHAUSTIVE_MAX_V:
         raise BudgetExceededError(
             f"search for {spec.pair_count} pairs over Z_{v} exceeds the default budget")
+    check_deadline(deadline)
     pairs, cover, clash, covered_by = _pair_options(v)
     h = v // 2 + 1
     alive = (1 << len(pairs)) - 1

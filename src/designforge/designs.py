@@ -116,8 +116,8 @@ class WhistTournament:
     @classmethod
     def from_json(cls, obj: dict) -> "WhistTournament":
         rounds = tuple(tuple(map(_game_from_json, json_field(rnd, list, "round")))
-                       for rnd in json_field(obj["rounds"], list, "rounds"))
-        v = json_field(obj["v"], int, "v")
+                       for rnd in json_field(obj.get("rounds"), list, "rounds"))
+        v = json_field(obj.get("v"), int, "v")
         u = v - 1 if any(INF in g for rnd in rounds for g in rnd) else v
         return cls._unchecked(v, u, rounds, _is_development(rounds, u))
 
@@ -306,8 +306,8 @@ class DifferenceMatrix:
     @classmethod
     def from_json(cls, obj: dict) -> "DifferenceMatrix":
         rows = tuple(tuple(json_field(x, int, "row entry") for x in json_field(r, list, "row"))
-                     for r in json_field(obj["rows"], list, "rows"))
-        k, v = json_field(obj["k"], int, "k"), json_field(obj["v"], int, "v")
+                     for r in json_field(obj.get("rows"), list, "rows"))
+        k, v = json_field(obj.get("k"), int, "k"), json_field(obj.get("v"), int, "v")
         if v < 1 or len(rows) != k or any(len(r) != v for r in rows):
             raise ValueError(f"rows must form a {k} x {v} array with v positive")
         return cls(k, v, rows)

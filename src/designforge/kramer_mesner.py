@@ -11,10 +11,9 @@ multiset is constant along each element orbit.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass
 
-from .core import (DEADLINE_EVERY, BudgetExceededError, PairSet, PPSSpec, exact_cover, option_masks,
+from .core import (DEADLINE_EVERY, PairSet, PPSSpec, check_deadline, exact_cover, option_masks,
                    verify_pps)
 from .modarith import crt_lift, factorint, mult_order
 
@@ -87,10 +86,8 @@ def suggest_multiplier(v: int) -> int:
 class OrbitIndex:
     """Element and pair orbits of a multiplier group, with canonical reps."""
 
-    group: MultiplierGroup
     element_orbits: tuple[tuple[int, ...], ...]
     pair_orbits: tuple[tuple[tuple[int, int], ...], ...]
-    element_orbit_index: tuple[int, ...]
 
     @property
     def element_reps(self) -> tuple[int, ...]:
@@ -106,17 +103,16 @@ def orbits(group: MultiplierGroup, *, deadline: float | None = None) -> OrbitInd
 
     The deadline is checked on entry, then every DEADLINE_EVERY pair orbits.
     """
-    _check_deadline(deadline)
+    check_deadline(deadline)
     v, els = group.v, group.elements
-    orbit_index = [-1] * v
+    seen_element = bytearray(v)
     element_orbits = []
     for x in range(v):
-        if orbit_index[x] >= 0:
+        if seen_element[x]:
             continue
         orb = sorted({x * h % v for h in els})
-        idx = len(element_orbits)
         for z in orb:
-            orbit_index[z] = idx
+            seen_element[z] = 1
         element_orbits.append(tuple(orb))
     seen = bytearray(v * v)  # seen[a * v + b] marks the pair (a, b), a < b
     pair_orbits = []
@@ -125,13 +121,12 @@ def orbits(group: MultiplierGroup, *, deadline: float | None = None) -> OrbitInd
             if seen[x * v + y]:
                 continue
             if len(pair_orbits) % DEADLINE_EVERY == 0:
-                _check_deadline(deadline)
+                check_deadline(deadline)
             orb = sorted({tuple(sorted((x * h % v, y * h % v))) for h in els})
             for a, b in orb:
                 seen[a * v + b] = 1
             pair_orbits.append(tuple(orb))
-    return OrbitIndex(group, tuple(element_orbits), tuple(pair_orbits),
-                      tuple(orbit_index))
+    return OrbitIndex(tuple(element_orbits), tuple(pair_orbits))
 
 
 @dataclass(frozen=True)
@@ -173,9 +168,8 @@ def build_system(group: MultiplierGroup, spec: PPSSpec, index: OrbitIndex | None
         index = orbits(group, deadline=deadline)
     v = group.v
     for name, a in (("A1", spec.a1), ("A2", spec.a2)):
-        for z in a:
-            if any(w not in a for w in index.element_orbits[index.element_orbit_index[z]]):
-                raise ValueError(f"{name} is not a union of orbits of the group")
+        if any(z * h % v not in a for z in a for h in group.elements):
+            raise ValueError(f"{name} is not a union of orbits of the group")
     reps = index.element_reps
     n = len(reps)
     # The row of each residue on either side when it is an orbit
@@ -195,7 +189,7 @@ def build_system(group: MultiplierGroup, spec: PPSSpec, index: OrbitIndex | None
     columns = []
     for col, orb in enumerate(index.pair_orbits):
         if col % DEADLINE_EVERY == 0:
-            _check_deadline(deadline)
+            check_deadline(deadline)
         hits: list[int] = []
         x, y = orb[0]
         if sorted(((-x) % v, (-y) % v)) == [x, y]:
@@ -253,14 +247,15 @@ def solve_binary(system: CoverSystem, *, deadline: float | None = None) -> tuple
 
 
 def develop(initial: list[tuple[int, int]] | tuple, group: MultiplierGroup) -> PairSet:
-    """Expand pair orbits and keep one representative per negation class."""
+    """Expand pair orbits and keep one representative per negation class.
+
+    PairSet raises ValueError on a degenerate orbit (pairs {x, y} with x = +-y).
+    """
     v = group.v
     expanded: set[tuple[int, int]] = set()
     for x, y in initial:
         for h in group.elements:
             a, b = x * h % v, y * h % v
-            if (a + b) % v == 0 or a == b:
-                raise ValueError(f"orbit of {(x, y)} contains a degenerate pair")
             expanded.add((a, b) if a < b else (b, a))
     out = set()
     for pair in expanded:
@@ -268,11 +263,6 @@ def develop(initial: list[tuple[int, int]] | tuple, group: MultiplierGroup) -> P
         mirrored = tuple(sorted(((-x) % v, (-y) % v)))
         out.add(min(pair, mirrored))
     return PairSet(v, tuple(sorted(out)))
-
-
-def _check_deadline(deadline: float | None) -> None:
-    if deadline is not None and time.monotonic() > deadline:
-        raise BudgetExceededError("orbit search hit its deadline")
 
 
 def km_search(
@@ -289,9 +279,9 @@ def km_search(
     """
     group = MultiplierGroup.generate(v, generators)
     index = orbits(group, deadline=deadline)
-    _check_deadline(deadline)
+    check_deadline(deadline)
     system = build_system(group, spec, index, deadline=deadline)
-    _check_deadline(deadline)
+    check_deadline(deadline)
     x = solve_binary(system, deadline=deadline)
     if x is None:
         return None

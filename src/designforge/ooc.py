@@ -46,8 +46,9 @@ class OOCode:
     def from_json(cls, obj: dict) -> "OOCode":
         codewords = tuple(
             tuple(json_field(x, int, "codeword entry") for x in json_field(c, list, "codeword"))
-            for c in json_field(obj["codewords"], list, "codewords"))
-        return cls(json_field(obj["n"], int, "n"), json_field(obj["k"], int, "k"), codewords)
+            for c in json_field(obj.get("codewords"), list, "codewords"))
+        return cls(json_field(obj.get("n"), int, "n"), json_field(obj.get("k"), int, "k"),
+                   codewords)
 
 
 @dataclass(frozen=True)

@@ -242,6 +242,27 @@ def test_malformed_input_is_a_usage_error(example_file, capsys, command, payload
     assert "Traceback" not in captured.err and not captured.out
 
 
+@pytest.mark.parametrize("command, payload, field", [
+    (["verify", "--type", "ps"], {"v": 13}, "pairs"),
+    (["verify", "--type", "ps"], {"pairs": []}, "v"),
+    (["whist", "verify"], {"v": 13}, "rounds"),
+    (["cdm", "verify"], {"k": 5, "v": 13}, "rows"),
+    (["cdm", "verify"], {"v": 13, "rows": []}, "k"),
+    (["ooc", "verify"], {"n": 39, "codewords": []}, "k"),
+    (["catalog", "nope"], None, "nope"),
+])
+def test_missing_field_is_named_in_one_line(example_file, capsys, command, payload, field):
+    if payload is not None:
+        command = command + ["--file", example_file("partial.json", payload)]
+    assert main(command) == 2
+    captured = capsys.readouterr()
+    lines = captured.err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), captured.err
+    message = lines[0].removeprefix("error: ")
+    assert field in message and message[0] not in "'\"" and message[-1] not in "'\"", message
+    assert not captured.out
+
+
 @pytest.mark.parametrize("command, needle", [
     (["construct", "silver", "--p", "23", "--alpha", "1"], "--beta"),
     (["construct", "silver"], "--p"),

@@ -316,6 +316,21 @@ def test_exhaustive_search_deadline():
         exhaustive_search(PPSSpec.ps(37), deadline=time.monotonic() - 1)
 
 
+def test_expired_deadline_stops_exhaustive_search_before_its_option_table():
+    import time
+    import tracemalloc
+
+    # the forced PS(401) option table alone takes tens of MiB
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetExceededError):
+            exhaustive_search(PPSSpec.ps(401), force=True, deadline=time.monotonic() - 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
 def test_scale_set():
     assert scale_set(PairSet(7, ((1, 4),)), 3).pairs == ((3, 5),)
     assert scale_set(PS13, 1) == PS13

@@ -15,6 +15,7 @@ from designforge.core import (
     PairSet,
     PPSSpec,
     aps_necessary,
+    exact_cover,
     exhaustive_search,
     verify_pps,
 )
@@ -164,6 +165,25 @@ def test_build_system_orbit_closure_checks():
     g651 = MultiplierGroup.generate(651, [68])
     orbit_of_217 = sorted(217 * h % 651 for h in g651.elements)
     assert set(orbit_of_217) == {217, 434}
+
+
+def test_build_system_orbit_closure_check_matches_its_definition():
+    """build_system refuses {0, z, -z} exactly when it is not a union of element orbits."""
+    for v in range(3, 64, 4):
+        groups = {group.elements: group for group in (MultiplierGroup.generate(v, [v - 1, g])
+                                                      for g in range(1, v) if _coprime(g, v))}
+        for group in groups.values():
+            index = orbits(group)
+            for z in range(1, v):
+                excluded = frozenset({0, z, v - z})
+                is_union = all(excluded.issuperset(orbit) or excluded.isdisjoint(orbit)
+                               for orbit in index.element_orbits)
+                spec = PPSSpec(v, excluded, excluded)
+                if is_union:
+                    build_system(group, spec, index)
+                else:
+                    with pytest.raises(ValueError, match="not a union of orbits"):
+                        build_system(group, spec, index)
 
 
 def test_solve_binary_v5():
@@ -320,3 +340,21 @@ def test_orbits_and_build_system_check_their_deadlines():
         orbits(g, deadline=time.monotonic() - 1)
     with pytest.raises(BudgetExceededError):
         build_system(g, PPSSpec.aps(27, 3, 6), index, deadline=time.monotonic() - 1)
+
+
+def test_every_stage_reports_a_deadline_overrun_the_same_way():
+    g = MultiplierGroup.generate(27, [26])
+    index = orbits(g)
+    stages = [
+        lambda deadline: orbits(g, deadline=deadline),
+        lambda deadline: build_system(g, PPSSpec.aps(27, 3, 6), index, deadline=deadline),
+        lambda deadline: exact_cover([1], [1], [1], 1, 1, lambda *_: 0, deadline=deadline),
+        lambda deadline: exhaustive_search(PPSSpec.ps(13), deadline=deadline),
+        lambda deadline: km_search(27, [26], PPSSpec.aps(27, 3, 6), deadline=deadline),
+    ]
+    texts = set()
+    for stage in stages:
+        with pytest.raises(BudgetExceededError) as err:
+            stage(time.monotonic() - 1)
+        texts.add(str(err.value))
+    assert len(texts) == 1, texts
