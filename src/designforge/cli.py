@@ -122,6 +122,11 @@ def _cmd_search(args) -> int:
     return OK
 
 
+def _aps_file_or_silver(path: str | None, p: int) -> PairSet:
+    """The pair set in the file at ``path``, or the silver APS of ``p`` if no file is given."""
+    return silver_aps(p)[0] if path is None else PairSet.from_json(_load_json(path))
+
+
 def _print_construction(result: tuple[PairSet, PPSSpec], as_json: bool) -> int:
     pairs, spec = result
     payload = {"pairs": pairs.to_json(), "spec": spec.to_json(),
@@ -165,11 +170,8 @@ def _cmd_construct(args) -> int:
     elif args.what == "cyclotomic":
         result = cyclotomic_pps(args.p, args.q)
     else:  # union
-        sp, _ = (silver_aps(args.p) if args.sp is None
-                 else (PairSet.from_json(_load_json(args.sp)), None))
-        sq, _ = (silver_aps(args.q) if args.sq is None
-                 else (PairSet.from_json(_load_json(args.sq)), None))
-        result = union_pps_pq(args.p, args.q, sp, sq)
+        result = union_pps_pq(args.p, args.q, _aps_file_or_silver(args.sp, args.p),
+                              _aps_file_or_silver(args.sq, args.q))
     return _print_construction(result, args.json)
 
 
@@ -219,11 +221,8 @@ def _cmd_ooc(args) -> int:
         elif args.kind == "block45":
             code = ooc_45v_from_ps(PairSet.from_json(_load_json(args.file)))
         elif args.kind == "pq":
-            sp = (silver_aps(args.p)[0] if args.sp is None
-                  else PairSet.from_json(_load_json(args.sp)))
-            sq = (silver_aps(args.q)[0] if args.sq is None
-                  else PairSet.from_json(_load_json(args.sq)))
-            code = maximal_ooc_pq(args.p, args.q, sp, sq, args.k)
+            code = maximal_ooc_pq(args.p, args.q, _aps_file_or_silver(args.sp, args.p),
+                                  _aps_file_or_silver(args.sq, args.q), args.k)
         else:
             code = maximal_ooc_p2(args.p, args.k)
         _emit(code.to_json(), args.json)

@@ -13,7 +13,6 @@ import enum
 import math
 import time
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .modarith import crt_lift, factorint, mod_sqrt
 
@@ -417,17 +416,7 @@ EXHAUSTIVE_MAX_PAIRS = 6
 EXHAUSTIVE_MAX_V = 40
 
 
-@lru_cache(maxsize=None)
-def _pair_options(v: int) -> tuple[tuple[tuple[int, int], ...], list[int], list[int], list[int]]:
-    """Exact-cover options over Z_v: pairs (a, b), a < b, of negation classes c <= v/2.
-
-    Class c is element-side item c and sum/difference-side item v//2 + 1 + c.
-    Option (a, b) covers element classes a, b and sum/difference classes [a+b], b-a.
-    """
-    h = v // 2 + 1
-    pairs = tuple((a, b) for a in range(1, h) for b in range(a + 1, h))
-    members = [(a, b, h + min(a + b, v - a - b), h + b - a) for a, b in pairs]
-    return (pairs,) + option_masks(members, 2 * h)
+_SIGN_OPTIONS: dict[int, tuple] = {}  # per v: exhaustive_search's pairs and option masks
 
 
 def exhaustive_search(spec: PPSSpec, *, force: bool = False,
@@ -435,18 +424,25 @@ def exhaustive_search(spec: PPSSpec, *, force: bool = False,
     """Backtracking oracle: the lexicographically first valid pair set, or None.
 
     An :func:`exact_cover` of the element classes outside A1 by class pairs,
-    each sum/difference class outside A2 hit at most once.  It branches on the
-    smallest uncovered element class and tries co-elements in ascending order.
-    The deadline is checked before the option table is built or read, then on
-    the first node and every DEADLINE_EVERY nodes.
+    each sum/difference class outside A2 hit at most once.  Its options are the
+    sign group's Kramer-Mesner columns, twins merged: the class pairs (a, b),
+    a < b, in lexicographic order; rows c and v//2 + 1 + c are element and
+    sum/difference class c.  It branches on the smallest uncovered element class
+    and tries co-elements in ascending order.  The deadline is checked before and
+    while the option table is built, then on the first node and every DEADLINE_EVERY nodes.
     Unless forced, refuses more than EXHAUSTIVE_MAX_PAIRS pairs over v > EXHAUSTIVE_MAX_V.
     """
+    from .kramer_mesner import MultiplierGroup, build_system, cover_options  # imports core
     v = spec.v
     if not force and spec.pair_count > EXHAUSTIVE_MAX_PAIRS and v > EXHAUSTIVE_MAX_V:
         raise BudgetExceededError(
             f"search for {spec.pair_count} pairs over Z_{v} exceeds the default budget")
     check_deadline(deadline)
-    pairs, cover, clash, covered_by = _pair_options(v)
+    if v not in _SIGN_OPTIONS:  # the columns do not depend on the spec
+        system = build_system(MultiplierGroup.generate(v, (-1,)), spec, deadline=deadline)
+        kept, *masks = cover_options(system)
+        _SIGN_OPTIONS[v] = (tuple(system.col_reps[col] for col in kept), *masks)
+    pairs, cover, clash, covered_by = _SIGN_OPTIONS[v]
     h = v // 2 + 1
     alive = (1 << len(pairs)) - 1
     for c in spec.a1:

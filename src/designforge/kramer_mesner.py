@@ -32,8 +32,8 @@ class MultiplierGroup:
         for g in gens:
             if math.gcd(g, v) != 1:
                 raise ValueError(f"generator {g} is not a unit modulo {v}")
-        elements = {1}
-        frontier = [1]
+        elements = {1 % v}
+        frontier = [1 % v]
         while frontier:
             x = frontier.pop()
             for g in gens:
@@ -224,22 +224,36 @@ def _fewest_options(open_items: int, alive: int, covered_by: list[int]) -> int:
     return item
 
 
+def cover_options(system: CoverSystem) -> tuple[list[int], list[int], list[int], list[int]]:
+    """The kept columns of a system and their :func:`~designforge.core.option_masks`.
+
+    A column that hits a row twice can never meet a 0-1 row.  Twin orbits {x, y}
+    and {x, -y} hit the same rows, so only the first column of a row tuple is kept.
+    """
+    first: dict[tuple[int, ...], int] = {}
+    for col, rows in enumerate(system.columns):
+        if len(set(rows)) == len(rows):
+            first.setdefault(rows, col)
+    return (list(first.values()),) + option_masks(list(first), len(system.j))
+
+
 def solve_binary(system: CoverSystem, *, deadline: float | None = None) -> tuple[int, ...] | None:
     """First 0-1 solution of M X = J under a fixed branching order, or None.
 
-    Columns that hit a forbidden (J=0) row, or any row more than once, are
-    dropped; the rest go to :func:`~designforge.core.exact_cover` over the
-    required rows.  It branches on the row with the fewest remaining columns,
-    ties to the lowest row, and tries columns in ascending order.  The
-    deadline is checked on the first node, then every DEADLINE_EVERY nodes.
+    The :func:`cover_options` columns that hit no forbidden (J=0) row go to
+    :func:`~designforge.core.exact_cover` over the required rows.  It branches
+    on the row with the fewest remaining columns, ties to the lowest row, and
+    tries columns in ascending order.  The deadline is checked on the first
+    node, then every DEADLINE_EVERY nodes.
     """
-    allowed = {i for i, ji in enumerate(system.j) if ji}
-    kept = [col for col, rows in enumerate(system.columns)
-            if len(set(rows)) == len(rows) and allowed.issuperset(rows)]
-    cover, clash, covered_by = option_masks([system.columns[col] for col in kept], len(system.j))
+    kept, cover, clash, covered_by = cover_options(system)
+    alive = (1 << len(kept)) - 1
+    for row, ji in enumerate(system.j):
+        if not ji:
+            alive &= ~covered_by[row]
     required = sum(ji << i for i, ji in enumerate(system.j))
-    chosen = exact_cover(cover, clash, covered_by, required, (1 << len(kept)) - 1,
-                         _fewest_options, deadline=deadline)
+    chosen = exact_cover(cover, clash, covered_by, required, alive, _fewest_options,
+                         deadline=deadline)
     if chosen is None:
         return None
     selected = {kept[option] for option in chosen}

@@ -331,6 +331,24 @@ def test_expired_deadline_stops_exhaustive_search_before_its_option_table():
     assert peak < 1 << 20
 
 
+def test_deadline_stops_exhaustive_search_while_it_builds_its_option_table():
+    import time
+    import tracemalloc
+
+    from designforge import core
+
+    # a complete forced PS(601) table takes hundreds of MiB
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetExceededError):
+            exhaustive_search(PPSSpec.ps(601), force=True, deadline=time.monotonic() + 0.02)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 << 20
+    assert 601 not in core._SIGN_OPTIONS
+
+
 def test_scale_set():
     assert scale_set(PairSet(7, ((1, 4),)), 3).pairs == ((3, 5),)
     assert scale_set(PS13, 1) == PS13
@@ -370,6 +388,7 @@ def test_exhaustive_search_examples():
 
 def test_exhaustive_search_trivial_and_budget():
     assert exhaustive_search(PPSSpec.aps(3, 1, 1)).pairs == ()
+    assert exhaustive_search(PPSSpec.ps(1)).pairs == ()  # in Z_1 the unit 1 is 0
     found = exhaustive_search(PPSSpec.ps(13))
     assert verify_pps(found, PPSSpec.ps(13)).valid
     with pytest.raises(BudgetExceededError):

@@ -17,12 +17,14 @@ from designforge.core import (
     aps_necessary,
     exact_cover,
     exhaustive_search,
+    option_masks,
     verify_pps,
 )
 from designforge.kramer_mesner import (
     CoverSystem,
     MultiplierGroup,
     build_system,
+    cover_options,
     develop,
     km_search,
     orbits,
@@ -158,8 +160,9 @@ def test_build_system_27():
 
 def test_build_system_orbit_closure_checks():
     g = MultiplierGroup.generate(133, [122])
-    with pytest.raises(ValueError):
-        build_system(g, PPSSpec.aps(133, 1, 1))  # orbit of 1 is not inside {0,1,-1}
+    excluded = frozenset({0, 1, 2, 131, 132})  # the orbit of 1 is not inside it
+    with pytest.raises(ValueError, match="not a union of orbits"):
+        build_system(g, PPSSpec(133, excluded, excluded))
     # the order-6 group over 651 fixes {0, 217, 434} setwise: every element
     # of <68> is +-1 modulo 3, so the excluded sets are orbit closed
     g651 = MultiplierGroup.generate(651, [68])
@@ -224,6 +227,59 @@ def test_solve_binary_matches_bruteforce_on_random_systems():
             assert not solutions, (trial, solutions)
         else:
             assert got in solutions, trial
+
+
+def _unmerged_solve_binary(system):
+    """solve_binary as it was before twin columns were merged: every column that hits
+    no J=0 row and no row twice is an option, twins included."""
+    allowed = {i for i, ji in enumerate(system.j) if ji}
+    kept = [col for col, rows in enumerate(system.columns)
+            if len(set(rows)) == len(rows) and allowed.issuperset(rows)]
+    cover, clash, covered_by = option_masks([system.columns[col] for col in kept], len(system.j))
+    required = sum(ji << i for i, ji in enumerate(system.j))
+    chosen = exact_cover(cover, clash, covered_by, required, (1 << len(kept)) - 1,
+                         kramer_mesner._fewest_options)
+    if chosen is None:
+        return None
+    selected = {kept[option] for option in chosen}
+    return tuple(int(c in selected) for c in range(system.m))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_solve_binary_with_twins_merged_matches_the_unmerged_search(data):
+    """Merging twin columns leaves the first solution unchanged."""
+    v = data.draw(st.sampled_from(range(3, 80, 2)), label="v")
+    g = data.draw(st.sampled_from([x for x in range(1, v) if _coprime(x, v)]), label="g")
+    group = MultiplierGroup.generate(v, [v - 1, g])
+    # the unmerged search over the sign group alone runs for over 5 s on some larger moduli
+    assume(len(group) > 2 or v < 40)
+    idx = orbits(group)
+    nonzero = [orbit for orbit in idx.element_orbits if orbit != (0,)]
+    a1 = {0}.union(*data.draw(st.lists(st.sampled_from(nonzero), max_size=2, unique=True),
+                              label="A1 orbits"))
+    assume((v - len(a1)) % 4 == 0)
+    a2 = {0}
+    for orbit in data.draw(st.permutations(nonzero), label="A2 orbit order"):
+        if len(a2) + len(orbit) <= len(a1):
+            a2 |= set(orbit)
+    assume(len(a2) == len(a1))
+    system = build_system(group, PPSSpec(v, frozenset(a1), frozenset(a2)), idx)
+    assert solve_binary(system) == _unmerged_solve_binary(system)
+
+
+def test_sign_group_options_are_the_class_pairs_in_lexicographic_order():
+    """Twins merged, the columns of <-1> are the pairs (a, b), 1 <= a < b <= v//2, each
+    hitting element classes a, b and the sum/difference classes of a + b and b - a."""
+    for v in range(5, 100, 2):
+        spec = PPSSpec.ps(v) if v % 4 == 1 else PPSSpec.aps(v, 1, 1)
+        system = build_system(MultiplierGroup.generate(v, [v - 1]), spec)
+        kept = cover_options(system)[0]
+        h = v // 2 + 1
+        pairs = [(a, b) for a in range(1, h) for b in range(a + 1, h)]
+        assert [system.col_reps[col] for col in kept] == pairs, v
+        assert [system.columns[col] for col in kept] == [
+            tuple(sorted((a, b, h + min(a + b, v - a - b), h + b - a))) for a, b in pairs], v
 
 
 def test_develop_reproduces_published_tables():
