@@ -348,7 +348,7 @@ def scale_set(s: PairSet, lam: int) -> PairSet:
     return PairSet(s.v, tuple((x * lam % s.v, y * lam % s.v) for x, y in s.pairs))
 
 
-DEADLINE_EVERY = 1024  # nodes between deadline checks in exact_cover
+DEADLINE_EVERY = 1024  # nodes, orbits, columns or options between deadline checks
 
 
 def check_deadline(deadline: float | None) -> None:
@@ -389,11 +389,13 @@ def exact_cover(cover: list[int], clash: list[int], covered_by: list[int], open_
     return [frame[3] for frame in stack]
 
 
-def option_masks(members: list[tuple[int, ...]],
-                 n_items: int) -> tuple[list[int], list[int], list[int]]:
+def option_masks(members: list[tuple[int, ...]], n_items: int, *,
+                 deadline: float | None = None) -> tuple[list[int], list[int], list[int]]:
     """The ``cover``, ``clash`` and ``covered_by`` masks of :func:`exact_cover`.
 
-    Option o covers the items listed in ``members[o]``.
+    Option o covers the items listed in ``members[o]``.  The clash masks take
+    O(options**2) bits, so the deadline is checked before the first and then
+    every DEADLINE_EVERY of them.
     """
     covered_by = [0] * n_items
     for option, items in enumerate(members):
@@ -401,7 +403,9 @@ def option_masks(members: list[tuple[int, ...]],
         for i in items:
             covered_by[i] |= bit
     cover, clash = [], []
-    for items in members:
+    for option, items in enumerate(members):
+        if option % DEADLINE_EVERY == 0:
+            check_deadline(deadline)
         mask = bits = 0
         for i in items:
             mask |= 1 << i
@@ -440,7 +444,7 @@ def exhaustive_search(spec: PPSSpec, *, force: bool = False,
     check_deadline(deadline)
     if v not in _SIGN_OPTIONS:  # the columns do not depend on the spec
         system = build_system(MultiplierGroup.generate(v, (-1,)), spec, deadline=deadline)
-        kept, *masks = cover_options(system)
+        kept, *masks = cover_options(system, deadline=deadline)
         _SIGN_OPTIONS[v] = (tuple(system.col_reps[col] for col in kept), *masks)
     pairs, cover, clash, covered_by = _SIGN_OPTIONS[v]
     h = v // 2 + 1

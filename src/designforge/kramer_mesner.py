@@ -224,17 +224,20 @@ def _fewest_options(open_items: int, alive: int, covered_by: list[int]) -> int:
     return item
 
 
-def cover_options(system: CoverSystem) -> tuple[list[int], list[int], list[int], list[int]]:
+def cover_options(system: CoverSystem, *, deadline: float | None = None
+                  ) -> tuple[list[int], list[int], list[int], list[int]]:
     """The kept columns of a system and their :func:`~designforge.core.option_masks`.
 
     A column that hits a row twice can never meet a 0-1 row.  Twin orbits {x, y}
     and {x, -y} hit the same rows, so only the first column of a row tuple is kept.
+    The deadline is checked as option_masks checks it.
     """
     first: dict[tuple[int, ...], int] = {}
     for col, rows in enumerate(system.columns):
         if len(set(rows)) == len(rows):
             first.setdefault(rows, col)
-    return (list(first.values()),) + option_masks(list(first), len(system.j))
+    return (list(first.values()),) + option_masks(list(first), len(system.j),
+                                                  deadline=deadline)
 
 
 def solve_binary(system: CoverSystem, *, deadline: float | None = None) -> tuple[int, ...] | None:
@@ -243,10 +246,10 @@ def solve_binary(system: CoverSystem, *, deadline: float | None = None) -> tuple
     The :func:`cover_options` columns that hit no forbidden (J=0) row go to
     :func:`~designforge.core.exact_cover` over the required rows.  It branches
     on the row with the fewest remaining columns, ties to the lowest row, and
-    tries columns in ascending order.  The deadline is checked on the first
-    node, then every DEADLINE_EVERY nodes.
+    tries columns in ascending order.  The deadline is checked while the
+    options are built, then on the first node and every DEADLINE_EVERY nodes.
     """
-    kept, cover, clash, covered_by = cover_options(system)
+    kept, cover, clash, covered_by = cover_options(system, deadline=deadline)
     alive = (1 << len(kept)) - 1
     for row, ji in enumerate(system.j):
         if not ji:

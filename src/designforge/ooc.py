@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import combinations, filterfalse
 
 from .construct import silver_pps_p2, union_pps_pq
 from .core import BudgetExceededError, PairSet, SetKind, infer_params, json_field
@@ -19,6 +21,8 @@ from .modarith import crt_basis, mod_sqrt
 
 @dataclass(frozen=True)
 class OOCode:
+    """A (n, k, 1) code: codewords are sorted tuples of k distinct entries of range(n)."""
+
     n: int
     k: int
     codewords: tuple[tuple[int, ...], ...]
@@ -35,6 +39,17 @@ class OOCode:
                 raise ValueError(f"codeword {tuple(cw)} is not a {self.k}-subset of Z_{self.n}")
             norm.append(entries)
         object.__setattr__(self, "codewords", tuple(norm))
+
+    @classmethod
+    def _unchecked(cls, n: int, k: int, codewords) -> "OOCode":
+        """Build without the checks, for builders that emit sorted k-subsets of range(n)."""
+        code = object.__new__(cls)
+        code.__dict__.update(n=n, k=k, codewords=codewords)
+        return code
+
+    @cached_property
+    def _report(self) -> "OOCReport":
+        return _difference_report(self)
 
     def __len__(self) -> int:
         return len(self.codewords)
@@ -68,7 +83,11 @@ class OOCReport:
 
 
 def _difference_counts(n: int, blocks) -> list[int]:
-    """counts[d]: how often a - b = d (mod n), a and b at two places of one block."""
+    """counts[d]: how often a - b = d (mod n), a and b at two places of one block.
+
+    verify_sdf's tally (SDF blocks are multisets, so a difference may be 0 or repeat),
+    and verify_ooc's once a difference is known to repeat.
+    """
     counts = [0] * n
     for block in blocks:
         for i, a in enumerate(block):
@@ -78,14 +97,28 @@ def _difference_counts(n: int, blocks) -> list[int]:
     return counts
 
 
+def _difference_report(code: OOCode) -> OOCReport:
+    """One pass over the differences: b - a for a < b in a codeword, and each one's n - (b - a)."""
+    n = code.n
+    upper = [b - a for cw in code.codewords for a, b in combinations(cw, 2)]
+    seen = set(upper)
+    seen.update(map(n.__sub__, upper))
+    repeated: frozenset[int] = frozenset()
+    if len(seen) < 2 * len(upper):  # some difference, or some d = n/2 with its negative, repeats
+        counts = _difference_counts(n, code.codewords)
+        repeated = frozenset(d for d, c in enumerate(counts) if c > 1)
+    leave = frozenset(filterfalse(seen.__contains__, range(n)))
+    return OOCReport(not repeated, repeated, leave, len(leave) <= code.k * (code.k - 1))
+
+
 def verify_ooc(code: OOCode) -> OOCReport:
-    """Difference distinctness, the leave, and the maximum test |L| <= k(k-1)."""
-    counts = _difference_counts(code.n, code.codewords)
-    repeated = (frozenset(d for d, c in enumerate(counts) if c > 1) if max(counts) > 1
-                else frozenset())
-    leave = frozenset(d for d, c in enumerate(counts) if c == 0)
-    return OOCReport(not repeated, repeated, leave,
-                     len(leave) <= code.k * (code.k - 1))
+    """Difference distinctness, the leave, and the maximum test |L| <= k(k-1).
+
+    Reads the OOCode invariant (sorted codewords of distinct entries of range(n)),
+    and computes the report once per code: later calls, is_maximal's included,
+    return the stored one.
+    """
+    return code._report
 
 
 def max_codeword_bound(n: int, k: int) -> int:
@@ -133,23 +166,39 @@ def verify_sdf(sdf: SDF) -> SDFReport:
     return SDFReport(all(c == sdf.mu for c in counts), tuple(counts))
 
 
-def _template(k: int) -> tuple[int, tuple[int, ...]]:
-    """(m, block): the SIGMA3 or SIGMA5 block that carries each pair at k = 4 or 5."""
+def _template(k: int) -> int:
+    """m: the SIGMA3 (k = 4) or SIGMA5 (k = 5) block over Z_m carries each pair."""
     if k not in (4, 5):
         raise ValueError("k must be 4 or 5")
-    return (3, SIGMA3[0]) if k == 4 else (5, SIGMA5[0])
+    return 3 if k == 4 else 5
 
 
 def _lift(m: int, v: int, rows) -> tuple[tuple[int, ...], ...]:
-    """Each (block, seconds) row of Z_m x Z_v as a codeword of Z_{mv}, for OOCode to reduce."""
+    """Each (block, seconds) row of Z_m x Z_v as a codeword of Z_{mv}, reduced and sorted.
+
+    The rows' points must be distinct, so that the result is an OOCode codeword.
+    """
+    n = m * v
     em, ev = crt_basis([m, v])
-    return tuple(tuple(i * em + x * ev for i, x in zip(block, seconds)) for block, seconds in rows)
+    return tuple(tuple(sorted([(i * em + x * ev) % n for i, x in zip(block, seconds)]))
+                 for block, seconds in rows)
 
 
-def _pair_template_code(m: int, block: tuple[int, ...], pairs, v: int) -> OOCode:
-    """Codewords {(1,x),(1,-x),(-1,y),(-1,-y)} (plus (0,0) when k=5) over Z_{mv}."""
-    k = len(block)
-    return OOCode(m * v, k, _lift(m, v, ((block, (0, x, -x, y, -y)[5 - k:]) for x, y in pairs)))
+def _pair_template_code(m: int, k: int, pairs, v: int) -> OOCode:
+    """Codewords {(1,x),(1,-x),(-1,y),(-1,-y)} (plus (0,0) when k=5) over Z_{mv}.
+
+    The pairs must come from a valid pair set: x, y, -x and -y are then
+    distinct and nonzero modulo v, so each codeword has k distinct points.
+    """
+    n = m * v
+    e1, ev = crt_basis([m, v])  # (1, 0) and (0, 1)
+    e2 = n - e1  # (-1, 0)
+    codewords = tuple(tuple(sorted(((e1 + x * ev) % n, (e1 - x * ev) % n,
+                                    (e2 + y * ev) % n, (e2 - y * ev) % n)))
+                      for x, y in pairs)
+    if k == 5:  # (0, 0) is 0, below every other point
+        codewords = tuple((0,) + cw for cw in codewords)
+    return OOCode._unchecked(n, k, codewords)
 
 
 def ooc_from_pairs(s: PairSet, k: int) -> OOCode:
@@ -158,14 +207,14 @@ def ooc_from_pairs(s: PairSet, k: int) -> OOCode:
     The leave is the multiples of v (size 3 or 5) for a PS input, or the
     9/15-element sets determined by the APS parameters.
     """
-    m, block = _template(k)
+    m = _template(k)
     v = s.v
     if math.gcd(v, 2 * m) != 1:
         raise ValueError(f"gcd({v}, {2 * m}) must be 1")
     spec = infer_params(s)
     if spec is None or spec.kind is SetKind.PPS:
         raise ValueError("input must be a valid PS or APS")
-    return _pair_template_code(m, block, s.pairs, v)
+    return _pair_template_code(m, k, s.pairs, v)
 
 
 def ooc_45v_from_ps(s: PairSet) -> OOCode:
@@ -188,7 +237,7 @@ def ooc_45v_from_ps(s: PairSet) -> OOCode:
             multiples = tuple(j * z for j in range(5))
             rows += [(a, multiples), (b, multiples)]
     rows += [(block, (0,) * 5) for block in LEAVE45]
-    return OOCode(45 * v, 5, _lift(45, v, rows))
+    return OOCode._unchecked(45 * v, 5, _lift(45, v, rows))
 
 
 def maximal_ooc_pq(p: int, q: int, sp: PairSet, sq: PairSet, k: int) -> OOCode:
@@ -197,9 +246,9 @@ def maximal_ooc_pq(p: int, q: int, sp: PairSet, sq: PairSet, k: int) -> OOCode:
     Feeds the glued coprime-residue pair set of Z_pq (cyclotomic tiling plus
     the two rescaled APS inputs) through the pair template.
     """
-    m, block = _template(k)
+    m = _template(k)
     pairs, _ = union_pps_pq(p, q, sp, sq)
-    return _pair_template_code(m, block, pairs.pairs, p * q)
+    return _pair_template_code(m, k, pairs.pairs, p * q)
 
 
 def maximal_ooc_p2(p: int, k: int) -> OOCode:
@@ -208,10 +257,10 @@ def maximal_ooc_p2(p: int, k: int) -> OOCode:
     Requires 1 + sqrt(2) to generate the units of Z_{p^2} up to sign; the
     known failures (e.g. p = 31) surface as a ValueError.
     """
-    m, block = _template(k)
+    m = _template(k)
     beta = mod_sqrt(2, p * p)
     pairs, _ = silver_pps_p2(p, 1, beta)
-    return _pair_template_code(m, block, pairs.pairs, p * p)
+    return _pair_template_code(m, k, pairs.pairs, p * p)
 
 
 # Largest leave the extendability search takes on.

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from designforge import kramer_mesner
+from designforge import core, kramer_mesner
 from designforge.catalog import APS651_INITIAL_PAIRS, PS133_INITIAL_PAIRS, get
 from designforge.core import (
     BudgetExceededError,
@@ -401,9 +401,11 @@ def test_orbits_and_build_system_check_their_deadlines():
 def test_every_stage_reports_a_deadline_overrun_the_same_way():
     g = MultiplierGroup.generate(27, [26])
     index = orbits(g)
+    system = build_system(g, PPSSpec.aps(27, 3, 6), index)
     stages = [
         lambda deadline: orbits(g, deadline=deadline),
         lambda deadline: build_system(g, PPSSpec.aps(27, 3, 6), index, deadline=deadline),
+        lambda deadline: cover_options(system, deadline=deadline),
         lambda deadline: exact_cover([1], [1], [1], 1, 1, lambda *_: 0, deadline=deadline),
         lambda deadline: exhaustive_search(PPSSpec.ps(13), deadline=deadline),
         lambda deadline: km_search(27, [26], PPSSpec.aps(27, 3, 6), deadline=deadline),
@@ -414,3 +416,22 @@ def test_every_stage_reports_a_deadline_overrun_the_same_way():
             stage(time.monotonic() - 1)
         texts.add(str(err.value))
     assert len(texts) == 1, texts
+
+
+def test_cover_options_checks_its_deadline_between_clash_masks(monkeypatch):
+    # 4,950 options at v = 201; at v = 601 their 44,850 clash masks take ~250 MB
+    system = build_system(MultiplierGroup.generate(201, (-1,)), PPSSpec.ps(201))
+    with pytest.raises(BudgetExceededError):
+        cover_options(system, deadline=time.monotonic() - 1)
+
+    checks = []
+
+    def third_check_overruns(deadline):
+        checks.append(deadline)
+        if len(checks) == 3:
+            raise BudgetExceededError("search hit its deadline")
+
+    monkeypatch.setattr(core, "check_deadline", third_check_overruns)
+    with pytest.raises(BudgetExceededError):  # raised by the check before option 2048
+        cover_options(system, deadline=time.monotonic() + 60)
+    assert len(checks) == 3

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from designforge import ooc
 from designforge.catalog import get
 from designforge.construct import aps_with_params, silver_aps, silver_pps_p2, union_pps_pq
 from designforge.core import BudgetExceededError, PairSet, scale_set
@@ -177,6 +178,8 @@ def test_repeated_codeword_is_flagged():
     dup = OOCode(39, 4, (code.codewords[0], code.codewords[0]))
     report = verify_ooc(dup)
     assert not report.differences_distinct and report.repeated
+    # 5 - 0 and 0 - 5 are both 5 modulo 10: the difference n/2 of one codeword repeats
+    assert verify_ooc(OOCode(10, 2, ((0, 5),))).repeated == frozenset({5})
 
 
 def test_is_maximal_refuses_repeated_differences():
@@ -237,7 +240,7 @@ def test_leave_structure_for_pq_code():
 @settings(max_examples=200, deadline=None)
 @given(st.data())
 def test_verify_ooc_agrees_with_reference(data):
-    n = data.draw(st.integers(2, 60))
+    n = data.draw(st.integers(2, 200))
     k = data.draw(st.integers(2, min(n, 5)))
     word = st.lists(st.integers(-n, 2 * n), min_size=k, max_size=k, unique_by=lambda x: x % n)
     code = OOCode(n, k, tuple(map(tuple, data.draw(st.lists(word, max_size=8)))))
@@ -322,3 +325,52 @@ def test_maximal_pq_codes_are_table_blocks_beside_their_pairs(p, q, k):
 def test_maximal_p2_codes_are_table_blocks_beside_their_pairs(p, k):
     rows = _pair_rows(silver_pps_p2(p, 1, mod_sqrt(2, p * p))[0].pairs, k)
     _assert_table_rows(maximal_ooc_p2(p, k), 3 if k == 4 else 5, p * p, rows)
+
+
+def _assert_normalised(code):
+    """The public constructor leaves a builder's code as it is, and reports it the same."""
+    fresh = OOCode(code.n, code.k, code.codewords)
+    assert fresh == code
+    assert verify_ooc(code) == verify_ooc(fresh)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(PAIR_INPUTS), st.data())
+def test_pair_set_builders_emit_normalised_codes(case, data):
+    s, m = case
+    lam = data.draw(st.integers(1, s.v - 1).filter(lambda x: math.gcd(x, s.v) == 1))
+    s = scale_set(s, lam)
+    _assert_normalised(ooc_45v_from_ps(s) if m == 45 else ooc_from_pairs(s, 4 if m == 3 else 5))
+
+
+@pytest.mark.parametrize("k", [4, 5])
+@pytest.mark.parametrize("p, q", [(23, 7), (71, 23)])
+def test_maximal_pq_builder_emits_normalised_codes(p, q, k):
+    _assert_normalised(maximal_ooc_pq(p, q, silver_aps(p)[0], silver_aps(q)[0], k))
+
+
+@pytest.mark.parametrize("k", [4, 5])
+@pytest.mark.parametrize("p", [7, 23, 47])
+def test_maximal_p2_builder_emits_normalised_codes(p, k):
+    _assert_normalised(maximal_ooc_p2(p, k))
+
+
+def test_verify_then_is_maximal_count_the_differences_once(monkeypatch):
+    passes = []
+    real_pass = ooc._difference_report
+
+    def counted_pass(code):
+        passes.append(code)
+        return real_pass(code)
+
+    monkeypatch.setattr(ooc, "_difference_report", counted_pass)
+    sp, sq = silver_aps(23)[0], silver_aps(7)[0]
+    codes = (maximal_ooc_pq(23, 7, sp, sq, 4), maximal_ooc_p2(7, 5),
+             OOCode(39, 4, ooc_from_pairs(PS13, 4).codewords[1:]))  # the last one extends
+    for code in codes:
+        passes.clear()
+        verify_ooc(code)
+        answer = is_maximal(code)
+        assert len(passes) == 1
+        assert answer == is_maximal(OOCode(code.n, code.k, code.codewords))
+    assert not answer[0] and answer[1] is not None
