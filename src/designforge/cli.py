@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
@@ -57,8 +58,17 @@ OK, INVALID, USAGE, EXHAUSTED = 0, 1, 2, 3
 
 
 def _deadline() -> float | None:
+    """Now plus DESIGNFORGE_BUDGET_SECS (inf: no cap; 0 or less: already expired), or None."""
     secs = os.environ.get("DESIGNFORGE_BUDGET_SECS")
-    return time.monotonic() + float(secs) if secs else None
+    if not secs:
+        return None
+    try:
+        budget = float(secs)
+    except ValueError:
+        budget = math.nan
+    if math.isnan(budget):
+        raise ValueError(f"DESIGNFORGE_BUDGET_SECS must be a number of seconds, got {secs!r}")
+    return time.monotonic() + budget
 
 
 def _load_json(path: str) -> dict:

@@ -87,18 +87,12 @@ def _checked_spec(s: PairSet, spec: PPSSpec | None, name: str) -> PPSSpec:
     return spec
 
 
-def fill(
-    outer: PairSet,
-    inner: PairSet,
-    d: int,
-    *,
-    inner_spec: PPSSpec | None = None,
-) -> tuple[PairSet, PPSSpec]:
+def fill(outer: PairSet, inner: PairSet, d: int) -> tuple[PairSet, PPSSpec]:
     """Replace the subgroup hole of outer by an embedded copy of inner.
 
     outer must cover Z_v minus the subgroup H of multiples of d, on both
     sides; inner lives on Z_h with h = v/d and is embedded via x -> d*x.
-    Raises ValueError unless all this holds and inner meets inner_spec (inferred if None).
+    Raises ValueError unless all this holds and inner is a valid partial pair set.
     """
     v = outer.v
     if v % d != 0:
@@ -108,7 +102,7 @@ def fill(
     subgroup = frozenset(range(0, v, d))
     if not verify_pps(outer, PPSSpec(v, subgroup, subgroup)).valid:
         raise ValueError("outer pair set does not cover the complement of the subgroup")
-    return _embed(outer, inner, d, _checked_spec(inner, inner_spec, "inner pair set"))
+    return _embed(outer, inner, d, _checked_spec(inner, None, "inner pair set"))
 
 
 def _embed(outer: PairSet, inner: PairSet, d: int,

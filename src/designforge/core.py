@@ -28,6 +28,13 @@ def json_field(value, kind: type, field: str):
     return value
 
 
+def _trusted(cls, **fields):
+    """The frozen dataclass cls with fields as given, unchecked: for builders that made them."""
+    obj = object.__new__(cls)
+    obj.__dict__.update(fields)
+    return obj
+
+
 @dataclass(frozen=True)
 class PairSet:
     """A modulus v and a tuple of unordered residue pairs.
@@ -62,7 +69,10 @@ class PairSet:
 
     @classmethod
     def from_json(cls, obj: dict) -> "PairSet":
-        pairs = [json_field(p, list, "pair") for p in json_field(obj.get("pairs"), list, "pairs")]
+        pairs = json_field(obj.get("pairs"), list, "pairs")
+        for p in pairs:
+            if len(json_field(p, list, "pair")) != 2:
+                raise ValueError(f"pair must have two entries, got {p}")
         return cls(json_field(obj.get("v"), int, "v"), tuple(
             (json_field(x, int, "pair entry"), json_field(y, int, "pair entry"))
             for x, y in pairs))

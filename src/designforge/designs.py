@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Union
 
-from .core import PairSet, PPSSpec, json_field, verify_pps
+from .core import PairSet, PPSSpec, _trusted, json_field, verify_pps
 
 INF = "inf"  # the adjoined player for tournaments on 4n players; INF + 1 = INF
 
@@ -97,13 +97,6 @@ class WhistTournament:
             raise ValueError("cyclic is set, but the rounds are not the cyclic "
                              "development of round 0")
 
-    @classmethod
-    def _unchecked(cls, v: int, u: int, rounds, cyclic: bool) -> "WhistTournament":
-        """Build without the cyclic check, for callers that made or checked the rounds."""
-        t = object.__new__(cls)
-        t.__dict__.update(v=v, u=u, rounds=rounds, cyclic=cyclic)
-        return t
-
     @property
     def players(self) -> list[Seat]:
         base: list[Seat] = list(range(self.u))
@@ -119,15 +112,17 @@ class WhistTournament:
                        for rnd in json_field(obj.get("rounds"), list, "rounds"))
         v = json_field(obj.get("v"), int, "v")
         u = v - 1 if any(INF in g for rnd in rounds for g in rnd) else v
-        return cls._unchecked(v, u, rounds, _is_development(rounds, u))
+        return _trusted(cls, v=v, u=u, rounds=rounds, cyclic=_is_development(rounds, u))
 
 
 def _game_from_json(g) -> Game:
-    """A game read from JSON: a list of int seats and INF, checked in one pass."""
-    if type(g) is not list or not all(type(seat) is int or seat == INF for seat in g):
+    """A game read from JSON: a list of four seats, each an int or INF, checked in one pass."""
+    if (type(g) is not list or len(g) != 4
+            or not all(type(seat) is int or seat == INF for seat in g)):
         for seat in json_field(g, list, "game"):  # raises on the first bad seat
             if seat != INF:
                 json_field(seat, int, "seat")
+        raise ValueError(f"game must have four seats, got {g}")
     return tuple(g)
 
 
@@ -161,7 +156,7 @@ def develop_rounds(r0: tuple[Game, ...] | list[Game], u: int) -> WhistTournament
     r0 = tuple(tuple(g) for g in r0)
     rounds = tuple(_development(r0, u))
     has_inf = any(INF in g for g in r0)
-    return WhistTournament._unchecked(u + 1 if has_inf else u, u, rounds, True)
+    return _trusted(WhistTournament, v=u + 1 if has_inf else u, u=u, rounds=rounds, cyclic=True)
 
 
 @dataclass(frozen=True)
@@ -182,15 +177,31 @@ def _starter_counts(t: WhistTournament, pairs_of):
     by_diff = [0] * u
     with_inf = {(0, INF): 0, (INF, 0): 0, (INF, INF): 0}
     for g in t.rounds[0]:
+        inf_game = INF in g  # tested once per game, not twice per pair
         for x, y in pairs_of(g):
-            if x == INF or y == INF:
+            if inf_game and (x == INF or y == INF):
                 with_inf[(INF if x == INF else 0, INF if y == INF else 0)] += u if x == y else 1
             else:
                 by_diff[(y - x) % u] += 1
     return by_diff, with_inf
 
 
+def _partners_both_ways(game: Game) -> tuple[tuple[Seat, Seat], ...]:
+    a, b, c, d = game
+    return (a, c), (c, a), (b, d), (d, b)
+
+
+def _opponents_both_ways(game: Game) -> tuple[tuple[Seat, Seat], ...]:
+    a, b, c, d = game
+    return (a, b), (b, a), (b, c), (c, b), (c, d), (d, c), (d, a), (a, d)
+
+
 def _check_basic(t: WhistTournament) -> CheckResult:
+    """The seating rules, then every pair partners once and opposes twice.
+
+    No absentee rule is needed: n four-seat games of distinct players leave v - 4n
+    out of each round, and whoever partners the other v - 1 once sits out one round.
+    """
     v = t.v
     if v % 4 not in (0, 1):
         return CheckResult(False, f"{v} players is not 0 or 1 modulo 4")
@@ -198,47 +209,22 @@ def _check_basic(t: WhistTournament) -> CheckResult:
     expected_rounds = v - 1 if v % 4 == 0 else v
     if len(t.rounds) != expected_rounds:
         return CheckResult(False, f"expected {expected_rounds} rounds, got {len(t.rounds)}")
-    players = t.players
-    everyone = set(players)
-    sat_out: set[Seat] = set()
+    everyone = set(t.players)
     # Round j of a cyclic tournament is round 0 under a bijection of the
     # players, so it is seated correctly exactly when round 0 is.
     for rnd in t.rounds[:1] if t.cyclic else t.rounds:
-        if len(rnd) != n:
-            return CheckResult(False, f"a round has {len(rnd)} games, expected {n}")
-        seen: list[Seat] = [seat for g in rnd for seat in g]
+        if len(rnd) != n or any(len(g) != 4 for g in rnd):
+            return CheckResult(False, f"a round must have {n} games of four seats")
+        seen = [seat for g in rnd for seat in g]
         if len(set(seen)) != len(seen):
             return CheckResult(False, "a player appears twice in one round")
         if not set(seen) <= everyone:
             return CheckResult(False, "unknown player in a round")
-        absent = everyone - set(seen)
-        if v % 4 == 0:
-            if absent:
-                return CheckResult(False, f"players {sorted(map(str, absent))} sit out a round")
-        else:
-            if len(absent) != 1:
-                return CheckResult(False, "exactly one player must sit out each round")
-            sat_out |= absent
-    # v rounds with one absentee each: v distinct absentees is once each.  In a
-    # cyclic tournament round j's absentee is round 0's plus j, so they are.
-    if v % 4 == 1 and not t.cyclic and len(sat_out) != v:
-        return CheckResult(False, "each player must sit out exactly one round")
-    m = len(players)
-    for kind, pairs_of, want in (("partner", partner_pairs, 1), ("opponent", opponent_pairs, 2)):
-        if t.cyclic:
-            # {z, z + d} is covered as often as round 0 has difference d or -d,
-            # so the first miscounted pair in player order is some (0, d).  INF,
-            # seated once, has one partner and two opponents in every round.
-            by_diff, _ = _starter_counts(t, pairs_of)
-            covered = (((0, d), by_diff[d] + by_diff[-d]) for d in range(1, t.u))
-        else:
-            counts = _pair_counts(players, _seat_pairs(t, pairs_of))
-            covered = (((players[i], players[j]), counts[i * m + j] + counts[j * m + i])
-                       for i in range(m) for j in range(i + 1, m))
-        for pair, count in covered:
-            if count != want:
-                return CheckResult(False, f"{kind} count wrong for pair {sorted(map(str, pair))}")
-    return CheckResult(True)
+    # Counted both ways, a pair's ordered count is its unordered one.
+    partners = _check_pair_rule(t, _partners_both_ways, "partner", 1)
+    if not partners.passed:
+        return partners
+    return _check_pair_rule(t, _opponents_both_ways, "opponent", 2)
 
 
 def _check_zcps(t: WhistTournament) -> CheckResult:
@@ -254,8 +240,8 @@ def _check_zcps(t: WhistTournament) -> CheckResult:
     return CheckResult(True)
 
 
-def _check_pair_rule(t: WhistTournament, pairs_of) -> CheckResult:
-    """Every ordered pair of distinct players once among pairs_of(game), no player with itself."""
+def _check_pair_rule(t: WhistTournament, pairs_of, name: str, want: int) -> CheckResult:
+    """Every ordered pair of distinct players want times among pairs_of(game), none with itself."""
     players = t.players
     if t.cyclic and t.rounds:
         # Every pair (z, z + d) is covered alike, and so is every (z, INF) and
@@ -270,16 +256,16 @@ def _check_pair_rule(t: WhistTournament, pairs_of) -> CheckResult:
         covered = (((x, y), counts[i * n + j])
                    for i, x in enumerate(players) for j, y in enumerate(players))
     for (x, y), count in covered:
-        if count != (x != y):
-            return CheckResult(False, f"ordered pair ({x}, {y}) covered {count} times")
+        if count != (want if x != y else 0):
+            return CheckResult(False, f"{name} pair ({x}, {y}) covered {count} times")
     return CheckResult(True)
 
 
 _CHECKS = {
     "basic": _check_basic,
     "zcps": _check_zcps,
-    "directed": lambda t: _check_pair_rule(t, opponent_pairs),
-    "ordered": lambda t: _check_pair_rule(t, _first_kind_pairs),
+    "directed": lambda t: _check_pair_rule(t, opponent_pairs, "ordered", 1),
+    "ordered": lambda t: _check_pair_rule(t, _first_kind_pairs, "ordered", 1),
 }
 
 

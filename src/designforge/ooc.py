@@ -15,7 +15,7 @@ from functools import cached_property
 from itertools import combinations, filterfalse
 
 from .construct import silver_pps_p2, union_pps_pq
-from .core import BudgetExceededError, PairSet, SetKind, infer_params, json_field
+from .core import BudgetExceededError, PairSet, SetKind, _trusted, infer_params, json_field
 from .modarith import crt_basis, mod_sqrt
 
 
@@ -39,13 +39,6 @@ class OOCode:
                 raise ValueError(f"codeword {tuple(cw)} is not a {self.k}-subset of Z_{self.n}")
             norm.append(entries)
         object.__setattr__(self, "codewords", tuple(norm))
-
-    @classmethod
-    def _unchecked(cls, n: int, k: int, codewords) -> "OOCode":
-        """Build without the checks, for builders that emit sorted k-subsets of range(n)."""
-        code = object.__new__(cls)
-        code.__dict__.update(n=n, k=k, codewords=codewords)
-        return code
 
     @cached_property
     def _report(self) -> "OOCReport":
@@ -198,7 +191,7 @@ def _pair_template_code(m: int, k: int, pairs, v: int) -> OOCode:
                       for x, y in pairs)
     if k == 5:  # (0, 0) is 0, below every other point
         codewords = tuple((0,) + cw for cw in codewords)
-    return OOCode._unchecked(n, k, codewords)
+    return _trusted(OOCode, n=n, k=k, codewords=codewords)
 
 
 def ooc_from_pairs(s: PairSet, k: int) -> OOCode:
@@ -237,7 +230,7 @@ def ooc_45v_from_ps(s: PairSet) -> OOCode:
             multiples = tuple(j * z for j in range(5))
             rows += [(a, multiples), (b, multiples)]
     rows += [(block, (0,) * 5) for block in LEAVE45]
-    return OOCode._unchecked(45 * v, 5, _lift(45, v, rows))
+    return _trusted(OOCode, n=45 * v, k=5, codewords=_lift(45, v, rows))
 
 
 def maximal_ooc_pq(p: int, q: int, sp: PairSet, sq: PairSet, k: int) -> OOCode:

@@ -218,6 +218,36 @@ def test_budget_env_respected(example_file, monkeypatch, capsys):
     assert code == 3
 
 
+@pytest.mark.parametrize("budget", ["nan", "abc"])
+def test_budget_env_must_be_a_number(monkeypatch, capsys, budget):
+    monkeypatch.setenv("DESIGNFORGE_BUDGET_SECS", budget)
+    assert main(["search", "km", "--v", "133", "--type", "ps", "--generators", "122"]) == 2
+    captured = capsys.readouterr()
+    lines = captured.err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: DESIGNFORGE_BUDGET_SECS"), captured.err
+    assert repr(budget) in lines[0] and not captured.out
+
+
+def test_budget_env_inf_is_no_cap(monkeypatch, capsys):
+    monkeypatch.setenv("DESIGNFORGE_BUDGET_SECS", "inf")
+    assert main(["search", "km", "--v", "133", "--type", "ps", "--generators", "122"]) == 0
+
+
+@pytest.mark.parametrize("command, payload, message", [
+    (["verify", "--type", "ps"], {"v": 13, "pairs": [[1]]}, "pair must have two entries, got [1]"),
+    (["verify", "--type", "ps"], {"v": 13, "pairs": [[1, 5, 7]]},
+     "pair must have two entries, got [1, 5, 7]"),
+    (["whist", "verify"], {"v": 13, "rounds": [[[1, 5, 12]]]},
+     "game must have four seats, got [1, 5, 12]"),
+], ids=["pair-of-one", "pair-of-three", "game-of-three-seats"])
+def test_malformed_pair_or_game_is_named_in_one_line(example_file, capsys, command, payload,
+                                                      message):
+    assert main(command + ["--file", example_file("bad.json", payload)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.strip().splitlines() == [f"error: {message}"], captured.err
+    assert not captured.out
+
+
 @pytest.mark.parametrize("command, payload", [
     (["verify", "--type", "ps"], [1, 2]),
     (["verify", "--type", "ps"], {"v": 13, "pairs": [[1, None]]}),

@@ -13,6 +13,7 @@ from designforge.catalog import get
 from designforge.core import PairSet
 from designforge.designs import (
     INF,
+    CheckResult,
     DifferenceMatrix,
     WhistTournament,
     cdm_from_round,
@@ -207,8 +208,9 @@ def corrupted_starters(draw):
 
     "re-pair" keeps the shape (x, y, -x, -y), so the partner differences still
     tile and only the opponent rule can fail; "drop" leaves a three-seat game,
-    which only the absentee rule can catch; "extra" adds a game, which may
-    seat INF twice beside a round that is otherwise directed.
+    which basic's seating rule refuses and directed and ordered cannot count;
+    "extra" adds a game, which may seat INF twice beside a round that is
+    otherwise directed.
     """
     u = draw(st.sampled_from(sorted(STARTERS)))
     r0 = [list(g) for g in STARTERS[u]]
@@ -270,6 +272,22 @@ def test_whist_detects_perturbation():
     result = verify_whist(t, ("basic",))["basic"]
     assert not result.passed
     assert "pair" in result.detail
+
+
+def test_basic_refuses_a_round_of_games_without_four_seats():
+    seats = [seat for g in initial_round(PS13) for seat in g]
+    t = develop_rounds((tuple(seats[:3]), tuple(seats[3:8]), tuple(seats[8:])), 13)
+    for copy in (t, replace(t, cyclic=False)):
+        result = verify_whist(copy, ("basic",))["basic"]
+        assert result == CheckResult(False, "a round must have 3 games of four seats")
+
+
+def test_basic_names_the_partner_pair_that_a_lost_round_leaves_out():
+    # Each round is seated correctly, but the pairs of round 5 never meet.
+    payload = develop_rounds(initial_round(PS13), 13).to_json()
+    payload["rounds"][5] = payload["rounds"][6]
+    result = verify_whist(WhistTournament.from_json(payload), ("basic",))["basic"]
+    assert result == CheckResult(False, "partner pair (0, 10) covered 0 times")
 
 
 def test_whist_json_round_trip():
