@@ -430,9 +430,6 @@ EXHAUSTIVE_MAX_PAIRS = 6
 EXHAUSTIVE_MAX_V = 40
 
 
-_SIGN_OPTIONS: dict[int, tuple] = {}  # per v: exhaustive_search's pairs and option masks
-
-
 def exhaustive_search(spec: PPSSpec, *, force: bool = False,
                       deadline: float | None = None) -> PairSet | None:
     """Backtracking oracle: the lexicographically first valid pair set, or None.
@@ -441,22 +438,21 @@ def exhaustive_search(spec: PPSSpec, *, force: bool = False,
     each sum/difference class outside A2 hit at most once.  Its options are the
     sign group's Kramer-Mesner columns, twins merged: the class pairs (a, b),
     a < b, in lexicographic order; rows c and v//2 + 1 + c are element and
-    sum/difference class c.  It branches on the smallest uncovered element class
-    and tries co-elements in ascending order.  The deadline is checked before and
-    while the option table is built, then on the first node and every DEADLINE_EVERY nodes.
+    sum/difference class c.  They are read from the sign group's
+    :func:`~designforge.kramer_mesner.option_table`, which km_search shares.
+    It branches on the smallest uncovered element class and tries co-elements in
+    ascending order.  The deadline is checked before and while the option table
+    is built, then on the first node and every DEADLINE_EVERY nodes.
     Unless forced, refuses more than EXHAUSTIVE_MAX_PAIRS pairs over v > EXHAUSTIVE_MAX_V.
     """
-    from .kramer_mesner import MultiplierGroup, build_system, cover_options  # imports core
+    from .kramer_mesner import MultiplierGroup, option_table  # imports core
     v = spec.v
     if not force and spec.pair_count > EXHAUSTIVE_MAX_PAIRS and v > EXHAUSTIVE_MAX_V:
         raise BudgetExceededError(
             f"search for {spec.pair_count} pairs over Z_{v} exceeds the default budget")
     check_deadline(deadline)
-    if v not in _SIGN_OPTIONS:  # the columns do not depend on the spec
-        system = build_system(MultiplierGroup.generate(v, (-1,)), spec, deadline=deadline)
-        kept, *masks = cover_options(system, deadline=deadline)
-        _SIGN_OPTIONS[v] = (tuple(system.col_reps[col] for col in kept), *masks)
-    pairs, cover, clash, covered_by = _SIGN_OPTIONS[v]
+    table = option_table(MultiplierGroup.generate(v, (-1,)), spec, deadline=deadline)
+    pairs, cover, clash, covered_by = table.pairs, table.cover, table.clash, table.covered_by
     h = v // 2 + 1
     alive = (1 << len(pairs)) - 1
     for c in spec.a1:

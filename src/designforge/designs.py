@@ -227,9 +227,20 @@ def _check_basic(t: WhistTournament) -> CheckResult:
     return _check_pair_rule(t, _opponents_both_ways, "opponent", 2)
 
 
+def _misseated(t: WhistTournament) -> CheckResult | None:
+    """Basic's failure when a game the checks read (round 0 on cyclic input) lacks four seats."""
+    for rnd in t.rounds[:1] if t.cyclic else t.rounds:
+        if any(len(g) != 4 for g in rnd):
+            return CheckResult(False, f"a round must have {t.v // 4} games of four seats")
+    return None
+
+
 def _check_zcps(t: WhistTournament) -> CheckResult:
     if not t.cyclic:
         return CheckResult(False, "tournament is not cyclically developed")
+    misseated = _misseated(t)
+    if misseated:
+        return misseated
     u = t.u
     starter = {frozenset((x, (-x) % u)) for x in range(1, u)}
     if t.v == u + 1:
@@ -264,8 +275,8 @@ def _check_pair_rule(t: WhistTournament, pairs_of, name: str, want: int) -> Chec
 _CHECKS = {
     "basic": _check_basic,
     "zcps": _check_zcps,
-    "directed": lambda t: _check_pair_rule(t, opponent_pairs, "ordered", 1),
-    "ordered": lambda t: _check_pair_rule(t, _first_kind_pairs, "ordered", 1),
+    "directed": lambda t: _misseated(t) or _check_pair_rule(t, opponent_pairs, "ordered", 1),
+    "ordered": lambda t: _misseated(t) or _check_pair_rule(t, _first_kind_pairs, "ordered", 1),
 }
 
 

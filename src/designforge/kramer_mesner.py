@@ -162,14 +162,10 @@ def build_system(group: MultiplierGroup, spec: PPSSpec, index: OrbitIndex | None
     selection can avoid them exactly.  The deadline is checked on entry, then
     every DEADLINE_EVERY columns.
     """
-    if group.v != spec.v:
-        raise ValueError("group and spec moduli differ")
+    _check_excluded_sets(group, spec)
     if index is None:
         index = orbits(group, deadline=deadline)
     v = group.v
-    for name, a in (("A1", spec.a1), ("A2", spec.a2)):
-        if any(z * h % v not in a for z in a for h in group.elements):
-            raise ValueError(f"{name} is not a union of orbits of the group")
     reps = index.element_reps
     n = len(reps)
     # The row of each residue on either side when it is an orbit
@@ -206,8 +202,25 @@ def build_system(group: MultiplierGroup, spec: PPSSpec, index: OrbitIndex | None
                     hits += (u_row[x], u_row[y], d_row[s - v], d_row[v + x - y])
         hits.sort()
         columns.append(tuple(hits[hits.count(-1):]))
-    j = tuple([int(rep not in spec.a1) for rep in reps] + [int(rep not in spec.a2) for rep in reps])
-    return CoverSystem(tuple(columns), j, index.pair_reps)
+    return CoverSystem(tuple(columns), _j(reps, spec), index.pair_reps)
+
+
+def _check_excluded_sets(group: MultiplierGroup, spec: PPSSpec) -> None:
+    """Raise ValueError unless spec is over the group's modulus and its excluded
+    sets are unions of element orbits."""
+    if group.v != spec.v:
+        raise ValueError("group and spec moduli differ")
+    v = group.v
+    for name, a in (("A1", spec.a1), ("A2", spec.a2)):
+        if any(z * h % v not in a for z in a for h in group.elements):
+            raise ValueError(f"{name} is not a union of orbits of the group")
+
+
+def _j(reps: tuple[int, ...], spec: PPSSpec) -> tuple[int, ...]:
+    """J of the element-orbit representatives: 1 on each row whose orbit lies
+    outside A1 (element side) or A2 (sum/difference side)."""
+    return tuple([int(rep not in spec.a1) for rep in reps]
+                 + [int(rep not in spec.a2) for rep in reps])
 
 
 def _fewest_options(open_items: int, alive: int, covered_by: list[int]) -> int:
@@ -250,17 +263,80 @@ def solve_binary(system: CoverSystem, *, deadline: float | None = None) -> tuple
     options are built, then on the first node and every DEADLINE_EVERY nodes.
     """
     kept, cover, clash, covered_by = cover_options(system, deadline=deadline)
-    alive = (1 << len(kept)) - 1
-    for row, ji in enumerate(system.j):
-        if not ji:
-            alive &= ~covered_by[row]
-    required = sum(ji << i for i, ji in enumerate(system.j))
-    chosen = exact_cover(cover, clash, covered_by, required, alive, _fewest_options,
-                         deadline=deadline)
+    chosen = _solve(cover, clash, covered_by, system.j, deadline)
     if chosen is None:
         return None
     selected = {kept[option] for option in chosen}
     return tuple(int(c in selected) for c in range(system.m))
+
+
+def _solve(cover: list[int], clash: list[int], covered_by: list[int], j: tuple[int, ...],
+           deadline: float | None) -> list[int] | None:
+    """exact_cover of the J=1 rows by the options that hit no J=0 row, fewest options first."""
+    alive = (1 << len(cover)) - 1
+    for row, ji in enumerate(j):
+        if not ji:
+            alive &= ~covered_by[row]
+    required = sum(ji << i for i, ji in enumerate(j))
+    return exact_cover(cover, clash, covered_by, required, alive, _fewest_options,
+                       deadline=deadline)
+
+
+# The option-table cache holds at most this many bits of clash masks (8 MiB);
+# a larger table is built for the call that needs it and not kept.
+OPTION_CACHE_BITS = 1 << 26
+
+
+@dataclass(frozen=True)
+class OptionTable:
+    """What both searches read of one group's system, none of it depending on the spec.
+
+    ``element_reps`` are the element-orbit representatives (row i and n + i are
+    orbit i's element and sum/difference rows), ``pairs`` the representatives
+    of the :func:`cover_options` columns, and ``cover``/``clash``/``covered_by``
+    their exact-cover masks.
+    """
+
+    element_reps: tuple[int, ...]
+    pairs: tuple[tuple[int, int], ...]
+    cover: list[int]
+    clash: list[int]
+    covered_by: list[int]
+
+    @property
+    def bits(self) -> int:
+        """The clash masks' size: at most one bit per pair of options."""
+        return len(self.pairs) ** 2
+
+
+_TABLES: dict[tuple[int, tuple[int, ...]], OptionTable] = {}  # by (v, elements), oldest first
+
+
+def option_table(group: MultiplierGroup, spec: PPSSpec, *,
+                 deadline: float | None = None) -> OptionTable:
+    """The group's option table, from the cache or built by orbits, build_system
+    (under spec, which the columns do not depend on) and cover_options.
+
+    A table over OPTION_CACHE_BITS is not kept; otherwise the oldest tables are
+    evicted until the total fits.  The stages check the deadline as they do
+    alone, and a build that overruns it stores nothing.
+    """
+    key = (group.v, group.elements)
+    table = _TABLES.get(key)
+    if table is not None:
+        return table
+    index = orbits(group, deadline=deadline)
+    check_deadline(deadline)
+    system = build_system(group, spec, index, deadline=deadline)
+    kept, cover, clash, covered_by = cover_options(system, deadline=deadline)
+    table = OptionTable(index.element_reps, tuple(system.col_reps[col] for col in kept),
+                        cover, clash, covered_by)
+    if table.bits <= OPTION_CACHE_BITS:
+        held = table.bits + sum(cached.bits for cached in _TABLES.values())
+        while held > OPTION_CACHE_BITS:
+            held -= _TABLES.pop(next(iter(_TABLES))).bits
+        _TABLES[key] = table
+    return table
 
 
 def develop(initial: list[tuple[int, int]] | tuple, group: MultiplierGroup) -> PairSet:
@@ -289,21 +365,21 @@ def km_search(
     *,
     deadline: float | None = None,
 ) -> PairSet | None:
-    """End-to-end orbit search: orbits, system, 0-1 solve, develop, verify.
+    """End-to-end orbit search: option table, 0-1 solve, develop, verify.
 
-    The deadline is checked inside each of the orbit, system and solve
-    stages, and between them.
+    The group's :func:`option_table` is built on its first search and read
+    after that.  The deadline is checked on entry, inside each stage of a
+    build and between them, and in the solve.
     """
+    check_deadline(deadline)
     group = MultiplierGroup.generate(v, generators)
-    index = orbits(group, deadline=deadline)
-    check_deadline(deadline)
-    system = build_system(group, spec, index, deadline=deadline)
-    check_deadline(deadline)
-    x = solve_binary(system, deadline=deadline)
-    if x is None:
+    _check_excluded_sets(group, spec)
+    table = option_table(group, spec, deadline=deadline)
+    chosen = _solve(table.cover, table.clash, table.covered_by, _j(table.element_reps, spec),
+                    deadline)
+    if chosen is None:
         return None
-    initial = [system.col_reps[col] for col, chosen in enumerate(x) if chosen]
-    result = develop(initial, group)
+    result = develop([table.pairs[option] for option in chosen], group)
     report = verify_pps(result, spec)
     if not report.valid:
         raise AssertionError("developed solution failed verification; solver bug")

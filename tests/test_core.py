@@ -2,12 +2,13 @@ from __future__ import annotations
 
 import random
 from collections import Counter
+from unittest.mock import patch
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from designforge import core
+from designforge import core, kramer_mesner
 from designforge.core import (
     BudgetExceededError,
     NonexistenceCase,
@@ -335,8 +336,6 @@ def test_deadline_stops_exhaustive_search_while_it_builds_its_option_table():
     import time
     import tracemalloc
 
-    from designforge import core
-
     # a complete forced PS(601) table takes hundreds of MiB
     tracemalloc.start()
     try:
@@ -346,7 +345,7 @@ def test_deadline_stops_exhaustive_search_while_it_builds_its_option_table():
     finally:
         tracemalloc.stop()
     assert peak < 16 << 20
-    assert 601 not in core._SIGN_OPTIONS
+    assert not any(v == 601 for v, _ in kramer_mesner._TABLES)
 
 
 def test_scale_set():
@@ -460,3 +459,28 @@ def test_exhaustive_search_is_the_lexicographically_least_matching():
         expected = _lexmin_by_leave(v, tuple(range(1, (v - 1) // 2 + 1))).get(frozenset())
         found = exhaustive_search(PPSSpec.ps(v))
         assert (None if found is None else found.pairs) == expected, v
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(range(3, 28, 2)), st.data())
+def test_exhaustive_search_is_the_least_matching_from_a_cold_or_warm_table(v, data):
+    """The sign group's table answers alike when exhaustive_search or km_search built it."""
+    half = (v - 1) // 2
+    if v % 4 == 1:
+        spec, free, leave = PPSSpec.ps(v), tuple(range(1, half + 1)), frozenset()
+    else:
+        alpha = data.draw(st.integers(1, half), label="alpha")
+        beta = data.draw(st.integers(1, half), label="beta")
+        spec = PPSSpec.aps(v, alpha, beta)
+        free, leave = tuple(c for c in range(1, half + 1) if c != alpha), frozenset({beta})
+    expected = _lexmin_by_leave(v, free).get(leave)
+    answers = []
+    for warm_up in (None, lambda: exhaustive_search(spec),
+                    lambda: kramer_mesner.km_search(v, [v - 1], spec)):
+        with patch.dict(kramer_mesner._TABLES, clear=True):
+            if warm_up:
+                warm_up()
+            found = exhaustive_search(spec)
+            assert list(kramer_mesner._TABLES) == [(v, (1, v - 1))]
+        answers.append(None if found is None else found.pairs)
+    assert answers == [expected] * 3

@@ -208,7 +208,7 @@ def corrupted_starters(draw):
 
     "re-pair" keeps the shape (x, y, -x, -y), so the partner differences still
     tile and only the opponent rule can fail; "drop" leaves a three-seat game,
-    which basic's seating rule refuses and directed and ordered cannot count;
+    which basic's seating rule refuses, and so do directed and ordered;
     "extra" adds a game, which may seat INF twice beside a round that is
     otherwise directed.
     """
@@ -236,13 +236,7 @@ def corrupted_starters(draw):
 
 
 def _verdicts(t: WhistTournament) -> dict:
-    verdicts = {}
-    for check in ("basic", "directed", "ordered"):
-        try:
-            verdicts[check] = verify_whist(t, (check,))[check]
-        except ValueError:  # a game without four seats has no pairs to count
-            verdicts[check] = ValueError
-    return verdicts
+    return verify_whist(t, ("basic", "directed", "ordered"))
 
 
 @settings(max_examples=300, deadline=None)
@@ -280,6 +274,18 @@ def test_basic_refuses_a_round_of_games_without_four_seats():
     for copy in (t, replace(t, cyclic=False)):
         result = verify_whist(copy, ("basic",))["basic"]
         assert result == CheckResult(False, "a round must have 3 games of four seats")
+
+
+@pytest.mark.parametrize("check", ["zcps", "directed", "ordered"])
+def test_checks_that_count_seats_refuse_a_game_without_four_seats(check):
+    r0 = [list(g) for g in initial_round(PS13)]
+    del r0[1][2]
+    t = develop_rounds([tuple(g) for g in r0], 13)
+    misseated = CheckResult(False, "a round must have 3 games of four seats")
+    assert verify_whist(t, (check,))[check] == misseated
+    copy = verify_whist(replace(t, cyclic=False), (check,))[check]
+    assert copy == (CheckResult(False, "tournament is not cyclically developed")
+                    if check == "zcps" else misseated)
 
 
 def test_basic_names_the_partner_pair_that_a_lost_round_leaves_out():

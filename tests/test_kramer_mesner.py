@@ -3,6 +3,7 @@ from __future__ import annotations
 import itertools
 import random
 import time
+from unittest.mock import patch
 
 import pytest
 from hypothesis import assume, given, settings
@@ -376,6 +377,7 @@ def test_km_search_checks_its_deadline_before_the_costly_stages(monkeypatch):
         time.sleep(0.02)
         return index
 
+    monkeypatch.setattr(kramer_mesner, "_TABLES", {})  # a cached table would skip both stages
     monkeypatch.setattr(kramer_mesner, "orbits", slow_orbits)
     monkeypatch.setattr(kramer_mesner, "build_system",
                         lambda *args: pytest.fail("build_system ran past the deadline"))
@@ -435,3 +437,105 @@ def test_cover_options_checks_its_deadline_between_clash_masks(monkeypatch):
     with pytest.raises(BudgetExceededError):  # raised by the check before option 2048
         cover_options(system, deadline=time.monotonic() + 60)
     assert len(checks) == 3
+
+
+def _staged_km_search(group, spec):
+    """km_search rebuilt from the public stages, with no option-table cache."""
+    system = build_system(group, spec)
+    x = solve_binary(system)
+    return None if x is None else develop(
+        [rep for rep, chosen in zip(system.col_reps, x) if chosen], group)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_km_search_from_a_cold_or_warm_table_equals_the_staged_search(data):
+    v = data.draw(st.sampled_from(range(3, 80, 2)), label="v")
+    g = data.draw(st.sampled_from([x for x in range(1, v) if _coprime(x, v)]), label="g")
+    group = MultiplierGroup.generate(v, [v - 1, g])
+    idx = orbits(group)
+    nonzero = [orbit for orbit in idx.element_orbits if orbit != (0,)]
+    a1 = {0}.union(*data.draw(st.lists(st.sampled_from(nonzero), max_size=2, unique=True),
+                              label="A1 orbits"))
+    assume((v - len(a1)) % 4 == 0)
+    a2 = {0}
+    for orbit in data.draw(st.permutations(nonzero), label="A2 orbit order"):
+        if len(a2) + len(orbit) <= len(a1):
+            a2 |= set(orbit)
+    assume(len(a2) == len(a1))
+    spec = PPSSpec(v, frozenset(a1), frozenset(a2))
+    expected = _staged_km_search(group, spec)
+    with patch.dict(kramer_mesner._TABLES, clear=True):
+        assert km_search(v, [v - 1, g], spec) == expected  # cold: builds the table
+        assert list(kramer_mesner._TABLES) == [(v, group.elements)]
+        assert km_search(v, [g, v - 1], spec) == expected  # warm: reads it
+
+    # a spec that is not a union of orbits is refused alike from a warm table
+    split = [orbit[0] for orbit in nonzero if len(orbit) > 2]
+    others = [orbit[0] for orbit in nonzero if split and split[0] not in orbit]
+    if not split or (v % 4 == 1 and not others):
+        return
+    excluded = {0, split[0], v - split[0]} | ({others[0], v - others[0]} if v % 4 == 1 else set())
+    bad = PPSSpec(v, frozenset(excluded), frozenset(excluded))
+    texts = set()
+    for cached in ({}, {(v, group.elements): kramer_mesner.option_table(group, spec)}):
+        with patch.dict(kramer_mesner._TABLES, cached, clear=True):
+            with pytest.raises(ValueError, match="not a union of orbits") as err:
+                km_search(v, [v - 1, g], bad)
+            texts.add(str(err.value))
+    with pytest.raises(ValueError) as err:
+        build_system(group, bad)
+    assert texts == {str(err.value)}
+
+
+def test_a_warm_km_search_runs_no_build_stage(monkeypatch):
+    calls = []
+    for stage in ("orbits", "build_system", "cover_options"):
+        real = getattr(kramer_mesner, stage)
+        monkeypatch.setattr(kramer_mesner, stage,
+                            lambda *a, _real=real, _stage=stage, **k: calls.append(_stage)
+                            or _real(*a, **k))
+    monkeypatch.setattr(kramer_mesner, "_TABLES", {})
+    cold = km_search(27, [26], PPSSpec.aps(27, 3, 6))
+    assert calls == ["orbits", "build_system", "cover_options"]
+    assert km_search(27, [26], PPSSpec.aps(27, 3, 6)) == cold
+    assert exhaustive_search(PPSSpec.aps(27, 3, 6)) is not None  # the same sign group
+    assert calls == ["orbits", "build_system", "cover_options"]
+
+
+def test_a_build_that_overruns_its_deadline_stores_nothing(monkeypatch):
+    monkeypatch.setattr(kramer_mesner, "OPTION_CACHE_BITS", 1 << 40)  # it would fit
+    before = dict(kramer_mesner._TABLES)
+    with pytest.raises(BudgetExceededError):
+        km_search(651, [68], PPSSpec.aps(651, 217, 217), deadline=time.monotonic() + 0.05)
+    assert kramer_mesner._TABLES == before
+
+
+def test_a_table_over_the_cap_is_used_and_not_stored(monkeypatch):
+    group = MultiplierGroup.generate(133, [122])
+    monkeypatch.setattr(kramer_mesner, "_TABLES", {})
+    bits = kramer_mesner.option_table(group, PPSSpec.ps(133)).bits
+    monkeypatch.setattr(kramer_mesner, "_TABLES", {})
+    monkeypatch.setattr(kramer_mesner, "OPTION_CACHE_BITS", bits - 1)
+    system = build_system(group, PPSSpec.ps(133))
+    # the support pinned in test_solve_binary_pinned_solutions
+    support = (22, 294, 404, 530, 638, 751, 916, 998, 1055, 1202, 1235)
+    assert km_search(133, [122], PPSSpec.ps(133)) == develop(
+        [system.col_reps[c] for c in support], group)
+    assert kramer_mesner._TABLES == {}
+
+
+def test_the_cache_never_holds_more_than_its_cap(monkeypatch):
+    monkeypatch.setattr(kramer_mesner, "_TABLES", {})
+    sizes = {v: kramer_mesner.option_table(MultiplierGroup.generate(v, [v - 1]),
+                                           PPSSpec.ps(v)).bits for v in (29, 33, 37, 41)}
+    monkeypatch.setattr(kramer_mesner, "_TABLES", {})
+    cap = sizes[37] + sizes[41]
+    monkeypatch.setattr(kramer_mesner, "OPTION_CACHE_BITS", cap)
+    held = []
+    for v in (29, 33, 37, 41, 29, 33):
+        exhaustive_search(PPSSpec.ps(v), force=True)
+        held.append([key[0] for key in kramer_mesner._TABLES])
+        assert sum(table.bits for table in kramer_mesner._TABLES.values()) <= cap
+    # the oldest tables go first
+    assert held == [[29], [29, 33], [29, 33, 37], [37, 41], [41, 29], [41, 29, 33]]
