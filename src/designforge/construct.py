@@ -13,7 +13,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .core import PairSet, PPSSpec, SetKind, infer_params, scale_set, verify_pps
+from .core import (PairSet, PPSSpec, SetKind, _ordered, _trusted, infer_params, scale_set,
+                   verify_pps)
 from .modarith import crt_basis, generates_mod_pm_one, isprime, mod_sqrt
 
 
@@ -39,14 +40,13 @@ def silver_witness(p: int, *, square: bool = False) -> SilverWitness:
 
 
 def _power_chain(theta: int, m: int, count: int, scale: int) -> list[tuple[int, int]]:
-    """Pairs {scale*theta^(2i-1), scale*theta^(2i)} for i = 1..count."""
+    """Pairs {scale*theta^(2i-1), scale*theta^(2i)} for i = 1..count, smaller first."""
     pairs = []
     x = scale
     for _ in range(count):
         a = x * theta % m
-        b = a * theta % m
-        pairs.append((a, b))
-        x = b
+        x = a * theta % m
+        pairs.append((a, x) if a < x else (x, a))
     return pairs
 
 
@@ -57,7 +57,7 @@ def silver_aps(p: int) -> tuple[PairSet, PPSSpec]:
         raise ValueError(
             f"1 + sqrt(2) does not generate the units of Z_{p} up to sign")
     pairs = _power_chain(w.theta, p, (p - 3) // 4, 1)
-    return PairSet(p, tuple(pairs)), PPSSpec.aps(p, 1, w.theta - 1)
+    return _trusted(PairSet, v=p, pairs=tuple(pairs)), PPSSpec.aps(p, 1, w.theta - 1)
 
 
 def aps_with_params(p: int, alpha: int, beta: int) -> tuple[PairSet, PPSSpec]:
@@ -95,6 +95,8 @@ def fill(outer: PairSet, inner: PairSet, d: int) -> tuple[PairSet, PPSSpec]:
     Raises ValueError unless all this holds and inner is a valid partial pair set.
     """
     v = outer.v
+    if d < 1:
+        raise ValueError(f"d = {d} must be positive")
     if v % d != 0:
         raise ValueError(f"{d} does not divide {v}")
     if inner.v != v // d:
@@ -109,13 +111,14 @@ def _embed(outer: PairSet, inner: PairSet, d: int,
            inner_spec: PPSSpec) -> tuple[PairSet, PPSSpec]:
     """fill without its checks, for callers that built or verified both sets."""
     v = outer.v
-    pairs = outer.pairs + tuple((d * x % v, d * y % v) for x, y in inner.pairs)
+    # inner's pairs have x < y < v/d, so d*x < d*y < v: reduced and in order
+    pairs = outer.pairs + tuple((d * x, d * y) for x, y in inner.pairs)
     spec = PPSSpec(
         v,
         frozenset(d * a % v for a in inner_spec.a1),
         frozenset(d * a % v for a in inner_spec.a2),
     )
-    return PairSet(v, pairs), spec
+    return _trusted(PairSet, v=v, pairs=pairs), spec
 
 
 def inflate(
@@ -134,14 +137,14 @@ def inflate(
         raise ValueError(f"u = {u} must be coprime to 6")
     spec = _checked_spec(s, spec, "input pair set")
     v, n = s.v, s.v * u
-    pairs = tuple(
+    pairs = _ordered(
         ((x + k * v) % n, (y + 2 * k * v) % n) for x, y in s.pairs for k in range(u))
     lifted = PPSSpec(
         n,
         frozenset(a + v * k for a in spec.a1 for k in range(u)),
         frozenset(a + v * k for a in spec.a2 for k in range(u)),
     )
-    return PairSet(n, pairs), lifted
+    return _trusted(PairSet, v=n, pairs=pairs), lifted
 
 
 def compose_ps_aps(sv: PairSet, su: PairSet) -> tuple[PairSet, PPSSpec]:
@@ -204,10 +207,10 @@ def cyclotomic_pps(p: int, q: int) -> tuple[PairSet, PPSSpec]:
     n = p * q
     ep, eq = crt_basis([p, q])
     squares_q = sorted(_nonzero_squares(q))
-    pairs = [((x1 * s1 * ep + x2 * s2 * eq) % n, (y1 * s1 * ep + y2 * s2 * eq) % n)
-             for s1 in sorted(_nonzero_squares(p)) for s2 in squares_q]
+    pairs = _ordered(((x1 * s1 * ep + x2 * s2 * eq) % n, (y1 * s1 * ep + y2 * s2 * eq) % n)
+                     for s1 in sorted(_nonzero_squares(p)) for s2 in squares_q)
     excluded = frozenset(range(0, n, p)) | frozenset(range(0, n, q))
-    return PairSet(n, tuple(pairs)), PPSSpec(n, excluded, excluded)
+    return _trusted(PairSet, v=n, pairs=pairs), PPSSpec(n, excluded, excluded)
 
 
 def union_pps_pq(
@@ -231,12 +234,12 @@ def union_pps_pq(
             raise ValueError(f"input over Z_{v} is not a valid APS")
     base, _ = cyclotomic_pps(p, q)
     n = p * q
-    pairs = base.pairs
-    pairs += tuple((q * x % n, q * y % n) for x, y in sp.pairs)
-    pairs += tuple((p * x % n, p * y % n) for x, y in sq.pairs)
+    # x < y < p gives q*x < q*y < n, and likewise for sq's pairs scaled by p
+    pairs = base.pairs + tuple((q * x, q * y) for x, y in sp.pairs) + tuple(
+        (p * x, p * y) for x, y in sq.pairs)
     a1 = frozenset(q * a % n for a in sp_spec.a1) | frozenset(p * a % n for a in sq_spec.a1)
     a2 = frozenset(q * a % n for a in sp_spec.a2) | frozenset(p * a % n for a in sq_spec.a2)
-    return PairSet(n, pairs), PPSSpec(n, a1, a2)
+    return _trusted(PairSet, v=n, pairs=pairs), PPSSpec(n, a1, a2)
 
 
 def silver_pps_p2(p: int, alpha: int, beta: int) -> tuple[PairSet, PPSSpec]:
@@ -259,11 +262,11 @@ def silver_pps_p2(p: int, alpha: int, beta: int) -> tuple[PairSet, PPSSpec]:
         raise ValueError(
             f"1 + sqrt(2) does not generate the units of Z_{p}^2 up to sign")
     unit_chain = _power_chain(w.theta, m, (m - p - 2) // 4, alpha)
-    sub_chain = [(p * x % m, p * y % m)
-                 for x, y in _power_chain(w.theta, m, (p - 3) // 4, alpha)]
+    sub_chain = _ordered((p * x % m, p * y % m)
+                         for x, y in _power_chain(w.theta, m, (p - 3) // 4, alpha))
     spec = PPSSpec(
         m,
         frozenset({0, alpha, -alpha % m, p * alpha % m, -p * alpha % m}),
         frozenset({0, beta, -beta % m, p * beta % m, -p * beta % m}),
     )
-    return PairSet(m, tuple(unit_chain + sub_chain)), spec
+    return _trusted(PairSet, v=m, pairs=tuple(unit_chain) + sub_chain), spec

@@ -10,7 +10,9 @@ A1 = A2 = {0} ("PS") and A1 = {0, a, -a}, A2 = {0, b, -b} ("APS").
 from __future__ import annotations
 
 import enum
+import itertools
 import math
+import operator
 import time
 from dataclasses import dataclass
 
@@ -35,13 +37,20 @@ def _trusted(cls, **fields):
     return obj
 
 
+def _ordered(pairs) -> tuple[tuple[int, int], ...]:
+    """Reduced pairs with the smaller residue first, as PairSet stores them."""
+    return tuple((x, y) if x < y else (y, x) for x, y in pairs)
+
+
 @dataclass(frozen=True)
 class PairSet:
     """A modulus v and a tuple of unordered residue pairs.
 
-    Pairs are stored with the smaller residue first.  A pair {x, y} with
-    x == +-y is rejected outright: its closure under negation repeats an
-    element, so no valid pair set can contain it.
+    Pairs are stored reduced, with the smaller residue first.  A pair {x, y}
+    with x == +-y is rejected outright: its closure under negation repeats an
+    element, so no valid pair set can contain it.  So every stored pair has
+    0 <= x < y < v and x + y != v; the verifiers rely on this.  Builders that
+    emit such pairs themselves skip these checks through ``_trusted``.
     """
 
     v: int
@@ -180,41 +189,101 @@ class VerifyReport:
         }
 
 
-def _cover_counts(s: PairSet) -> tuple[list[int], list[int]]:
-    """Multiplicity of each residue in the unions of +-{x, y} and of +-{x+y, x-y}."""
+def _class_marks(s: PairSet) -> tuple[bytearray, bytearray]:
+    """Per cover, a mark at each +-class min(z, v - z) that a pair of s hits.
+
+    Cover 1 is hit at the classes of x and y, cover 2 at those of x + y and
+    y - x.  The invariant 0 <= x < y < v makes the classes need no ``% v``.
+    """
     v = s.v
-    c1, c2 = [0] * v, [0] * v
+    h = v // 2
+    m1, m2 = bytearray(h + 1), bytearray(h + 1)
     for x, y in s.pairs:
-        total, diff = (x + y) % v, (x - y) % v
-        c1[x] += 1
-        c1[y] += 1
-        c1[-x % v] += 1
-        c1[-y % v] += 1
-        c2[total] += 1
-        c2[diff] += 1
-        c2[-total % v] += 1
-        c2[-diff % v] += 1
-    return c1, c2
+        m1[x if x <= h else v - x] = 1
+        m1[y if y <= h else v - y] = 1
+        t = x + y
+        if t >= v:
+            t -= v
+        m2[t if t <= h else v - t] = 1
+        d = y - x
+        m2[d if d <= h else v - d] = 1
+    return m1, m2
+
+
+def _hit_once(marks: bytearray, n: int, v: int) -> bool:
+    """Each of the 2n class hits of n pairs went to its own class of two residues."""
+    return marks.count(1) == 2 * n and not marks[0] and (v % 2 == 1 or not marks[v // 2])
+
+
+def _cover_counts(s: PairSet) -> tuple[list[int], list[int]]:
+    """Multiplicity of each residue in the unions of +-{x, y} and of +-{x+y, x-y}.
+
+    Tallied per +-class as in :func:`_class_marks`, then unfolded: residue
+    z > v//2 reads class v - z, and the classes 0 and v/2, where z = -z,
+    count twice per hit.
+    """
+    v = s.v
+    h = v // 2
+    c1, c2 = [0] * (h + 1), [0] * (h + 1)
+    for x, y in s.pairs:
+        c1[x if x <= h else v - x] += 1
+        c1[y if y <= h else v - y] += 1
+        t = x + y
+        if t >= v:
+            t -= v
+        c2[t if t <= h else v - t] += 1
+        d = y - x
+        c2[d if d <= h else v - d] += 1
+    tail = slice(v - h - 1, 0, -1)
+    for c in (c1, c2):
+        c[0] *= 2
+        if v % 2 == 0:
+            c[h] *= 2
+    return c1 + c1[tail], c2 + c2[tail]
 
 
 def _diagnose(counts: list[int], excluded: frozenset[int]) -> tuple[frozenset, frozenset]:
     """(missing, repeated) of one cover; both empty when it is exactly the 0/1 target."""
     if counts.count(1) == len(counts) - len(excluded) and not any(counts[z] for z in excluded):
         return frozenset(), frozenset()
-    missing = frozenset(z for z, c in enumerate(counts) if c < 1 and z not in excluded)
-    repeated = frozenset(
-        z for z, c in enumerate(counts) if c > (0 if z in excluded else 1))
-    return missing, repeated
+    missing = frozenset(itertools.compress(range(len(counts)), map(operator.not_, counts)))
+    repeated = frozenset(z for z, c in enumerate(counts) if c > 1)
+    return missing - excluded, repeated | {z for z in excluded if counts[z]}
+
+
+_VALID = VerifyReport(True, frozenset(), frozenset(), frozenset(), frozenset())
 
 
 def verify_pps(s: PairSet, spec: PPSSpec) -> VerifyReport:
-    """Check both cover conditions of s against spec, with full diagnostics."""
-    if s.v != spec.v:
-        raise ValueError(f"pair set modulus {s.v} != spec modulus {spec.v}")
+    """Check both cover conditions of s against spec, with full diagnostics.
+
+    One pass of :func:`_class_marks` decides a valid set: each cover hits 2n
+    distinct classes of two residues, none excluded, and 4n = v - |A1|.
+    Only a failing set is tallied for its diagnostics.
+    """
+    v = spec.v
+    if s.v != v:
+        raise ValueError(f"pair set modulus {s.v} != spec modulus {v}")
+    n = len(s.pairs)
+    m1, m2 = _class_marks(s)
+    if (4 * n == v - len(spec.a1) and _hit_once(m1, n, v) and _hit_once(m2, n, v)
+            and not any(m1[min(z, v - z)] for z in spec.a1)
+            and not any(m2[min(z, v - z)] for z in spec.a2)):
+        return _VALID
     c1, c2 = _cover_counts(s)
-    m1, r1 = _diagnose(c1, spec.a1)
-    m2, r2 = _diagnose(c2, spec.a2)
-    return VerifyReport(not (m1 or r1 or m2 or r2), m1, r1, m2, r2)
+    missing1, repeated1 = _diagnose(c1, spec.a1)
+    missing2, repeated2 = _diagnose(c2, spec.a2)
+    return VerifyReport(not (missing1 or repeated1 or missing2 or repeated2),
+                        missing1, repeated1, missing2, repeated2)
+
+
+_FLIP = bytes.maketrans(b"\x00\x01", b"\x01\x00")
+
+
+def _unmarked(marks: bytearray, v: int) -> frozenset[int]:
+    """The residues of the classes that marks leaves unmarked."""
+    classes = frozenset(itertools.compress(range(len(marks)), marks.translate(_FLIP)))
+    return classes | {v - c for c in classes if c}
 
 
 def infer_params(s: PairSet) -> PPSSpec | None:
@@ -222,12 +291,11 @@ def infer_params(s: PairSet) -> PPSSpec | None:
 
     The tightest applicable label is available as ``.kind`` on the result.
     """
-    c1, c2 = _cover_counts(s)
-    if max(c1) > 1 or max(c2) > 1:
+    v, n = s.v, len(s.pairs)
+    m1, m2 = _class_marks(s)
+    if not (_hit_once(m1, n, v) and _hit_once(m2, n, v)):
         return None
-    a1 = frozenset(z for z, c in enumerate(c1) if c == 0)
-    a2 = frozenset(z for z, c in enumerate(c2) if c == 0)
-    return PPSSpec(s.v, a1, a2)
+    return PPSSpec(v, _unmarked(m1, v), _unmarked(m2, v))
 
 
 def aps_necessary(v: int, alpha: int, beta: int) -> bool:
@@ -355,7 +423,8 @@ def scale_set(s: PairSet, lam: int) -> PairSet:
     lam %= s.v
     if math.gcd(lam, s.v) != 1:
         raise ValueError(f"{lam} is not a unit modulo {s.v}")
-    return PairSet(s.v, tuple((x * lam % s.v, y * lam % s.v) for x, y in s.pairs))
+    return _trusted(PairSet, v=s.v, pairs=_ordered(
+        (x * lam % s.v, y * lam % s.v) for x, y in s.pairs))
 
 
 DEADLINE_EVERY = 1024  # nodes, orbits, columns or options between deadline checks

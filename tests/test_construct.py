@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from sympy import primerange
 
 from designforge import construct
@@ -24,7 +26,8 @@ from designforge.construct import (
     silver_witness,
     union_pps_pq,
 )
-from designforge.core import PairSet, PPSSpec, admissible_params, verify_pps
+from designforge.core import PairSet, PPSSpec, admissible_params, scale_set, verify_pps
+from designforge.modarith import mod_sqrt
 
 PS5 = PairSet(5, ((1, 2),))
 PS13 = PairSet(13, ((1, 5), (2, 3), (4, 6)))
@@ -179,6 +182,9 @@ def test_inflate_and_fill_reject_invalid_arguments():
     outer65, _ = inflate(PS13, 5)
     with pytest.raises(ValueError, match="outer pair set"):
         fill(PairSet(65, outer65.pairs[1:]), PS5, 13)
+    for d in (0, -3):
+        with pytest.raises(ValueError, match=f"^d = {d} must be positive$"):
+            fill(outer65, PS5, d)
 
 
 def test_compositions_check_each_argument_once(monkeypatch):
@@ -353,3 +359,60 @@ def test_inflate_projection_recovers_input_classes():
     for x, y in inflated.pairs:
         cls = frozenset((x % 13, (13 - x) % 13)) | frozenset((y % 13, (13 - y) % 13))
         assert cls in base_classes
+
+
+def _silver_target(data, p: int, m: int) -> tuple[int, int]:
+    """A unit alpha modulo m = p or p**2 and beta = +-alpha*sqrt(2) modulo m."""
+    alpha = data.draw(st.integers(1, m - 1).filter(lambda a: a % p), label="alpha")
+    sign = data.draw(st.sampled_from((1, -1)), label="sign")
+    return alpha, sign * alpha * mod_sqrt(2, m) % m
+
+
+def _built(builder: str, data) -> tuple[PairSet, PPSSpec]:
+    """One output of builder, on silver primes and units alpha drawn from data."""
+    primes = [p for p in SILVER_PRIMES if p <= 71]
+    p = data.draw(st.sampled_from(primes), label="p")
+    aps = aps_with_params(p, *_silver_target(data, p, p))
+    ps = data.draw(st.sampled_from((PS5, PS13)), label="ps")
+    if builder == "silver_aps":
+        return silver_aps(data.draw(st.sampled_from(SILVER_PRIMES), label="p"))
+    if builder == "aps_with_params":
+        return aps
+    if builder == "silver_pps_p2":
+        p = data.draw(st.sampled_from((7, 23, 47)), label="p")
+        return silver_pps_p2(p, *_silver_target(data, p, p * p))
+    if builder == "cyclotomic_pps":
+        q, p = sorted(data.draw(st.sets(st.sampled_from((7, 11, 19, 23, 31, 43)),
+                                        min_size=2, max_size=2), label="p, q"))
+        return cyclotomic_pps(p, q)
+    if builder == "union_pps_pq":
+        q = data.draw(st.sampled_from([q for q in primes if q != p]), label="q")
+        if q > p:
+            p, q = q, p
+        return union_pps_pq(p, q, aps_with_params(p, *_silver_target(data, p, p))[0],
+                            aps_with_params(q, *_silver_target(data, q, q))[0])
+    if builder == "inflate":
+        return inflate(aps[0], data.draw(st.sampled_from((5, 7, 11, 13)), label="u"))
+    if builder == "ps_product":
+        return ps_product(ps, data.draw(st.sampled_from((PS5, PS13)), label="second ps"))
+    if builder == "compose_ps_aps":
+        return compose_ps_aps(ps, aps[0])
+    if builder == "fill":
+        return fill(inflate(ps, p)[0], aps[0], ps.v)
+    assert builder == "scale_set"
+    s, spec = aps
+    lam = data.draw(st.integers(1, p - 1), label="lambda")
+    return scale_set(s, lam), PPSSpec(p, frozenset(lam * a for a in spec.a1),
+                                      frozenset(lam * a for a in spec.a2))
+
+
+@pytest.mark.parametrize("builder", [
+    "silver_aps", "aps_with_params", "silver_pps_p2", "cyclotomic_pps", "union_pps_pq",
+    "inflate", "ps_product", "compose_ps_aps", "fill", "scale_set"])
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_builders_emit_normalised_valid_sets(builder, data):
+    """A builder's set is what public PairSet makes of its pairs, and meets its spec."""
+    s, spec = _built(builder, data)
+    assert PairSet(s.v, s.pairs) == s
+    assert verify_pps(s, spec).valid

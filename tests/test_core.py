@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import math
 import random
 from collections import Counter
 from unittest.mock import patch
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from designforge import core, kramer_mesner
+from designforge import construct, core, kramer_mesner
 from designforge.core import (
     BudgetExceededError,
     NonexistenceCase,
@@ -185,6 +186,47 @@ def test_cover_tally_agrees_with_reference(case):
     assert report == _reference_report(s, spec)
     assert infer_params(s) == _reference_infer(s)
     assert report.valid == (infer_params(s) == spec)
+
+
+# Valid (pair set, spec) witnesses far above the random cases' moduli.
+_LARGE_WITNESSES = (construct.silver_pps_p2(47, 1, 477),  # 477**2 = 2 (mod 47**2)
+                    construct.cyclotomic_pps(23, 7),
+                    construct.silver_aps(271))
+
+
+@st.composite
+def _large_corruptions(draw) -> tuple[PairSet, PPSSpec]:
+    """A large witness with one entry moved, a pair dropped or repeated, or its spec scaled."""
+    s, spec = draw(st.sampled_from(_LARGE_WITNESSES))
+    v, pairs = s.v, [list(p) for p in s.pairs]
+    i = draw(st.integers(0, len(pairs) - 1))
+    how = draw(st.sampled_from(("move", "drop", "repeat", "scale spec")))
+    if how == "move":
+        j = draw(st.integers(0, 1))
+        other = pairs[i][1 - j]
+        pairs[i][j] = draw(st.one_of(
+            st.just(0),
+            st.sampled_from(sorted(spec.a1)),
+            st.sampled_from([(b + sign * other) % v for b in spec.a2 for sign in (1, -1)]),
+            st.integers(0, v - 1)))
+        assume((pairs[i][0] - pairs[i][1]) % v and (pairs[i][0] + pairs[i][1]) % v)
+    elif how == "drop":
+        del pairs[i]
+    elif how == "repeat":
+        pairs.append(pairs[i])
+    else:
+        lam = draw(st.integers(2, v - 1).filter(lambda u: math.gcd(u, v) == 1))
+        spec = PPSSpec(v, frozenset(lam * a for a in spec.a1),
+                       frozenset(lam * a for a in spec.a2))
+    return PairSet(v, tuple(map(tuple, pairs))), spec
+
+
+@settings(max_examples=200, deadline=None)
+@given(_large_corruptions())
+def test_class_marks_agree_with_reference_at_large_v(case):
+    s, spec = case
+    assert verify_pps(s, spec) == _reference_report(s, spec)
+    assert infer_params(s) == _reference_infer(s)
 
 
 def test_aps_necessary_examples():
