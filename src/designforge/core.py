@@ -503,32 +503,19 @@ def exhaustive_search(spec: PPSSpec, *, force: bool = False,
                       deadline: float | None = None) -> PairSet | None:
     """Backtracking oracle: the lexicographically first valid pair set, or None.
 
-    An :func:`exact_cover` of the element classes outside A1 by class pairs,
-    each sum/difference class outside A2 hit at most once.  Its options are the
-    sign group's Kramer-Mesner columns, twins merged: the class pairs (a, b),
-    a < b, in lexicographic order; rows c and v//2 + 1 + c are element and
-    sum/difference class c.  They are read from the sign group's
-    :func:`~designforge.kramer_mesner.option_table`, which km_search shares.
-    It branches on the smallest uncovered element class and tries co-elements in
-    ascending order.  The deadline is checked before and while the option table
-    is built, then on the first node and every DEADLINE_EVERY nodes.
-    Unless forced, refuses more than EXHAUSTIVE_MAX_PAIRS pairs over v > EXHAUSTIVE_MAX_V.
+    The sign group's :func:`~designforge.kramer_mesner.cover_search`, whose options
+    are the class pairs (a, b), a < b, in lexicographic order.  It branches on the
+    lowest open row: the smallest uncovered element class, and once none is left,
+    every sum/difference class is covered too.  The deadline is checked on entry,
+    then as cover_search checks it.  Unless forced, refuses more than
+    EXHAUSTIVE_MAX_PAIRS pairs over v > EXHAUSTIVE_MAX_V.
     """
-    from .kramer_mesner import MultiplierGroup, option_table  # imports core
+    from .kramer_mesner import MultiplierGroup, cover_search  # imports core
     v = spec.v
     if not force and spec.pair_count > EXHAUSTIVE_MAX_PAIRS and v > EXHAUSTIVE_MAX_V:
         raise BudgetExceededError(
             f"search for {spec.pair_count} pairs over Z_{v} exceeds the default budget")
     check_deadline(deadline)
-    table = option_table(MultiplierGroup.generate(v, (-1,)), spec, deadline=deadline)
-    pairs, cover, clash, covered_by = table.pairs, table.cover, table.clash, table.covered_by
-    h = v // 2 + 1
-    alive = (1 << len(pairs)) - 1
-    for c in spec.a1:
-        alive &= ~covered_by[min(c, v - c)]
-    for c in spec.a2:
-        alive &= ~covered_by[h + min(c, v - c)]
-    open_items = sum(1 << c for c in range(1, h) if c not in spec.a1)
-    chosen = exact_cover(cover, clash, covered_by, open_items, alive,
-                         lambda items, *_: (items & -items).bit_length() - 1, deadline=deadline)
-    return None if chosen is None else PairSet(v, tuple(pairs[o] for o in chosen))
+    chosen = cover_search(MultiplierGroup.generate(v, (-1,)), spec,
+                          lambda items, *_: (items & -items).bit_length() - 1, deadline=deadline)
+    return None if chosen is None else PairSet(v, tuple(chosen))

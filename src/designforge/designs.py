@@ -111,6 +111,8 @@ class WhistTournament:
         rounds = tuple(tuple(map(_game_from_json, json_field(rnd, list, "round")))
                        for rnd in json_field(obj.get("rounds"), list, "rounds"))
         v = json_field(obj.get("v"), int, "v")
+        if v < 1:
+            raise ValueError(f"v must be positive, got {v}")
         u = v - 1 if any(INF in g for rnd in rounds for g in rnd) else v
         return _trusted(cls, v=v, u=u, rounds=rounds, cyclic=_is_development(rounds, u))
 

@@ -11,10 +11,11 @@ multiset is constant along each element orbit.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 
-from .core import (DEADLINE_EVERY, PairSet, PPSSpec, check_deadline, exact_cover, option_masks,
-                   verify_pps)
+from .core import (DEADLINE_EVERY, BudgetExceededError, PairSet, PPSSpec, check_deadline,
+                   exact_cover, option_masks, verify_pps)
 from .modarith import crt_lift, factorint, mult_order
 
 
@@ -101,10 +102,15 @@ class OrbitIndex:
 def orbits(group: MultiplierGroup, *, deadline: float | None = None) -> OrbitIndex:
     """Element and pair orbits of the group.
 
+    A modulus too large for the v * v pair marks is refused before any O(v) work.
     The deadline is checked on entry, then every DEADLINE_EVERY pair orbits.
     """
     check_deadline(deadline)
     v, els = group.v, group.elements
+    try:
+        seen = bytearray(v * v)  # seen[a * v + b] marks the pair (a, b), a < b
+    except (MemoryError, OverflowError):
+        raise BudgetExceededError(f"the pair orbits of Z_{v} need {v * v} bytes") from None
     seen_element = bytearray(v)
     element_orbits = []
     for x in range(v):
@@ -114,7 +120,6 @@ def orbits(group: MultiplierGroup, *, deadline: float | None = None) -> OrbitInd
         for z in orb:
             seen_element[z] = 1
         element_orbits.append(tuple(orb))
-    seen = bytearray(v * v)  # seen[a * v + b] marks the pair (a, b), a < b
     pair_orbits = []
     for x in range(v):
         for y in range(x + 1, v):
@@ -165,6 +170,16 @@ def build_system(group: MultiplierGroup, spec: PPSSpec, index: OrbitIndex | None
     _check_excluded_sets(group, spec)
     if index is None:
         index = orbits(group, deadline=deadline)
+    j = tuple(int(rep not in a) for a in (spec.a1, spec.a2) for rep in index.element_reps)
+    return CoverSystem(tuple(_columns(group, index, deadline)), j, index.pair_reps)
+
+
+def _columns(group: MultiplierGroup, index: OrbitIndex,
+             deadline: float | None) -> list[tuple[int, ...]]:
+    """Per pair orbit, the rows of M it hits, ascending, a row once per hit.
+
+    The deadline is checked on the first column, then every DEADLINE_EVERY.
+    """
     v = group.v
     reps = index.element_reps
     n = len(reps)
@@ -202,7 +217,7 @@ def build_system(group: MultiplierGroup, spec: PPSSpec, index: OrbitIndex | None
                     hits += (u_row[x], u_row[y], d_row[s - v], d_row[v + x - y])
         hits.sort()
         columns.append(tuple(hits[hits.count(-1):]))
-    return CoverSystem(tuple(columns), _j(reps, spec), index.pair_reps)
+    return columns
 
 
 def _check_excluded_sets(group: MultiplierGroup, spec: PPSSpec) -> None:
@@ -214,13 +229,6 @@ def _check_excluded_sets(group: MultiplierGroup, spec: PPSSpec) -> None:
     for name, a in (("A1", spec.a1), ("A2", spec.a2)):
         if any(z * h % v not in a for z in a for h in group.elements):
             raise ValueError(f"{name} is not a union of orbits of the group")
-
-
-def _j(reps: tuple[int, ...], spec: PPSSpec) -> tuple[int, ...]:
-    """J of the element-orbit representatives: 1 on each row whose orbit lies
-    outside A1 (element side) or A2 (sum/difference side)."""
-    return tuple([int(rep not in spec.a1) for rep in reps]
-                 + [int(rep not in spec.a2) for rep in reps])
 
 
 def _fewest_options(open_items: int, alive: int, covered_by: list[int]) -> int:
@@ -237,49 +245,41 @@ def _fewest_options(open_items: int, alive: int, covered_by: list[int]) -> int:
     return item
 
 
-def cover_options(system: CoverSystem, *, deadline: float | None = None
-                  ) -> tuple[list[int], list[int], list[int], list[int]]:
-    """The kept columns of a system and their :func:`~designforge.core.option_masks`.
+def _options(columns, n_rows: int, deadline: float | None) -> tuple[list[int], ...]:
+    """The kept columns and their :func:`~designforge.core.option_masks`.
 
     A column that hits a row twice can never meet a 0-1 row.  Twin orbits {x, y}
     and {x, -y} hit the same rows, so only the first column of a row tuple is kept.
     The deadline is checked as option_masks checks it.
     """
     first: dict[tuple[int, ...], int] = {}
-    for col, rows in enumerate(system.columns):
+    for col, rows in enumerate(columns):
         if len(set(rows)) == len(rows):
             first.setdefault(rows, col)
-    return (list(first.values()),) + option_masks(list(first), len(system.j),
-                                                  deadline=deadline)
+    return (list(first.values()),) + option_masks(list(first), n_rows, deadline=deadline)
 
 
 def solve_binary(system: CoverSystem, *, deadline: float | None = None) -> tuple[int, ...] | None:
     """First 0-1 solution of M X = J under a fixed branching order, or None.
 
-    The :func:`cover_options` columns that hit no forbidden (J=0) row go to
-    :func:`~designforge.core.exact_cover` over the required rows.  It branches
-    on the row with the fewest remaining columns, ties to the lowest row, and
-    tries columns in ascending order.  The deadline is checked while the
+    The kept columns (as :func:`option_table` keeps them) that hit no forbidden
+    (J=0) row go to :func:`~designforge.core.exact_cover` over the required rows.
+    It branches on the row with the fewest remaining columns, ties to the lowest
+    row, and tries columns in ascending order.  The deadline is checked while the
     options are built, then on the first node and every DEADLINE_EVERY nodes.
     """
-    kept, cover, clash, covered_by = cover_options(system, deadline=deadline)
-    chosen = _solve(cover, clash, covered_by, system.j, deadline)
+    kept, cover, clash, covered_by = _options(system.columns, len(system.j), deadline)
+    alive = (1 << len(cover)) - 1
+    for row, ji in enumerate(system.j):
+        if not ji:
+            alive &= ~covered_by[row]
+    required = sum(ji << i for i, ji in enumerate(system.j))
+    chosen = exact_cover(cover, clash, covered_by, required, alive, _fewest_options,
+                         deadline=deadline)
     if chosen is None:
         return None
     selected = {kept[option] for option in chosen}
     return tuple(int(c in selected) for c in range(system.m))
-
-
-def _solve(cover: list[int], clash: list[int], covered_by: list[int], j: tuple[int, ...],
-           deadline: float | None) -> list[int] | None:
-    """exact_cover of the J=1 rows by the options that hit no J=0 row, fewest options first."""
-    alive = (1 << len(cover)) - 1
-    for row, ji in enumerate(j):
-        if not ji:
-            alive &= ~covered_by[row]
-    required = sum(ji << i for i, ji in enumerate(j))
-    return exact_cover(cover, clash, covered_by, required, alive, _fewest_options,
-                       deadline=deadline)
 
 
 # The option-table cache holds at most this many bits of clash masks (8 MiB);
@@ -289,11 +289,11 @@ OPTION_CACHE_BITS = 1 << 26
 
 @dataclass(frozen=True)
 class OptionTable:
-    """What both searches read of one group's system, none of it depending on the spec.
+    """What both searches read of one group's system, none of it depending on a spec.
 
-    ``element_reps`` are the element-orbit representatives (row i and n + i are
-    orbit i's element and sum/difference rows), ``pairs`` the representatives
-    of the :func:`cover_options` columns, and ``cover``/``clash``/``covered_by``
+    ``element_reps`` are the element-orbit representatives in ascending order
+    (row i and n + i are orbit i's element and sum/difference rows), ``pairs``
+    the representatives of the kept columns, and ``cover``/``clash``/``covered_by``
     their exact-cover masks.
     """
 
@@ -312,10 +312,8 @@ class OptionTable:
 _TABLES: dict[tuple[int, tuple[int, ...]], OptionTable] = {}  # by (v, elements), oldest first
 
 
-def option_table(group: MultiplierGroup, spec: PPSSpec, *,
-                 deadline: float | None = None) -> OptionTable:
-    """The group's option table, from the cache or built by orbits, build_system
-    (under spec, which the columns do not depend on) and cover_options.
+def option_table(group: MultiplierGroup, *, deadline: float | None = None) -> OptionTable:
+    """The group's option table, from the cache or built from its orbits' columns.
 
     A table over OPTION_CACHE_BITS is not kept; otherwise the oldest tables are
     evicted until the total fits.  The stages check the deadline as they do
@@ -327,16 +325,37 @@ def option_table(group: MultiplierGroup, spec: PPSSpec, *,
         return table
     index = orbits(group, deadline=deadline)
     check_deadline(deadline)
-    system = build_system(group, spec, index, deadline=deadline)
-    kept, cover, clash, covered_by = cover_options(system, deadline=deadline)
-    table = OptionTable(index.element_reps, tuple(system.col_reps[col] for col in kept),
-                        cover, clash, covered_by)
+    kept, *masks = _options(_columns(group, index, deadline), 2 * len(index.element_orbits),
+                            deadline)
+    table = OptionTable(index.element_reps, tuple(index.pair_orbits[c][0] for c in kept), *masks)
     if table.bits <= OPTION_CACHE_BITS:
         held = table.bits + sum(cached.bits for cached in _TABLES.values())
         while held > OPTION_CACHE_BITS:
             held -= _TABLES.pop(next(iter(_TABLES))).bits
         _TABLES[key] = table
     return table
+
+
+def cover_search(group: MultiplierGroup, spec: PPSSpec, branch, *,
+                 deadline: float | None = None) -> list[tuple[int, int]] | None:
+    """Both searches' exact cover: the :func:`option_table` pairs chosen, or None.
+
+    Options that hit an excluded orbit's row (read at its representative) are cleared,
+    every other row is required, and ``branch`` and the deadline go to ``exact_cover``.
+    """
+    table = option_table(group, deadline=deadline)
+    reps, covered_by = table.element_reps, table.covered_by
+    n = len(reps)
+    alive, required = (1 << len(table.pairs)) - 1, (1 << 2 * n) - 1
+    for side, excluded in ((0, spec.a1), (n, spec.a2)):
+        for z in excluded:
+            row = bisect_left(reps, z)
+            if row < n and reps[row] == z:
+                alive &= ~covered_by[side + row]
+                required &= ~(1 << side + row)
+    chosen = exact_cover(table.cover, table.clash, covered_by, required, alive, branch,
+                         deadline=deadline)
+    return None if chosen is None else [table.pairs[option] for option in chosen]
 
 
 def develop(initial: list[tuple[int, int]] | tuple, group: MultiplierGroup) -> PairSet:
@@ -358,14 +377,9 @@ def develop(initial: list[tuple[int, int]] | tuple, group: MultiplierGroup) -> P
     return PairSet(v, tuple(sorted(out)))
 
 
-def km_search(
-    v: int,
-    generators: tuple[int, ...] | list[int],
-    spec: PPSSpec,
-    *,
-    deadline: float | None = None,
-) -> PairSet | None:
-    """End-to-end orbit search: option table, 0-1 solve, develop, verify.
+def km_search(v: int, generators: tuple[int, ...] | list[int], spec: PPSSpec, *,
+              deadline: float | None = None) -> PairSet | None:
+    """End-to-end orbit search: :func:`cover_search`, fewest options first, then develop, verify.
 
     The group's :func:`option_table` is built on its first search and read
     after that.  The deadline is checked on entry, inside each stage of a
@@ -374,13 +388,10 @@ def km_search(
     check_deadline(deadline)
     group = MultiplierGroup.generate(v, generators)
     _check_excluded_sets(group, spec)
-    table = option_table(group, spec, deadline=deadline)
-    chosen = _solve(table.cover, table.clash, table.covered_by, _j(table.element_reps, spec),
-                    deadline)
+    chosen = cover_search(group, spec, _fewest_options, deadline=deadline)
     if chosen is None:
         return None
-    result = develop([table.pairs[option] for option in chosen], group)
-    report = verify_pps(result, spec)
-    if not report.valid:
+    result = develop(chosen, group)
+    if not verify_pps(result, spec).valid:
         raise AssertionError("developed solution failed verification; solver bug")
     return result

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import time
 
 import pytest
 
@@ -228,6 +229,18 @@ def test_budget_env_must_be_a_number(monkeypatch, capsys, budget):
     assert repr(budget) in lines[0] and not captured.out
 
 
+@pytest.mark.parametrize("engine", [["km", "--generators", "100000000"], ["exhaustive", "--force"]])
+def test_a_modulus_too_large_for_its_pair_marks_is_refused_at_once(capsys, engine):
+    # v**2 = 10**16 bytes of pair marks exceed any 64-bit user address space
+    started = time.monotonic()
+    assert main(["search", engine[0], "--v", "100000001", "--type", "ps", *engine[1:]]) == 3
+    assert time.monotonic() - started < 1
+    captured = capsys.readouterr()
+    lines = captured.err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("search aborted:"), captured.err
+    assert not captured.out
+
+
 def test_budget_env_inf_is_no_cap(monkeypatch, capsys):
     monkeypatch.setenv("DESIGNFORGE_BUDGET_SECS", "inf")
     assert main(["search", "km", "--v", "133", "--type", "ps", "--generators", "122"]) == 0
@@ -262,6 +275,8 @@ def test_malformed_pair_or_game_is_named_in_one_line(example_file, capsys, comma
     (["ooc", "verify"], {"n": 0, "k": 4, "codewords": [[0, 1, 2, 3]]}),
     (["ooc", "verify"], {"n": 39, "k": 0, "codewords": []}),
     (["ooc", "maximal"], {"n": 39, "k": 4, "codewords": [[0, 1, 2, 3], [0, 1, 2, 4]]}),
+    (["whist", "verify", "--checks", "directed,ordered"], {"v": 0, "rounds": []}),
+    (["whist", "verify"], {"v": -3, "rounds": []}),
 ])
 def test_malformed_input_is_a_usage_error(example_file, capsys, command, payload):
     path = example_file("bad.json", payload)

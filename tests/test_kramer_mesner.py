@@ -25,7 +25,6 @@ from designforge.kramer_mesner import (
     CoverSystem,
     MultiplierGroup,
     build_system,
-    cover_options,
     develop,
     km_search,
     orbits,
@@ -269,17 +268,17 @@ def test_solve_binary_with_twins_merged_matches_the_unmerged_search(data):
     assert solve_binary(system) == _unmerged_solve_binary(system)
 
 
-def test_sign_group_options_are_the_class_pairs_in_lexicographic_order():
-    """Twins merged, the columns of <-1> are the pairs (a, b), 1 <= a < b <= v//2, each
-    hitting element classes a, b and the sum/difference classes of a + b and b - a."""
+def test_sign_group_options_are_the_class_pairs_in_lexicographic_order(monkeypatch):
+    """Twins merged, the options of <-1> are the pairs (a, b), 1 <= a < b <= v//2, each
+    covering element classes a, b and the sum/difference classes of a + b and b - a."""
+    monkeypatch.setattr(kramer_mesner, "_TABLES", {})
     for v in range(5, 100, 2):
-        spec = PPSSpec.ps(v) if v % 4 == 1 else PPSSpec.aps(v, 1, 1)
-        system = build_system(MultiplierGroup.generate(v, [v - 1]), spec)
-        kept = cover_options(system)[0]
+        table = kramer_mesner.option_table(MultiplierGroup.generate(v, [v - 1]))
         h = v // 2 + 1
         pairs = [(a, b) for a in range(1, h) for b in range(a + 1, h)]
-        assert [system.col_reps[col] for col in kept] == pairs, v
-        assert [system.columns[col] for col in kept] == [
+        assert table.element_reps == tuple(range(h)), v
+        assert list(table.pairs) == pairs, v
+        assert [tuple(row for row in range(2 * h) if mask >> row & 1) for mask in table.cover] == [
             tuple(sorted((a, b, h + min(a + b, v - a - b), h + b - a))) for a, b in pairs], v
 
 
@@ -369,20 +368,23 @@ def test_km_search_checks_its_deadline_before_the_costly_stages(monkeypatch):
         km_search(651, [68], spec, deadline=time.monotonic() - 1)
     assert time.monotonic() - started < 0.1
 
-    # a deadline that passes during orbits stops the search before build_system
+    # a deadline that passes during orbits stops the search before the column stage
     real_orbits = kramer_mesner.orbits
+    ran = []
 
     def slow_orbits(group, **kwargs):
         index = real_orbits(group, **kwargs)
+        ran.append("orbits")
         time.sleep(0.02)
         return index
 
     monkeypatch.setattr(kramer_mesner, "_TABLES", {})  # a cached table would skip both stages
     monkeypatch.setattr(kramer_mesner, "orbits", slow_orbits)
-    monkeypatch.setattr(kramer_mesner, "build_system",
-                        lambda *args: pytest.fail("build_system ran past the deadline"))
+    monkeypatch.setattr(kramer_mesner, "_columns",
+                        lambda *args: pytest.fail("_columns ran past the deadline"))
     with pytest.raises(BudgetExceededError):
         km_search(27, [26], PPSSpec.aps(27, 3, 6), deadline=time.monotonic() + 0.01)
+    assert ran == ["orbits"]  # the deadline passed inside the build, not before it
 
 
 def test_orbits_and_build_system_check_their_deadlines():
@@ -400,14 +402,14 @@ def test_orbits_and_build_system_check_their_deadlines():
         build_system(g, PPSSpec.aps(27, 3, 6), index, deadline=time.monotonic() - 1)
 
 
-def test_every_stage_reports_a_deadline_overrun_the_same_way():
+def test_every_stage_reports_a_deadline_overrun_the_same_way(monkeypatch):
+    monkeypatch.setattr(kramer_mesner, "_TABLES", {})  # a cached table checks no deadline
     g = MultiplierGroup.generate(27, [26])
     index = orbits(g)
-    system = build_system(g, PPSSpec.aps(27, 3, 6), index)
     stages = [
         lambda deadline: orbits(g, deadline=deadline),
         lambda deadline: build_system(g, PPSSpec.aps(27, 3, 6), index, deadline=deadline),
-        lambda deadline: cover_options(system, deadline=deadline),
+        lambda deadline: kramer_mesner.option_table(g, deadline=deadline),
         lambda deadline: exact_cover([1], [1], [1], 1, 1, lambda *_: 0, deadline=deadline),
         lambda deadline: exhaustive_search(PPSSpec.ps(13), deadline=deadline),
         lambda deadline: km_search(27, [26], PPSSpec.aps(27, 3, 6), deadline=deadline),
@@ -420,11 +422,13 @@ def test_every_stage_reports_a_deadline_overrun_the_same_way():
     assert len(texts) == 1, texts
 
 
-def test_cover_options_checks_its_deadline_between_clash_masks(monkeypatch):
-    # 4,950 options at v = 201; at v = 601 their 44,850 clash masks take ~250 MB
+def test_option_masks_checks_its_deadline_between_clash_masks(monkeypatch):
+    # the 10,100 sign-group columns at v = 201; at v = 601 the 44,850 kept options'
+    # clash masks take ~250 MB
     system = build_system(MultiplierGroup.generate(201, (-1,)), PPSSpec.ps(201))
+    members = list(system.columns)
     with pytest.raises(BudgetExceededError):
-        cover_options(system, deadline=time.monotonic() - 1)
+        option_masks(members, len(system.j), deadline=time.monotonic() - 1)
 
     checks = []
 
@@ -435,7 +439,7 @@ def test_cover_options_checks_its_deadline_between_clash_masks(monkeypatch):
 
     monkeypatch.setattr(core, "check_deadline", third_check_overruns)
     with pytest.raises(BudgetExceededError):  # raised by the check before option 2048
-        cover_options(system, deadline=time.monotonic() + 60)
+        option_masks(members, len(system.j), deadline=time.monotonic() + 60)
     assert len(checks) == 3
 
 
@@ -478,7 +482,7 @@ def test_km_search_from_a_cold_or_warm_table_equals_the_staged_search(data):
     excluded = {0, split[0], v - split[0]} | ({others[0], v - others[0]} if v % 4 == 1 else set())
     bad = PPSSpec(v, frozenset(excluded), frozenset(excluded))
     texts = set()
-    for cached in ({}, {(v, group.elements): kramer_mesner.option_table(group, spec)}):
+    for cached in ({}, {(v, group.elements): kramer_mesner.option_table(group)}):
         with patch.dict(kramer_mesner._TABLES, cached, clear=True):
             with pytest.raises(ValueError, match="not a union of orbits") as err:
                 km_search(v, [v - 1, g], bad)
@@ -490,17 +494,18 @@ def test_km_search_from_a_cold_or_warm_table_equals_the_staged_search(data):
 
 def test_a_warm_km_search_runs_no_build_stage(monkeypatch):
     calls = []
-    for stage in ("orbits", "build_system", "cover_options"):
+    for stage in ("orbits", "_columns", "_options", "build_system"):
         real = getattr(kramer_mesner, stage)
         monkeypatch.setattr(kramer_mesner, stage,
                             lambda *a, _real=real, _stage=stage, **k: calls.append(_stage)
                             or _real(*a, **k))
     monkeypatch.setattr(kramer_mesner, "_TABLES", {})
     cold = km_search(27, [26], PPSSpec.aps(27, 3, 6))
-    assert calls == ["orbits", "build_system", "cover_options"]
+    assert calls == ["orbits", "_columns", "_options"]  # one build, and no build_system
     assert km_search(27, [26], PPSSpec.aps(27, 3, 6)) == cold
     assert exhaustive_search(PPSSpec.aps(27, 3, 6)) is not None  # the same sign group
-    assert calls == ["orbits", "build_system", "cover_options"]
+    assert calls == ["orbits", "_columns", "_options"]
+    assert list(kramer_mesner._TABLES) == [(27, (1, 26))]
 
 
 def test_a_build_that_overruns_its_deadline_stores_nothing(monkeypatch):
@@ -514,7 +519,7 @@ def test_a_build_that_overruns_its_deadline_stores_nothing(monkeypatch):
 def test_a_table_over_the_cap_is_used_and_not_stored(monkeypatch):
     group = MultiplierGroup.generate(133, [122])
     monkeypatch.setattr(kramer_mesner, "_TABLES", {})
-    bits = kramer_mesner.option_table(group, PPSSpec.ps(133)).bits
+    bits = kramer_mesner.option_table(group).bits
     monkeypatch.setattr(kramer_mesner, "_TABLES", {})
     monkeypatch.setattr(kramer_mesner, "OPTION_CACHE_BITS", bits - 1)
     system = build_system(group, PPSSpec.ps(133))
@@ -527,8 +532,8 @@ def test_a_table_over_the_cap_is_used_and_not_stored(monkeypatch):
 
 def test_the_cache_never_holds_more_than_its_cap(monkeypatch):
     monkeypatch.setattr(kramer_mesner, "_TABLES", {})
-    sizes = {v: kramer_mesner.option_table(MultiplierGroup.generate(v, [v - 1]),
-                                           PPSSpec.ps(v)).bits for v in (29, 33, 37, 41)}
+    sizes = {v: kramer_mesner.option_table(MultiplierGroup.generate(v, [v - 1])).bits
+             for v in (29, 33, 37, 41)}
     monkeypatch.setattr(kramer_mesner, "_TABLES", {})
     cap = sizes[37] + sizes[41]
     monkeypatch.setattr(kramer_mesner, "OPTION_CACHE_BITS", cap)
