@@ -298,6 +298,19 @@ def infer_params(s: PairSet) -> PPSSpec | None:
     return PPSSpec(v, _unmarked(m1, v), _unmarked(m2, v))
 
 
+def square_sums_agree(spec: PPSSpec) -> bool:
+    """The square-sum identity every valid pair set meets: S(A2) = 2 S(A1) mod v.
+
+    S(A) is the sum of z^2 over Z_v minus A.  A pair {x, y} puts x^2 + y^2 twice
+    into cover 1 and (x+y)^2 + (x-y)^2 = 2(x^2 + y^2) twice into cover 2.  Read
+    from the closed form of the sum over Z_v, in O(|A1| + |A2|).
+    """
+    v = spec.v
+    total = (v - 1) * v * (2 * v - 1) // 6  # the sum of z^2 over Z_v
+    # S(A2) - 2 S(A1), with S(A) = total - (the sum of z^2 over A)
+    return (2 * sum(z * z for z in spec.a1) - sum(z * z for z in spec.a2) - total) % v == 0
+
+
 def aps_necessary(v: int, alpha: int, beta: int) -> bool:
     """Square-sum necessary condition for an APS(v, alpha, beta) to exist."""
     if v % 4 != 3:
@@ -506,9 +519,10 @@ def exhaustive_search(spec: PPSSpec, *, force: bool = False,
     The sign group's :func:`~designforge.kramer_mesner.cover_search`, whose options
     are the class pairs (a, b), a < b, in lexicographic order.  It branches on the
     lowest open row: the smallest uncovered element class, and once none is left,
-    every sum/difference class is covered too.  The deadline is checked on entry,
-    then as cover_search checks it.  Unless forced, refuses more than
-    EXHAUSTIVE_MAX_PAIRS pairs over v > EXHAUSTIVE_MAX_V.
+    every sum/difference class is covered too.  Unless forced, it first refuses
+    more than EXHAUSTIVE_MAX_PAIRS pairs over v > EXHAUSTIVE_MAX_V.  Then it checks
+    the deadline, and cover_search checks it as it goes; a spec that fails
+    :func:`square_sums_agree` gets None there, with no table read or built.
     """
     from .kramer_mesner import MultiplierGroup, cover_search  # imports core
     v = spec.v

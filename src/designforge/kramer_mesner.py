@@ -15,7 +15,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 
 from .core import (DEADLINE_EVERY, BudgetExceededError, PairSet, PPSSpec, check_deadline,
-                   exact_cover, option_masks, verify_pps)
+                   exact_cover, option_masks, square_sums_agree, verify_pps)
 from .modarith import crt_lift, factorint, mult_order
 
 
@@ -340,9 +340,13 @@ def cover_search(group: MultiplierGroup, spec: PPSSpec, branch, *,
                  deadline: float | None = None) -> list[tuple[int, int]] | None:
     """Both searches' exact cover: the :func:`option_table` pairs chosen, or None.
 
-    Options that hit an excluded orbit's row (read at its representative) are cleared,
-    every other row is required, and ``branch`` and the deadline go to ``exact_cover``.
+    A spec that fails :func:`~designforge.core.square_sums_agree` has no set, so it
+    gets None before any table is read or built.  Otherwise options that hit an
+    excluded orbit's row (read at its representative) are cleared, every other row
+    is required, and ``branch`` and the deadline go to ``exact_cover``.
     """
+    if not square_sums_agree(spec):
+        return None
     table = option_table(group, deadline=deadline)
     reps, covered_by = table.element_reps, table.covered_by
     n = len(reps)
@@ -381,9 +385,11 @@ def km_search(v: int, generators: tuple[int, ...] | list[int], spec: PPSSpec, *,
               deadline: float | None = None) -> PairSet | None:
     """End-to-end orbit search: :func:`cover_search`, fewest options first, then develop, verify.
 
-    The group's :func:`option_table` is built on its first search and read
-    after that.  The deadline is checked on entry, inside each stage of a
-    build and between them, and in the solve.
+    A spec whose excluded sets are not unions of orbits raises ValueError; one
+    that fails the square-sum identity then gets None with no table read.  The
+    group's :func:`option_table` is built on its first search and read after
+    that.  The deadline is checked on entry, inside each stage of a build and
+    between them, and in the solve.
     """
     check_deadline(deadline)
     group = MultiplierGroup.generate(v, generators)

@@ -241,6 +241,18 @@ def test_a_modulus_too_large_for_its_pair_marks_is_refused_at_once(capsys, engin
     assert not captured.out
 
 
+def test_a_km_search_with_no_set_and_no_budget_ends_at_once(monkeypatch, capsys):
+    # APS(59, 1, 1) fails the square-sum identity; a full sign-group tree takes minutes
+    monkeypatch.delenv("DESIGNFORGE_BUDGET_SECS", raising=False)
+    started = time.monotonic()
+    assert main(["search", "km", "--v", "59", "--type", "aps", "--alpha", "1", "--beta", "1",
+                 "--generators", "58"]) == 3
+    assert time.monotonic() - started < 1
+    captured = capsys.readouterr()
+    assert captured.err.strip().splitlines() == ["no solution exists"], captured.err
+    assert not captured.out
+
+
 def test_budget_env_inf_is_no_cap(monkeypatch, capsys):
     monkeypatch.setenv("DESIGNFORGE_BUDGET_SECS", "inf")
     assert main(["search", "km", "--v", "133", "--type", "ps", "--generators", "122"]) == 0

@@ -12,6 +12,7 @@ from designforge.catalog import (
     SILVER_PRIMES,
     SILVER_SQUARE_PRIMES,
     get,
+    ids,
 )
 from designforge.construct import (
     aps_with_params,
@@ -26,7 +27,8 @@ from designforge.construct import (
     silver_witness,
     union_pps_pq,
 )
-from designforge.core import PairSet, PPSSpec, admissible_params, scale_set, verify_pps
+from designforge.core import (PairSet, PPSSpec, admissible_params, infer_params, scale_set,
+                              square_sums_agree, verify_pps)
 from designforge.modarith import mod_sqrt
 
 PS5 = PairSet(5, ((1, 2),))
@@ -406,9 +408,11 @@ def _built(builder: str, data) -> tuple[PairSet, PPSSpec]:
                                       frozenset(lam * a for a in spec.a2))
 
 
-@pytest.mark.parametrize("builder", [
-    "silver_aps", "aps_with_params", "silver_pps_p2", "cyclotomic_pps", "union_pps_pq",
-    "inflate", "ps_product", "compose_ps_aps", "fill", "scale_set"])
+BUILDERS = ["silver_aps", "aps_with_params", "silver_pps_p2", "cyclotomic_pps", "union_pps_pq",
+            "inflate", "ps_product", "compose_ps_aps", "fill", "scale_set"]
+
+
+@pytest.mark.parametrize("builder", BUILDERS)
 @settings(max_examples=25, deadline=None)
 @given(data=st.data())
 def test_builders_emit_normalised_valid_sets(builder, data):
@@ -416,3 +420,21 @@ def test_builders_emit_normalised_valid_sets(builder, data):
     s, spec = _built(builder, data)
     assert PairSet(s.v, s.pairs) == s
     assert verify_pps(s, spec).valid
+
+
+@pytest.mark.parametrize("builder", BUILDERS)
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_built_sets_meet_the_square_sum_identity(builder, data):
+    """S(A2) = 2 S(A1) (mod v) on the spec read off every set a builder makes."""
+    spec = infer_params(_built(builder, data)[0])
+    assert spec is not None and square_sums_agree(spec)
+
+
+def test_catalog_sets_meet_the_square_sum_identity():
+    entries = [get(entry_id) for entry_id in ids()]
+    pair_sets = [entry.pair_set() for entry in entries if entry.kind in ("PS", "APS", "PPS")]
+    assert pair_sets
+    for s in pair_sets:
+        spec = infer_params(s)
+        assert spec is not None and square_sums_agree(spec), s.v

@@ -239,6 +239,18 @@ def test_aps_necessary_examples():
         aps_necessary(27, 0, 6)
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(range(3, 400, 2)), st.data())
+def test_square_sums_agree_matches_the_closed_forms(v, data):
+    """The square-sum identity is aps_necessary on APS specs and v != 9 (mod 12) on PS."""
+    if v % 4 == 1:
+        assert core.square_sums_agree(PPSSpec.ps(v)) is (v % 12 != 9)
+        return
+    alpha = data.draw(st.integers(1, v - 1), label="alpha")
+    beta = data.draw(st.integers(1, v - 1), label="beta")
+    assert core.square_sums_agree(PPSSpec.aps(v, alpha, beta)) is aps_necessary(v, alpha, beta)
+
+
 def test_nonexistence_examples():
     assert nonexistence_case(63) is NonexistenceCase.EVEN_THREE_VALUATION
     assert nonexistence_case(15) is NonexistenceCase.NONRESIDUE_PRIMES_TIMES_THREE
@@ -506,7 +518,8 @@ def test_exhaustive_search_is_the_lexicographically_least_matching():
 @settings(max_examples=40, deadline=None)
 @given(st.sampled_from(range(3, 28, 2)), st.data())
 def test_exhaustive_search_is_the_least_matching_from_a_cold_or_warm_table(v, data):
-    """The sign group's table answers alike when exhaustive_search or km_search built it."""
+    """The sign group's table answers alike cold or warm, and a spec that fails the
+    square-sum identity builds none."""
     half = (v - 1) // 2
     if v % 4 == 1:
         spec, free, leave = PPSSpec.ps(v), tuple(range(1, half + 1)), frozenset()
@@ -516,13 +529,36 @@ def test_exhaustive_search_is_the_least_matching_from_a_cold_or_warm_table(v, da
         spec = PPSSpec.aps(v, alpha, beta)
         free, leave = tuple(c for c in range(1, half + 1) if c != alpha), frozenset({beta})
     expected = _lexmin_by_leave(v, free).get(leave)
+    agree = core.square_sums_agree(spec)
     answers = []
-    for warm_up in (None, lambda: exhaustive_search(spec),
-                    lambda: kramer_mesner.km_search(v, [v - 1], spec)):
+    for warm in (False, True):
         with patch.dict(kramer_mesner._TABLES, clear=True):
-            if warm_up:
-                warm_up()
+            if warm:
+                kramer_mesner.option_table(kramer_mesner.MultiplierGroup.generate(v, [v - 1]))
             found = exhaustive_search(spec)
-            assert list(kramer_mesner._TABLES) == [(v, (1, v - 1))]
+            assert list(kramer_mesner._TABLES) == ([(v, (1, v - 1))] if warm or agree else [])
         answers.append(None if found is None else found.pairs)
-    assert answers == [expected] * 3
+    assert answers == [expected] * 2
+
+
+def _rejected_specs(max_v: int):
+    """PS(v), v = 1 (mod 4), and APS(v, alpha, beta), 1 <= alpha, beta <= v // 2,
+    v = 3 (mod 4), for odd v <= max_v, that fail the square-sum identity."""
+    for v in range(3, max_v + 1, 2):
+        half = v // 2
+        specs = ([PPSSpec.ps(v)] if v % 4 == 1 else
+                 [PPSSpec.aps(v, a, b) for a in range(1, half + 1) for b in range(1, half + 1)])
+        yield from (spec for spec in specs if not core.square_sums_agree(spec))
+
+
+def test_the_search_itself_finds_no_set_where_the_square_sum_identity_fails():
+    """The "none" answers the identity gives are what the search proves without it."""
+    rejected = list(_rejected_specs(35))
+    assert len(rejected) == 930
+    with patch.dict(kramer_mesner._TABLES, clear=True):
+        for spec in rejected:
+            assert exhaustive_search(spec, force=True) is None
+        assert not kramer_mesner._TABLES  # the identity answered before any table
+        with patch.object(kramer_mesner, "square_sums_agree", lambda spec: True):
+            for spec in rejected:
+                assert exhaustive_search(spec, force=True) is None, spec
