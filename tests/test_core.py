@@ -553,8 +553,8 @@ def _rejected_specs(max_v: int):
 
 def test_the_search_itself_finds_no_set_where_the_square_sum_identity_fails():
     """The "none" answers the identity gives are what the search proves without it."""
-    rejected = list(_rejected_specs(35))
-    assert len(rejected) == 930
+    rejected = list(_rejected_specs(39))
+    assert len(rejected) == 1290
     with patch.dict(kramer_mesner._TABLES, clear=True):
         for spec in rejected:
             assert exhaustive_search(spec, force=True) is None
