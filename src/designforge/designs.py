@@ -8,6 +8,8 @@ development by +1 then yields the full schedule.
 
 from __future__ import annotations
 
+import operator
+from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import Union
 
@@ -84,12 +86,13 @@ class WhistTournament:
 
     cyclic says that the rounds are the cyclic development of round 0; the
     constructor refuses cyclic=True on any other rounds, so the checks may
-    work from round 0 alone.
+    work from round 0 alone.  develop_rounds gives a :class:`CyclicRounds`,
+    which develops a round only when it is read; other rounds are a tuple.
     """
 
     v: int
     u: int
-    rounds: tuple[tuple[Game, ...], ...]
+    rounds: Sequence[tuple[Game, ...]]
     cyclic: bool
 
     def __post_init__(self):
@@ -128,8 +131,11 @@ def _game_from_json(g) -> Game:
     return tuple(g)
 
 
-def _development(r0, u: int):
-    """Yield round 0 shifted by j = 0, 1, ..., u - 1 over Z_u, INF staying fixed."""
+def _development(r0, u: int, shifts=None):
+    """Yield round 0 shifted by each j of shifts over Z_u, INF staying fixed.
+
+    shifts defaults to 0, 1, ..., u - 1; each j must lie in that range.
+    """
     if u < 1:
         return
     # Four-seat games of integers are shifted by a lookup in the rotated ring;
@@ -139,7 +145,7 @@ def _development(r0, u: int):
     special = [(i, g) for i, g in enumerate(r0) if not plain[i]]
     seats = [seat % u for g, p in zip(r0, plain) if p for seat in g]
     ring = list(range(u))
-    for j in range(u):
+    for j in range(u) if shifts is None else shifts:
         shifted = map((ring[j:] + ring[:j]).__getitem__, seats)  # a -> (a + j) % u
         rnd = list(zip(shifted, shifted, shifted, shifted))
         for i, g in special:
@@ -153,11 +159,54 @@ def _is_development(rounds, u: int) -> bool:
             and all(rnd == dev for rnd, dev in zip(rounds, _development(rounds[0], u))))
 
 
+class CyclicRounds(Sequence):
+    """The u rounds of a cyclic schedule, each developed from round 0 when it is read.
+
+    A read-only sequence: indexing develops one round, a slice gives a tuple of
+    rounds and iteration develops them in turn.  It compares and hashes equal
+    to the tuple of its rounds.
+    """
+
+    __slots__ = ("_r0", "_u")
+
+    def __init__(self, r0: tuple[Game, ...], u: int):
+        """r0 is round 0 as the development gives it, seats reduced modulo u."""
+        self._r0, self._u = r0, max(u, 0)
+
+    def __len__(self) -> int:
+        return self._u
+
+    def __getitem__(self, j):
+        if isinstance(j, slice):
+            return tuple(_development(self._r0, self._u, range(self._u)[j]))
+        j = range(self._u)[j]  # IndexError past either end
+        return self._r0 if j == 0 else next(_development(self._r0, self._u, (j,)))
+
+    def __iter__(self):
+        return _development(self._r0, self._u)
+
+    def __eq__(self, other):
+        if isinstance(other, CyclicRounds):
+            return self._u == other._u and (not self._u or self._r0 == other._r0)
+        if isinstance(other, tuple):
+            return len(other) == self._u and all(map(operator.eq, self, other))
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))
+
+    def __repr__(self) -> str:
+        return f"CyclicRounds({self._r0!r}, {self._u})"
+
+
 def develop_rounds(r0: tuple[Game, ...] | list[Game], u: int) -> WhistTournament:
-    """Cyclic development: round j adds j to every seat, INF staying fixed."""
+    """Cyclic development: round j adds j to every seat, INF staying fixed.
+
+    Only round 0 is built here; the rounds are a :class:`CyclicRounds`.
+    """
     r0 = tuple(tuple(g) for g in r0)
-    rounds = tuple(_development(r0, u))
     has_inf = any(INF in g for g in r0)
+    rounds = CyclicRounds(next(_development(r0, u), ()), u)
     return _trusted(WhistTournament, v=u + 1 if has_inf else u, u=u, rounds=rounds, cyclic=True)
 
 

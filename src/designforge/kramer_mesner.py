@@ -28,7 +28,9 @@ class MultiplierGroup:
     elements: tuple[int, ...]
 
     @classmethod
-    def generate(cls, v: int, generators: tuple[int, ...] | list[int]) -> "MultiplierGroup":
+    def generate(cls, v: int, generators: tuple[int, ...] | list[int], *,
+                 deadline: float | None = None) -> "MultiplierGroup":
+        """The group the generators span, checking the deadline every DEADLINE_EVERY elements."""
         gens = tuple(g % v for g in generators)
         for g in gens:
             if math.gcd(g, v) != 1:
@@ -42,6 +44,8 @@ class MultiplierGroup:
                 if y not in elements:
                     elements.add(y)
                     frontier.append(y)
+                    if len(elements) % DEADLINE_EVERY == 0:
+                        check_deadline(deadline)
         if (v - 1) % v not in elements:
             raise ValueError("multiplier group must contain -1")
         return cls(v, gens, tuple(sorted(elements)))
@@ -388,11 +392,11 @@ def km_search(v: int, generators: tuple[int, ...] | list[int], spec: PPSSpec, *,
     A spec whose excluded sets are not unions of orbits raises ValueError; one
     that fails the square-sum identity then gets None with no table read.  The
     group's :func:`option_table` is built on its first search and read after
-    that.  The deadline is checked on entry, inside each stage of a build and
-    between them, and in the solve.
+    that.  The deadline is checked on entry, while the group is generated,
+    inside each stage of a build and between them, and in the solve.
     """
     check_deadline(deadline)
-    group = MultiplierGroup.generate(v, generators)
+    group = MultiplierGroup.generate(v, generators, deadline=deadline)
     _check_excluded_sets(group, spec)
     chosen = cover_search(group, spec, _fewest_options, deadline=deadline)
     if chosen is None:

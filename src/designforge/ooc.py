@@ -12,10 +12,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations, filterfalse
+from itertools import combinations
 
 from .construct import silver_pps_p2, union_pps_pq
-from .core import BudgetExceededError, PairSet, SetKind, _trusted, infer_params, json_field
+from .core import (BudgetExceededError, PairSet, SetKind, _trusted, _unmarked, infer_params,
+                   json_field)
 from .modarith import crt_basis, mod_sqrt
 
 
@@ -91,16 +92,23 @@ def _difference_counts(n: int, blocks) -> list[int]:
 
 
 def _difference_report(code: OOCode) -> OOCReport:
-    """One pass over the differences: b - a for a < b in a codeword, and each one's n - (b - a)."""
+    """One pass of +-class marks: each b - a (a < b in a codeword) marks min(b - a, n - b + a).
+
+    The differences and their negatives are distinct exactly when every upper
+    difference marks a class of its own and, for even n, none is n/2 (which is
+    its own negative).  Only a failing code is tallied.
+    """
     n = code.n
+    h = n // 2
+    marks = bytearray(h + 1)
     upper = [b - a for cw in code.codewords for a, b in combinations(cw, 2)]
-    seen = set(upper)
-    seen.update(map(n.__sub__, upper))
+    for d in upper:
+        marks[d if d <= h else n - d] = 1
     repeated: frozenset[int] = frozenset()
-    if len(seen) < 2 * len(upper):  # some difference, or some d = n/2 with its negative, repeats
+    if marks.count(1) != len(upper) or (n % 2 == 0 and marks[h]):
         counts = _difference_counts(n, code.codewords)
         repeated = frozenset(d for d, c in enumerate(counts) if c > 1)
-    leave = frozenset(filterfalse(seen.__contains__, range(n)))
+    leave = _unmarked(marks, n)
     return OOCReport(not repeated, repeated, leave, len(leave) <= code.k * (code.k - 1))
 
 

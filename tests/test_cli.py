@@ -241,6 +241,17 @@ def test_a_modulus_too_large_for_its_pair_marks_is_refused_at_once(capsys, engin
     assert not captured.out
 
 
+def test_a_km_search_over_a_large_group_stops_at_its_budget(monkeypatch, capsys):
+    monkeypatch.setenv("DESIGNFORGE_BUDGET_SECS", "1")
+    started = time.monotonic()
+    assert main(["search", "km", "--v", "100000001", "--type", "ps",
+                 "--generators", "100000000,3"]) == 3
+    assert time.monotonic() - started < 3
+    captured = capsys.readouterr()
+    assert captured.err.strip().splitlines() == ["search aborted: search hit its deadline"]
+    assert not captured.out
+
+
 def test_a_km_search_with_no_set_and_no_budget_ends_at_once(monkeypatch, capsys):
     # APS(59, 1, 1) fails the square-sum identity; a full sign-group tree takes minutes
     monkeypatch.delenv("DESIGNFORGE_BUDGET_SECS", raising=False)

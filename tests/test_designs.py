@@ -14,6 +14,7 @@ from designforge.core import PairSet
 from designforge.designs import (
     INF,
     CheckResult,
+    CyclicRounds,
     DifferenceMatrix,
     WhistTournament,
     cdm_from_round,
@@ -246,6 +247,59 @@ def test_starter_level_checks_equal_seat_level_checks(start):
     t = develop_rounds(r0, u)
     assert t.cyclic and t.rounds == _reference_development(r0, u)
     assert _verdicts(t) == _verdicts(replace(t, cyclic=False))
+
+
+APS27_ROUND = initial_round(get("aps-27-3-3").pair_set(), alpha=3)
+
+
+def test_developed_rounds_index_and_slice_like_the_tuple_of_rounds():
+    t = develop_rounds(APS27_ROUND, 27)
+    ref = _reference_development(APS27_ROUND, 27)
+    assert isinstance(t.rounds, CyclicRounds) and len(t.rounds) == 27
+    for j in range(-27, 27):
+        assert t.rounds[j] == ref[j]
+    for j in (27, 28, -28, -100):
+        with pytest.raises(IndexError):
+            t.rounds[j]
+    for cut in (slice(None), slice(3, 20, 4), slice(None, None, -1), slice(-5, None),
+                slice(20, 3, -3), slice(-30, 5, 2), slice(30, 40), slice(5, 5)):
+        got = t.rounds[cut]
+        assert type(got) is tuple and got == ref[cut]
+    assert tuple(t.rounds) == ref and list(t.rounds) == list(ref)
+    assert [rnd for rnd in t.rounds] == list(ref)
+    with pytest.raises(TypeError):
+        t.rounds[0] = ref[1]
+
+
+def test_developed_rounds_compare_and_hash_as_the_tuple_of_rounds():
+    t = develop_rounds(APS27_ROUND, 27)
+    ref = _reference_development(APS27_ROUND, 27)
+    assert t.rounds == ref and ref == t.rounds
+    assert not t.rounds != ref and not ref != t.rounds
+    assert hash(t.rounds) == hash(ref)
+    for other in (ref[:-1], ref[:-1] + ref[:1], ref[1:] + ref[:1]):
+        assert t.rounds != other and other != t.rounds
+    assert t.rounds != list(ref)  # a tuple is unequal to a list of the same rounds
+    assert t.rounds == develop_rounds(list(APS27_ROUND), 27).rounds
+    assert t.rounds != develop_rounds(APS27_ROUND[1:], 27).rounds
+    assert t.rounds != develop_rounds(APS27_ROUND, 26).rounds
+    assert develop_rounds(APS27_ROUND, 0).rounds == () == develop_rounds((), 0).rounds
+
+
+def test_developed_rounds_reduce_the_seats_of_round_0():
+    unreduced = tuple(tuple(seat if seat == INF else seat + 27 * (1 - 2 * (seat % 2))
+                            for seat in g) for g in APS27_ROUND)
+    t = develop_rounds(unreduced, 27)
+    assert t.rounds[0] == APS27_ROUND and t.rounds == develop_rounds(APS27_ROUND, 27).rounds
+
+
+def test_a_developed_tournament_equals_its_json_round_trip():
+    for r0, u in ((APS27_ROUND, 27), (initial_round(PS13), 13)):
+        t = develop_rounds(r0, u)
+        back = WhistTournament.from_json(t.to_json())
+        assert type(back.rounds) is tuple and back.cyclic
+        assert develop_rounds(r0, u) == back and back == t
+        assert hash(t) == hash(back)
 
 
 def test_cyclic_flag_cannot_be_forged():

@@ -388,6 +388,19 @@ def test_km_search_checks_its_deadline_before_the_costly_stages(monkeypatch):
     assert ran == ["orbits"]  # the deadline passed inside the build, not before it
 
 
+def test_generating_a_large_group_checks_the_deadline():
+    # <-1, 3> modulo 10**8 + 1 has millions of elements; orbits would refuse the
+    # modulus only once the group is enumerated
+    v = 100000001
+    started = time.monotonic()
+    with pytest.raises(BudgetExceededError):
+        km_search(v, (v - 1, 3), PPSSpec.ps(v), deadline=started + 0.05)
+    assert time.monotonic() - started < 1
+    with pytest.raises(BudgetExceededError):
+        MultiplierGroup.generate(v, (v - 1, 3), deadline=time.monotonic() + 0.05)
+    assert MultiplierGroup.generate(27, [26], deadline=time.monotonic() - 1).elements == (1, 26)
+
+
 def test_orbits_and_build_system_check_their_deadlines():
     spec = PPSSpec.aps(651, 217, 217)
     started = time.monotonic()

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import functools
 import math
 from collections import Counter
 
@@ -9,7 +10,8 @@ from hypothesis import strategies as st
 
 from designforge import ooc
 from designforge.catalog import get
-from designforge.construct import aps_with_params, silver_aps, silver_pps_p2, union_pps_pq
+from designforge.construct import (aps_with_params, ps_product, silver_aps, silver_pps_p2,
+                                   union_pps_pq)
 from designforge.core import BudgetExceededError, PairSet, scale_set
 from designforge.modarith import mod_sqrt
 from designforge.ooc import (
@@ -249,6 +251,86 @@ def test_verify_ooc_agrees_with_reference(data):
     repeated = frozenset(d for d, c in diffs.items() if c > 1)
     assert verify_ooc(code) == OOCReport(not repeated, repeated, leave,
                                          len(leave) <= k * (k - 1))
+
+
+def _reference_report(code: OOCode) -> OOCReport:
+    """The report read off the full tally of differences."""
+    counts = ooc._difference_counts(code.n, code.codewords)
+    repeated = frozenset(d for d, c in enumerate(counts) if c > 1)
+    leave = frozenset(d for d, c in enumerate(counts) if c == 0)
+    return OOCReport(not repeated, repeated, leave, len(leave) <= code.k * (code.k - 1))
+
+
+@functools.cache
+def _large_codes() -> tuple[OOCode, ...]:
+    """Pair-template and 45v codes from n = 665 to n = 77,805, built once."""
+    ps1729 = ps_product(PS13, get("ps-133").pair_set())[0]
+    return (ooc_from_pairs(get("ps-133").pair_set(), 5),  # n = 665
+            ooc_from_pairs(get("aps-275-110").pair_set(), 4),  # n = 825
+            maximal_ooc_p2(47, 5),  # n = 11,045
+            maximal_ooc_pq(191, 127, silver_aps(191)[0], silver_aps(127)[0], 4),  # n = 72,771
+            ooc_45v_from_ps(ps1729))  # n = 77,805
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 4), st.sampled_from(("none", "translate", "move", "drop", "repeat")),
+       st.data())
+def test_verify_ooc_agrees_with_the_difference_tally_at_large_n(index, edit, data):
+    code = _large_codes()[index]
+    n, k = code.n, code.k
+    words = list(code.codewords)
+    i = data.draw(st.integers(0, len(words) - 1))
+    if edit == "translate":  # keeps the differences: the code stays an OOC
+        t = data.draw(st.integers(1, n - 1))
+        words[i] = tuple((x + t) % n for x in words[i])
+    elif edit == "move":  # one entry to another residue
+        j = data.draw(st.integers(0, k - 1))
+        x = data.draw(st.integers(0, n - 1).filter(lambda x: x not in words[i]))
+        words[i] = words[i][:j] + (x,) + words[i][j + 1:]
+    elif edit == "drop":
+        del words[i]
+    elif edit == "repeat":
+        words.insert(i, words[i])
+    edited = OOCode(n, k, tuple(words))
+    report = verify_ooc(edited)
+    assert report == _reference_report(edited)
+    if edit in ("none", "translate", "drop"):
+        assert report.differences_distinct
+    elif edit == "repeat":
+        assert report.repeated
+
+
+def _even_codes(m: int) -> dict[str, OOCode]:
+    """Hand-built codes of even length n = 2m, m >= 10; a difference of m is its own negative."""
+    n = 2 * m
+    return {
+        "distinct": OOCode(n, 3, ((0, 1, 3), (0, 4, 9))),
+        "only n/2": OOCode(n, 3, ((0, 1, 3), (0, 4, 4 + m))),
+        "only n/2, k = 2": OOCode(n, 2, ((5, 5 + m),)),
+        "n/2 and a repeat": OOCode(n, 3, ((0, 1, 3), (0, 1, 1 + m))),
+    }
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(10, 40_000), st.sampled_from(sorted(_even_codes(10))), st.data())
+def test_verify_ooc_agrees_with_the_difference_tally_at_even_n(m, name, data):
+    code = _even_codes(m)[name]
+    t = data.draw(st.integers(0, code.n - 1))
+    code = OOCode(code.n, code.k, tuple(tuple(x + t for x in cw) for cw in code.codewords))
+    report = verify_ooc(code)
+    assert report == _reference_report(code)
+    assert report.differences_distinct == (name == "distinct")
+
+
+@pytest.mark.parametrize("m", [1, 2, 10, 36_386])
+def test_a_difference_of_n_over_2_alone_repeats(m):
+    # d = n/2 equals its own negative, so it repeats though no two upper differences agree
+    code = OOCode(2 * m, 2, ((0, m),))
+    assert verify_ooc(code) == OOCReport(False, frozenset({m}),
+                                         frozenset(range(2 * m)) - {m}, 2 * m - 1 <= 2)
+    if m >= 10:
+        report = verify_ooc(_even_codes(m)["only n/2"])
+        assert not report.differences_distinct and report.repeated == {m}
 
 
 @settings(max_examples=100, deadline=None)
