@@ -516,20 +516,25 @@ def exhaustive_search(spec: PPSSpec, *, force: bool = False,
                       deadline: float | None = None) -> PairSet | None:
     """Backtracking oracle: the lexicographically first valid pair set, or None.
 
-    The sign group's :func:`~designforge.kramer_mesner.cover_search`, whose options
-    are the class pairs (a, b), a < b, in lexicographic order.  It branches on the
-    lowest open row: the smallest uncovered element class, and once none is left,
-    every sum/difference class is covered too.  Unless forced, it first refuses
-    more than EXHAUSTIVE_MAX_PAIRS pairs over v > EXHAUSTIVE_MAX_V.  Then it checks
-    the deadline, and cover_search checks it as it goes; a spec that fails
-    :func:`square_sums_agree` gets None there, with no table read or built.
+    The sign group's :func:`~designforge.kramer_mesner.solve_binary` on its
+    :func:`~designforge.kramer_mesner.build_system`, whose options are the class
+    pairs (a, b), a < b, in lexicographic order.  It branches on the lowest open
+    row: the smallest uncovered element class, and once none is left, every
+    sum/difference class is covered too.  Unless forced, it first refuses more
+    than EXHAUSTIVE_MAX_PAIRS pairs over v > EXHAUSTIVE_MAX_V.  Then it checks
+    the deadline, and a spec that fails :func:`square_sums_agree` gets None with
+    no group generated and no table read or built; the build and the solve
+    check the deadline as they go.
     """
-    from .kramer_mesner import MultiplierGroup, cover_search  # imports core
+    from .kramer_mesner import MultiplierGroup, build_system, solve_binary  # imports core
     v = spec.v
     if not force and spec.pair_count > EXHAUSTIVE_MAX_PAIRS and v > EXHAUSTIVE_MAX_V:
         raise BudgetExceededError(
             f"search for {spec.pair_count} pairs over Z_{v} exceeds the default budget")
     check_deadline(deadline)
-    chosen = cover_search(MultiplierGroup.generate(v, (-1,)), spec,
-                          lambda items, *_: (items & -items).bit_length() - 1, deadline=deadline)
+    if not square_sums_agree(spec):
+        return None
+    system = build_system(MultiplierGroup.generate(v, (-1,)), spec, deadline=deadline)
+    chosen = solve_binary(system, lambda items, *_: (items & -items).bit_length() - 1,
+                          deadline=deadline)
     return None if chosen is None else PairSet(v, tuple(chosen))

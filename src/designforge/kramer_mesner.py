@@ -2,10 +2,14 @@
 
 A subgroup H of the units of Z_v containing -1 acts on residues and on
 unordered pairs by multiplication.  Picking whole pair orbits at once turns
-the two cover conditions into a linear system over orbit counts: one row per
-element orbit and side, one column per pair orbit, solved for a 0-1 vector.
-Orbit weights are well defined because the element multiplicity of an orbit
-multiset is constant along each element orbit.
+the two cover conditions into an exact cover: one row per element orbit and
+side, one option per pair orbit that hits no row twice, with the twin orbits
+{x, y} and {x, -y} counted once.  Orbit weights are well defined because the
+element multiplicity of an orbit multiset is constant along each element orbit.
+
+:func:`km_search` and ``core.exhaustive_search`` (the sign group) both run
+:func:`solve_binary` on :func:`build_system`: the group's cached
+:func:`option_table` with the spec's excluded orbits taken out.
 """
 
 from __future__ import annotations
@@ -98,10 +102,6 @@ class OrbitIndex:
     def element_reps(self) -> tuple[int, ...]:
         return tuple(o[0] for o in self.element_orbits)
 
-    @property
-    def pair_reps(self) -> tuple[tuple[int, int], ...]:
-        return tuple(o[0] for o in self.pair_orbits)
-
 
 def orbits(group: MultiplierGroup, *, deadline: float | None = None) -> OrbitIndex:
     """Element and pair orbits of the group.
@@ -138,49 +138,9 @@ def orbits(group: MultiplierGroup, *, deadline: float | None = None) -> OrbitInd
     return OrbitIndex(tuple(element_orbits), tuple(pair_orbits))
 
 
-@dataclass(frozen=True)
-class CoverSystem:
-    """The orbit-weight system M X = J, stored by column.
-
-    Rows 0..n-1 count element-side hits of each element orbit, rows n..2n-1
-    count sum/difference-side hits; J is 1 exactly on the rows whose orbit
-    lies outside the corresponding excluded set.  ``columns[c]`` lists, in
-    ascending order, the rows that pair orbit c hits, a row once per hit, so
-    M[i][c] == columns[c].count(i).  ``col_reps`` holds the pair-orbit
-    representatives.
-    """
-
-    columns: tuple[tuple[int, ...], ...]
-    j: tuple[int, ...]
-    col_reps: tuple[tuple[int, int], ...]
-
-    @property
-    def n(self) -> int:
-        return len(self.j) // 2
-
-    @property
-    def m(self) -> int:
-        return len(self.col_reps)
-
-
-def build_system(group: MultiplierGroup, spec: PPSSpec, index: OrbitIndex | None = None,
-                 *, deadline: float | None = None) -> CoverSystem:
-    """Assemble M and J for the given excluded sets.
-
-    Both excluded sets must be unions of element orbits, otherwise no orbit
-    selection can avoid them exactly.  The deadline is checked on entry, then
-    every DEADLINE_EVERY columns.
-    """
-    _check_excluded_sets(group, spec)
-    if index is None:
-        index = orbits(group, deadline=deadline)
-    j = tuple(int(rep not in a) for a in (spec.a1, spec.a2) for rep in index.element_reps)
-    return CoverSystem(tuple(_columns(group, index, deadline)), j, index.pair_reps)
-
-
 def _columns(group: MultiplierGroup, index: OrbitIndex,
              deadline: float | None) -> list[tuple[int, ...]]:
-    """Per pair orbit, the rows of M it hits, ascending, a row once per hit.
+    """Per pair orbit, the rows it hits, ascending, a row once per hit.
 
     The deadline is checked on the first column, then every DEADLINE_EVERY.
     """
@@ -249,56 +209,20 @@ def _fewest_options(open_items: int, alive: int, covered_by: list[int]) -> int:
     return item
 
 
-def _options(columns, n_rows: int, deadline: float | None) -> tuple[list[int], ...]:
-    """The kept columns and their :func:`~designforge.core.option_masks`.
-
-    A column that hits a row twice can never meet a 0-1 row.  Twin orbits {x, y}
-    and {x, -y} hit the same rows, so only the first column of a row tuple is kept.
-    The deadline is checked as option_masks checks it.
-    """
-    first: dict[tuple[int, ...], int] = {}
-    for col, rows in enumerate(columns):
-        if len(set(rows)) == len(rows):
-            first.setdefault(rows, col)
-    return (list(first.values()),) + option_masks(list(first), n_rows, deadline=deadline)
-
-
-def solve_binary(system: CoverSystem, *, deadline: float | None = None) -> tuple[int, ...] | None:
-    """First 0-1 solution of M X = J under a fixed branching order, or None.
-
-    The kept columns (as :func:`option_table` keeps them) that hit no forbidden
-    (J=0) row go to :func:`~designforge.core.exact_cover` over the required rows.
-    It branches on the row with the fewest remaining columns, ties to the lowest
-    row, and tries columns in ascending order.  The deadline is checked while the
-    options are built, then on the first node and every DEADLINE_EVERY nodes.
-    """
-    kept, cover, clash, covered_by = _options(system.columns, len(system.j), deadline)
-    alive = (1 << len(cover)) - 1
-    for row, ji in enumerate(system.j):
-        if not ji:
-            alive &= ~covered_by[row]
-    required = sum(ji << i for i, ji in enumerate(system.j))
-    chosen = exact_cover(cover, clash, covered_by, required, alive, _fewest_options,
-                         deadline=deadline)
-    if chosen is None:
-        return None
-    selected = {kept[option] for option in chosen}
-    return tuple(int(c in selected) for c in range(system.m))
-
-
 # The option-table cache holds at most this many bits of clash masks (8 MiB);
 # a larger table is built for the call that needs it and not kept.
 OPTION_CACHE_BITS = 1 << 26
 
 
 @dataclass(frozen=True)
-class OptionTable:
-    """What both searches read of one group's system, none of it depending on a spec.
+class CoverSystem:
+    """One group's exact-cover system, with the rows a spec requires and the options it allows.
 
     ``element_reps`` are the element-orbit representatives in ascending order
     (row i and n + i are orbit i's element and sum/difference rows), ``pairs``
-    the representatives of the kept columns, and ``cover``/``clash``/``covered_by``
-    their exact-cover masks.
+    the representatives of the kept pair orbits, the options, and
+    ``cover``/``clash``/``covered_by`` their exact-cover masks.  ``required`` is
+    the mask of rows to cover and ``alive`` the mask of options in play.
     """
 
     element_reps: tuple[int, ...]
@@ -306,6 +230,12 @@ class OptionTable:
     cover: list[int]
     clash: list[int]
     covered_by: list[int]
+    required: int
+    alive: int
+
+    @property
+    def m(self) -> int:
+        return len(self.pairs)
 
     @property
     def bits(self) -> int:
@@ -313,15 +243,18 @@ class OptionTable:
         return len(self.pairs) ** 2
 
 
-_TABLES: dict[tuple[int, tuple[int, ...]], OptionTable] = {}  # by (v, elements), oldest first
+_TABLES: dict[tuple[int, tuple[int, ...]], CoverSystem] = {}  # by (v, elements), oldest first
 
 
-def option_table(group: MultiplierGroup, *, deadline: float | None = None) -> OptionTable:
-    """The group's option table, from the cache or built from its orbits' columns.
+def option_table(group: MultiplierGroup, *, deadline: float | None = None) -> CoverSystem:
+    """The group's spec-free system, from the cache or built from its orbits' columns.
 
-    A table over OPTION_CACHE_BITS is not kept; otherwise the oldest tables are
-    evicted until the total fits.  The stages check the deadline as they do
-    alone, and a build that overruns it stores nothing.
+    Every row is required and every option alive.  A column that hits a row
+    twice can never meet a 0-1 row, and twin orbits {x, y} and {x, -y} hit the
+    same rows, so only the first column of each row tuple is kept.  A table over
+    OPTION_CACHE_BITS is not kept; otherwise the oldest tables are evicted until
+    the total fits.  The stages check the deadline as they do alone, and a build
+    that overruns it stores nothing.
     """
     key = (group.v, group.elements)
     table = _TABLES.get(key)
@@ -329,9 +262,14 @@ def option_table(group: MultiplierGroup, *, deadline: float | None = None) -> Op
         return table
     index = orbits(group, deadline=deadline)
     check_deadline(deadline)
-    kept, *masks = _options(_columns(group, index, deadline), 2 * len(index.element_orbits),
-                            deadline)
-    table = OptionTable(index.element_reps, tuple(index.pair_orbits[c][0] for c in kept), *masks)
+    first: dict[tuple[int, ...], int] = {}
+    for col, rows in enumerate(_columns(group, index, deadline)):
+        if len(set(rows)) == len(rows):
+            first.setdefault(rows, col)
+    n_rows = 2 * len(index.element_orbits)
+    table = CoverSystem(index.element_reps, tuple(index.pair_orbits[c][0] for c in first.values()),
+                        *option_masks(list(first), n_rows, deadline=deadline),
+                        (1 << n_rows) - 1, (1 << len(first)) - 1)
     if table.bits <= OPTION_CACHE_BITS:
         held = table.bits + sum(cached.bits for cached in _TABLES.values())
         while held > OPTION_CACHE_BITS:
@@ -340,30 +278,43 @@ def option_table(group: MultiplierGroup, *, deadline: float | None = None) -> Op
     return table
 
 
-def cover_search(group: MultiplierGroup, spec: PPSSpec, branch, *,
-                 deadline: float | None = None) -> list[tuple[int, int]] | None:
-    """Both searches' exact cover: the :func:`option_table` pairs chosen, or None.
+def build_system(group: MultiplierGroup, spec: PPSSpec, *,
+                 deadline: float | None = None) -> CoverSystem:
+    """The group's :func:`option_table` with the spec's excluded orbits taken out.
 
-    A spec that fails :func:`~designforge.core.square_sums_agree` has no set, so it
-    gets None before any table is read or built.  Otherwise options that hit an
-    excluded orbit's row (read at its representative) are cleared, every other row
-    is required, and ``branch`` and the deadline go to ``exact_cover``.
+    Both excluded sets must be unions of element orbits, otherwise no orbit
+    selection can avoid them exactly.  The rows of an excluded orbit (read at
+    its representative) are not required, and the options that hit them are
+    cleared.  The deadline is checked before the table is read, and in a cold
+    table's build.
     """
-    if not square_sums_agree(spec):
-        return None
+    _check_excluded_sets(group, spec)
+    check_deadline(deadline)
     table = option_table(group, deadline=deadline)
     reps, covered_by = table.element_reps, table.covered_by
     n = len(reps)
-    alive, required = (1 << len(table.pairs)) - 1, (1 << 2 * n) - 1
+    alive, required = table.alive, table.required
     for side, excluded in ((0, spec.a1), (n, spec.a2)):
         for z in excluded:
             row = bisect_left(reps, z)
             if row < n and reps[row] == z:
                 alive &= ~covered_by[side + row]
                 required &= ~(1 << side + row)
-    chosen = exact_cover(table.cover, table.clash, covered_by, required, alive, branch,
-                         deadline=deadline)
-    return None if chosen is None else [table.pairs[option] for option in chosen]
+    return CoverSystem(reps, table.pairs, table.cover, table.clash, covered_by, required, alive)
+
+
+def solve_binary(system: CoverSystem, branch=_fewest_options, *,
+                 deadline: float | None = None) -> list[tuple[int, int]] | None:
+    """The pairs of the first exact cover of the system's required rows, or None.
+
+    :func:`~designforge.core.exact_cover` branches on the row ``branch`` picks,
+    by default the one with the fewest alive options, ties to the lowest row,
+    and tries options in ascending order.  It checks the deadline on the first
+    node and every DEADLINE_EVERY nodes.
+    """
+    chosen = exact_cover(system.cover, system.clash, system.covered_by, system.required,
+                         system.alive, branch, deadline=deadline)
+    return None if chosen is None else [system.pairs[option] for option in chosen]
 
 
 def develop(initial: list[tuple[int, int]] | tuple, group: MultiplierGroup) -> PairSet:
@@ -387,18 +338,20 @@ def develop(initial: list[tuple[int, int]] | tuple, group: MultiplierGroup) -> P
 
 def km_search(v: int, generators: tuple[int, ...] | list[int], spec: PPSSpec, *,
               deadline: float | None = None) -> PairSet | None:
-    """End-to-end orbit search: :func:`cover_search`, fewest options first, then develop, verify.
+    """End-to-end orbit search: :func:`solve_binary` on :func:`build_system`, then develop, verify.
 
     A spec whose excluded sets are not unions of orbits raises ValueError; one
-    that fails the square-sum identity then gets None with no table read.  The
-    group's :func:`option_table` is built on its first search and read after
-    that.  The deadline is checked on entry, while the group is generated,
-    inside each stage of a build and between them, and in the solve.
+    that fails :func:`~designforge.core.square_sums_agree` then gets None with no
+    table read.  The group's :func:`option_table` is built on its first search
+    and read after that.  The deadline is checked on entry, while the group is
+    generated, inside each stage of a build and between them, and in the solve.
     """
     check_deadline(deadline)
     group = MultiplierGroup.generate(v, generators, deadline=deadline)
-    _check_excluded_sets(group, spec)
-    chosen = cover_search(group, spec, _fewest_options, deadline=deadline)
+    if not square_sums_agree(spec):
+        _check_excluded_sets(group, spec)  # as build_system would, before the None
+        return None
+    chosen = solve_binary(build_system(group, spec, deadline=deadline), deadline=deadline)
     if chosen is None:
         return None
     result = develop(chosen, group)

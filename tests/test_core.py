@@ -559,6 +559,14 @@ def test_the_search_itself_finds_no_set_where_the_square_sum_identity_fails():
         for spec in rejected:
             assert exhaustive_search(spec, force=True) is None
         assert not kramer_mesner._TABLES  # the identity answered before any table
-        with patch.object(kramer_mesner, "square_sums_agree", lambda spec: True):
+        with patch.object(core, "square_sums_agree", lambda spec: True), \
+                patch.object(kramer_mesner, "build_system",
+                             wraps=kramer_mesner.build_system) as build, \
+                patch.object(kramer_mesner, "solve_binary",
+                             wraps=kramer_mesner.solve_binary) as solve:
             for spec in rejected:
                 assert exhaustive_search(spec, force=True) is None, spec
+        # The forced pass really searched: one build and one solve a spec, on the
+        # sign group's table of every modulus.
+        assert build.call_count == solve.call_count == len(rejected)
+        assert set(kramer_mesner._TABLES) == {(spec.v, (1, spec.v - 1)) for spec in rejected}

@@ -23,7 +23,6 @@ from designforge.core import (
     verify_pps,
 )
 from designforge.kramer_mesner import (
-    CoverSystem,
     MultiplierGroup,
     build_system,
     develop,
@@ -109,13 +108,32 @@ def _class_multisets(v, orbit):
     return u_counts, d_counts
 
 
-def _orbit_closed_spec(v, idx):
-    """A spec whose excluded sets are {0} plus at most one element orbit, or None."""
-    for extra in ((),) + idx.element_orbits[1:]:
-        if (v - 1 - len(extra)) % 4 == 0:
-            excluded = frozenset((0,) + extra)
-            return PPSSpec(v, excluded, excluded)
-    return None
+def _j(spec, index):
+    """Per row, 1 if it must be covered: its orbit lies outside the side's excluded set."""
+    return [int(rep not in a) for a in (spec.a1, spec.a2) for rep in index.element_reps]
+
+
+def _exact_cover_of(columns, j):
+    """The columns of the first 0-1 solution of M X = J, M stored by column, or None.
+
+    Every column that hits no row twice and no J = 0 row is an option, twins kept
+    apart; the branching is solve_binary's default.
+    """
+    kept = [col for col, rows in enumerate(columns)
+            if len(set(rows)) == len(rows) and all(j[i] for i in rows)]
+    cover, clash, covered_by = option_masks([columns[col] for col in kept], len(j))
+    required = sum(ji << i for i, ji in enumerate(j))
+    chosen = exact_cover(cover, clash, covered_by, required, (1 << len(kept)) - 1,
+                         kramer_mesner._fewest_options)
+    return None if chosen is None else [kept[option] for option in chosen]
+
+
+def _reference_search(group, spec):
+    """The orbit search from the raw columns, with no twin merging and no cache: the
+    chosen pair-orbit representatives, or None."""
+    index = orbits(group)
+    chosen = _exact_cover_of(kramer_mesner._columns(group, index, None), _j(spec, index))
+    return None if chosen is None else [index.pair_orbits[col][0] for col in chosen]
 
 
 @settings(max_examples=60, deadline=None)
@@ -127,36 +145,42 @@ def test_columns_tally_each_orbit_representative(data):
     extra = data.draw(st.lists(st.sampled_from(units), max_size=2), label="extra") if units else []
     g = MultiplierGroup.generate(v, [v - 1] + extra)
     idx = orbits(g)
-    spec = _orbit_closed_spec(v, idx)
-    assume(spec is not None)
-    system = build_system(g, spec, idx)
-    n = system.n
-    assert n == len(idx.element_reps) and system.m == len(idx.pair_orbits)
+    columns = kramer_mesner._columns(g, idx, None)
+    n = len(idx.element_reps)
+    assert len(columns) == len(idx.pair_orbits)
     for col, orbit in enumerate(idx.pair_orbits):
         u_counts, d_counts = _class_multisets(v, orbit)
-        assert list(system.columns[col]) == sorted(system.columns[col])
+        assert list(columns[col]) == sorted(columns[col])
+        assert all(0 <= row < 2 * n for row in columns[col])
         for i, rep in enumerate(idx.element_reps):
-            assert system.columns[col].count(i) == u_counts.get(rep, 0), (v, g.generators, col)
-            assert system.columns[col].count(n + i) == d_counts.get(rep, 0), (v, g.generators, col)
+            assert columns[col].count(i) == u_counts.get(rep, 0), (v, g.generators, col)
+            assert columns[col].count(n + i) == d_counts.get(rep, 0), (v, g.generators, col)
 
 
 def test_build_system_v5():
     g = MultiplierGroup.generate(5, [4])
+    assert tuple(o[0] for o in orbits(g).pair_orbits) == (
+        (0, 1), (0, 2), (1, 2), (1, 3), (1, 4), (2, 3))
     system = build_system(g, PPSSpec.ps(5))
-    assert system.j == (0, 1, 1, 0, 1, 1)
-    assert (system.n, system.m) == (3, 6)
-    assert system.col_reps == ((0, 1), (0, 2), (1, 2), (1, 3), (1, 4), (2, 3))
+    assert system.required == 0b110110  # J = (0, 1, 1, 0, 1, 1), row 0 the lowest bit
+    assert system.element_reps == (0, 1, 2)
+    assert (system.m, system.pairs, system.alive) == (1, ((1, 2),), 1)
 
 
 def test_build_system_27():
     g = MultiplierGroup.generate(27, [26])
     system = build_system(g, PPSSpec.aps(27, 3, 6))
-    n = system.n
     reps = orbits(g).element_reps
-    assert len(reps) == n
+    n = len(reps)
+    assert system.element_reps == reps
     for i, rep in enumerate(reps):
-        assert system.j[i] == (0 if rep in (0, 3) else 1)
-        assert system.j[n + i] == (0 if rep in (0, 6) else 1)
+        assert (system.required >> i & 1) == (0 if rep in (0, 3) else 1)
+        assert (system.required >> n + i & 1) == (0 if rep in (0, 6) else 1)
+    assert system.required < 1 << 2 * n
+    # an option is alive exactly when it covers only required rows
+    for option, rows in enumerate(system.cover):
+        assert (system.alive >> option & 1) == (rows & ~system.required == 0), option
+    assert system.alive.bit_count() < system.m == 78
 
 
 def test_build_system_orbit_closure_checks():
@@ -184,25 +208,27 @@ def test_build_system_orbit_closure_check_matches_its_definition():
                                for orbit in index.element_orbits)
                 spec = PPSSpec(v, excluded, excluded)
                 if is_union:
-                    build_system(group, spec, index)
+                    build_system(group, spec)
                 else:
                     with pytest.raises(ValueError, match="not a union of orbits"):
-                        build_system(group, spec, index)
+                        build_system(group, spec)
 
 
 def test_solve_binary_v5():
     g = MultiplierGroup.generate(5, [4])
-    system = build_system(g, PPSSpec.ps(5))
-    x = solve_binary(system)
-    assert x == (0, 0, 1, 0, 0, 0)  # the orbit of {1, 2}; no 0-containing orbit
-    for i in range(2 * system.n):
-        assert sum(system.columns[c].count(i) * x[c] for c in range(system.m)) == system.j[i]
+    spec = PPSSpec.ps(5)
+    assert solve_binary(build_system(g, spec)) == [(1, 2)]  # no 0-containing orbit
+    index = orbits(g)
+    columns = kramer_mesner._columns(g, index, None)
+    chosen = [col for col, orbit in enumerate(index.pair_orbits) if (1, 2) in orbit]
+    for i, ji in enumerate(_j(spec, index)):
+        assert sum(columns[c].count(i) for c in chosen) == ji
 
 
 def test_solve_binary_infeasible_row():
-    columns = ((0,), ())  # second row required but uncoverable
-    system = CoverSystem(columns, (1, 1), ((1, 2), (1, 3)))
-    assert solve_binary(system) is None
+    cover, clash, covered_by = option_masks([(0,), ()], 2)  # row 1 required, uncoverable
+    assert exact_cover(cover, clash, covered_by, 0b11, 0b11, kramer_mesner._fewest_options) is None
+    assert _exact_cover_of([(0,), ()], [1, 1]) is None
 
 
 def test_solve_binary_matches_bruteforce_on_random_systems():
@@ -214,11 +240,10 @@ def test_solve_binary_matches_bruteforce_on_random_systems():
         matrix = tuple(tuple(rng.choice([0, 0, 0, 1, 1, 2]) for _ in range(cols))
                        for _ in range(2 * rows))
         j = tuple(rng.choice([0, 1]) for _ in range(2 * rows))
-        reps = tuple((c + 1, c + 2) for c in range(cols))
         columns = tuple(tuple(i for i in range(2 * rows) for _ in range(matrix[i][c]))
                         for c in range(cols))  # weight 2 is a repeated row
-        system = CoverSystem(columns, j, reps)
-        got = solve_binary(system)
+        chosen = _exact_cover_of(columns, j)
+        got = None if chosen is None else tuple(int(c in chosen) for c in range(cols))
         solutions = []
         for selection in itertools.product([0, 1], repeat=cols):
             if all(sum(matrix[i][c] * selection[c] for c in range(cols)) == j[i]
@@ -228,22 +253,6 @@ def test_solve_binary_matches_bruteforce_on_random_systems():
             assert not solutions, (trial, solutions)
         else:
             assert got in solutions, trial
-
-
-def _unmerged_solve_binary(system):
-    """solve_binary as it was before twin columns were merged: every column that hits
-    no J=0 row and no row twice is an option, twins included."""
-    allowed = {i for i, ji in enumerate(system.j) if ji}
-    kept = [col for col, rows in enumerate(system.columns)
-            if len(set(rows)) == len(rows) and allowed.issuperset(rows)]
-    cover, clash, covered_by = option_masks([system.columns[col] for col in kept], len(system.j))
-    required = sum(ji << i for i, ji in enumerate(system.j))
-    chosen = exact_cover(cover, clash, covered_by, required, (1 << len(kept)) - 1,
-                         kramer_mesner._fewest_options)
-    if chosen is None:
-        return None
-    selected = {kept[option] for option in chosen}
-    return tuple(int(c in selected) for c in range(system.m))
 
 
 @settings(max_examples=150, deadline=None)
@@ -265,8 +274,10 @@ def test_solve_binary_with_twins_merged_matches_the_unmerged_search(data):
         if len(a2) + len(orbit) <= len(a1):
             a2 |= set(orbit)
     assume(len(a2) == len(a1))
-    system = build_system(group, PPSSpec(v, frozenset(a1), frozenset(a2)), idx)
-    assert solve_binary(system) == _unmerged_solve_binary(system)
+    spec = PPSSpec(v, frozenset(a1), frozenset(a2))
+    merged, unmerged = solve_binary(build_system(group, spec)), _reference_search(group, spec)
+    assert (merged is None) == (unmerged is None)
+    assert merged is None or sorted(merged) == sorted(unmerged)
 
 
 def test_sign_group_options_are_the_class_pairs_in_lexicographic_order(monkeypatch):
@@ -337,6 +348,14 @@ def test_km_search_217_with_suggested_group():
     assert verify_pps(found, PPSSpec.ps(217)).valid
 
 
+PS133_PINNED = [(1, 2), (3, 28), (4, 20), (5, 40), (6, 45), (7, 64), (9, 51), (10, 57),
+                (14, 32), (16, 65), (17, 27)]
+# per modulus: the kept options of the group's system, and the pinned solution's pairs
+PINNED = {13: (15, [(1, 5), (2, 3), (4, 6)]),
+          27: (78, [(1, 4), (2, 12), (5, 13), (6, 10), (7, 8), (9, 11)]),
+          133: (672, PS133_PINNED)}
+
+
 @pytest.mark.parametrize("v, generators, spec, m, support", [
     (13, [12], PPSSpec.ps(13), 42, (9, 17, 34)),
     (27, [26], PPSSpec.aps(27, 3, 6), 182, (15, 47, 108, 121, 133, 158)),
@@ -344,10 +363,16 @@ def test_km_search_217_with_suggested_group():
      (22, 294, 404, 530, 638, 751, 916, 998, 1055, 1202, 1235)),
 ])
 def test_solve_binary_pinned_solutions(v, generators, spec, m, support):
-    """The first solution under fewest-candidates branching, ties to the lowest row."""
-    system = build_system(MultiplierGroup.generate(v, generators), spec)
-    assert system.m == m
-    assert solve_binary(system) == tuple(int(c in support) for c in range(m))
+    """The first solution under fewest-candidates branching, ties to the lowest row: the
+    pair orbits at ``support`` among the m pair orbits."""
+    group = MultiplierGroup.generate(v, generators)
+    pair_orbits = orbits(group).pair_orbits
+    kept, pairs = PINNED[v]
+    assert len(pair_orbits) == m
+    assert sorted(pair_orbits[col][0] for col in support) == pairs
+    system = build_system(group, spec)
+    assert system.m == kept
+    assert sorted(solve_binary(system)) == sorted(_reference_search(group, spec)) == pairs
 
 
 @settings(max_examples=60, deadline=None)
@@ -409,20 +434,21 @@ def test_orbits_and_build_system_check_their_deadlines():
     assert time.monotonic() - started < 0.2
 
     g = MultiplierGroup.generate(27, [26])
-    index = orbits(g)
     with pytest.raises(BudgetExceededError):
         orbits(g, deadline=time.monotonic() - 1)
-    with pytest.raises(BudgetExceededError):
-        build_system(g, PPSSpec.aps(27, 3, 6), index, deadline=time.monotonic() - 1)
+    for cached in ({}, {(27, g.elements): kramer_mesner.option_table(g)}):  # cold, then warm
+        with patch.dict(kramer_mesner._TABLES, cached, clear=True):
+            with pytest.raises(BudgetExceededError):
+                build_system(g, PPSSpec.aps(27, 3, 6), deadline=time.monotonic() - 1)
+            assert list(kramer_mesner._TABLES) == list(cached)
 
 
 def test_every_stage_reports_a_deadline_overrun_the_same_way(monkeypatch):
     monkeypatch.setattr(kramer_mesner, "_TABLES", {})  # a cached table checks no deadline
     g = MultiplierGroup.generate(27, [26])
-    index = orbits(g)
     stages = [
         lambda deadline: orbits(g, deadline=deadline),
-        lambda deadline: build_system(g, PPSSpec.aps(27, 3, 6), index, deadline=deadline),
+        lambda deadline: build_system(g, PPSSpec.aps(27, 3, 6), deadline=deadline),
         lambda deadline: kramer_mesner.option_table(g, deadline=deadline),
         lambda deadline: exact_cover([1], [1], [1], 1, 1, lambda *_: 0, deadline=deadline),
         lambda deadline: exhaustive_search(PPSSpec.ps(13), deadline=deadline),
@@ -439,10 +465,12 @@ def test_every_stage_reports_a_deadline_overrun_the_same_way(monkeypatch):
 def test_option_masks_checks_its_deadline_between_clash_masks(monkeypatch):
     # the 10,100 sign-group columns at v = 201; at v = 601 the 44,850 kept options'
     # clash masks take ~250 MB
-    system = build_system(MultiplierGroup.generate(201, (-1,)), PPSSpec.ps(201))
-    members = list(system.columns)
+    group = MultiplierGroup.generate(201, (-1,))
+    index = orbits(group)
+    members = kramer_mesner._columns(group, index, None)
+    n_rows = 2 * len(index.element_orbits)
     with pytest.raises(BudgetExceededError):
-        option_masks(members, len(system.j), deadline=time.monotonic() - 1)
+        option_masks(members, n_rows, deadline=time.monotonic() - 1)
 
     checks = []
 
@@ -453,16 +481,8 @@ def test_option_masks_checks_its_deadline_between_clash_masks(monkeypatch):
 
     monkeypatch.setattr(core, "check_deadline", third_check_overruns)
     with pytest.raises(BudgetExceededError):  # raised by the check before option 2048
-        option_masks(members, len(system.j), deadline=time.monotonic() + 60)
+        option_masks(members, n_rows, deadline=time.monotonic() + 60)
     assert len(checks) == 3
-
-
-def _staged_km_search(group, spec):
-    """km_search rebuilt from the public stages, with no option-table cache."""
-    system = build_system(group, spec)
-    x = solve_binary(system)
-    return None if x is None else develop(
-        [rep for rep, chosen in zip(system.col_reps, x) if chosen], group)
 
 
 @settings(max_examples=80, deadline=None)
@@ -487,7 +507,8 @@ def test_km_search_from_a_cold_or_warm_table_equals_the_staged_search(data):
     # the sign group alone past v = 35 takes minutes; there the identity's own "none"
     # is checked against exhaustive_search in test_core.
     staged = agree or v <= 35 or len(group.elements) > 2
-    expected = _staged_km_search(group, spec) if staged else None
+    chosen = _reference_search(group, spec) if staged else None
+    expected = None if chosen is None else develop(chosen, group)
     assert agree or expected is None
     with patch.dict(kramer_mesner._TABLES, clear=True):
         assert km_search(v, [v - 1, g], spec) == expected  # cold: builds the table if agree
@@ -516,17 +537,18 @@ def test_km_search_from_a_cold_or_warm_table_equals_the_staged_search(data):
 
 def test_a_warm_km_search_runs_no_build_stage(monkeypatch):
     calls = []
-    for stage in ("orbits", "_columns", "_options", "build_system"):
+    for stage in ("orbits", "_columns", "build_system", "solve_binary"):
         real = getattr(kramer_mesner, stage)
         monkeypatch.setattr(kramer_mesner, stage,
                             lambda *a, _real=real, _stage=stage, **k: calls.append(_stage)
                             or _real(*a, **k))
     monkeypatch.setattr(kramer_mesner, "_TABLES", {})
     cold = km_search(27, [26], PPSSpec.aps(27, 3, 6))
-    assert calls == ["orbits", "_columns", "_options"]  # one build, and no build_system
+    search = ["build_system", "solve_binary"]
+    assert calls == ["build_system", "orbits", "_columns", "solve_binary"]  # one build
     assert km_search(27, [26], PPSSpec.aps(27, 3, 6)) == cold
     assert exhaustive_search(PPSSpec.aps(27, 3, 6)) is not None  # the same sign group
-    assert calls == ["orbits", "_columns", "_options"]
+    assert calls == ["build_system", "orbits", "_columns", "solve_binary"] + search * 2
     assert list(kramer_mesner._TABLES) == [(27, (1, 26))]
 
 
@@ -563,11 +585,7 @@ def test_a_table_over_the_cap_is_used_and_not_stored(monkeypatch):
     bits = kramer_mesner.option_table(group).bits
     monkeypatch.setattr(kramer_mesner, "_TABLES", {})
     monkeypatch.setattr(kramer_mesner, "OPTION_CACHE_BITS", bits - 1)
-    system = build_system(group, PPSSpec.ps(133))
-    # the support pinned in test_solve_binary_pinned_solutions
-    support = (22, 294, 404, 530, 638, 751, 916, 998, 1055, 1202, 1235)
-    assert km_search(133, [122], PPSSpec.ps(133)) == develop(
-        [system.col_reps[c] for c in support], group)
+    assert km_search(133, [122], PPSSpec.ps(133)) == develop(PS133_PINNED, group)
     assert kramer_mesner._TABLES == {}
 
 
