@@ -3,9 +3,9 @@
 A subgroup H of the units of Z_v containing -1 acts on residues and on
 unordered pairs by multiplication.  Picking whole pair orbits at once turns
 the two cover conditions into an exact cover: one row per element orbit and
-side, one option per pair orbit that hits no row twice, with the twin orbits
-{x, y} and {x, -y} counted once.  Orbit weights are well defined because the
-element multiplicity of an orbit multiset is constant along each element orbit.
+side, one option per twin class (the orbits of {x, y} and {x, -y}) that hits
+no row twice.  Orbit weights are well defined because the element
+multiplicity of an orbit multiset is constant along each element orbit.
 
 :func:`km_search` and ``core.exhaustive_search`` (the sign group) both run
 :func:`solve_binary` on :func:`build_system`: the group's cached
@@ -93,7 +93,7 @@ def suggest_multiplier(v: int) -> int:
 
 @dataclass(frozen=True)
 class OrbitIndex:
-    """Element and pair orbits of a multiplier group, with canonical reps."""
+    """Element orbits and, per twin class, one pair orbit (see :func:`orbits`), with reps."""
 
     element_orbits: tuple[tuple[int, ...], ...]
     pair_orbits: tuple[tuple[tuple[int, int], ...], ...]
@@ -103,18 +103,26 @@ class OrbitIndex:
         return tuple(o[0] for o in self.element_orbits)
 
 
-def orbits(group: MultiplierGroup, *, deadline: float | None = None) -> OrbitIndex:
-    """Element and pair orbits of the group.
+def _class_pair_marks(v: int) -> bytearray:
+    """Zeroed marks of the +-class pairs (c, d) of Z_v at c * (v//2 + 1) + d, if they fit."""
+    size = (v // 2 + 1) ** 2
+    try:
+        return bytearray(size)
+    except (MemoryError, OverflowError):
+        raise BudgetExceededError(f"the pair orbits of Z_{v} need {size} bytes") from None
 
-    A modulus too large for the v * v pair marks is refused before any O(v) work.
-    The deadline is checked on entry, then every DEADLINE_EVERY pair orbits.
+
+def orbits(group: MultiplierGroup, *, deadline: float | None = None) -> OrbitIndex:
+    """Element orbits, and the orbit of the least pair of each twin class {x, +-y}.
+
+    The orbit of each +-class pair 1 <= c < d <= v//2 still unmarked in lexicographic order
+    is listed and marks its twin class; pairs with 0 or y = -x hit a row twice and are never
+    listed.  A modulus too large for the marks is refused before any O(v) work; the
+    deadline is checked on entry, then every DEADLINE_EVERY pair orbits.
     """
     check_deadline(deadline)
     v, els = group.v, group.elements
-    try:
-        seen = bytearray(v * v)  # seen[a * v + b] marks the pair (a, b), a < b
-    except (MemoryError, OverflowError):
-        raise BudgetExceededError(f"the pair orbits of Z_{v} need {v * v} bytes") from None
+    marks, w = _class_pair_marks(v), v // 2 + 1
     seen_element = bytearray(v)
     element_orbits = []
     for x in range(v):
@@ -125,25 +133,26 @@ def orbits(group: MultiplierGroup, *, deadline: float | None = None) -> OrbitInd
             seen_element[z] = 1
         element_orbits.append(tuple(orb))
     pair_orbits = []
-    for x in range(v):
-        for y in range(x + 1, v):
-            if seen[x * v + y]:
+    for c in range(1, w):
+        for d in range(c + 1, w):
+            if marks[c * w + d]:
                 continue
             if len(pair_orbits) % DEADLINE_EVERY == 0:
                 check_deadline(deadline)
-            orb = sorted({tuple(sorted((x * h % v, y * h % v))) for h in els})
-            for a, b in orb:
-                seen[a * v + b] = 1
-            pair_orbits.append(tuple(orb))
+            orb = set()
+            for h in els:
+                x, y = c * h % v, d * h % v
+                orb.add((x, y) if x < y else (y, x))
+                x, y = (x if x + x < v else v - x), (y if y + y < v else v - y)
+                marks[x * w + y if x < y else y * w + x] = 1
+            pair_orbits.append(tuple(sorted(orb)))
     return OrbitIndex(tuple(element_orbits), tuple(pair_orbits))
 
 
 def _columns(group: MultiplierGroup, index: OrbitIndex,
              deadline: float | None) -> list[tuple[int, ...]]:
-    """Per pair orbit, the rows it hits, ascending, a row once per hit.
-
-    The deadline is checked on the first column, then every DEADLINE_EVERY.
-    """
+    """Per pair orbit of :func:`orbits`, none self-negating, the rows it hits, ascending, a
+    row once per hit; the deadline is checked on the first column, then every DEADLINE_EVERY."""
     v = group.v
     reps = index.element_reps
     n = len(reps)
@@ -154,31 +163,21 @@ def _columns(group: MultiplierGroup, index: OrbitIndex,
     for i, rep in enumerate(reps):
         u_row[rep] = i
     d_row = [-1 if row < 0 else n + row for row in u_row]
-    # A selected orbit enters the final set through one member of each
-    # negation class {B, -B}, contributing +-{x, y} and +-{x+y, x-y}.  As -1
-    # is in the group, the orbit holds both B and -B, and each pair (x, y),
-    # x < y, adds its half: x, y, x + y and the one difference whose sign
-    # flips between B and -B.  In a self-negating orbit each class is a single
-    # pair B = -B that double-hits its own cells, so such columns can never
-    # satisfy a 0-1 row.
+    # A selected orbit enters the final set through one member of each negation
+    # class {B, -B}, B != -B, contributing +-{x, y} and +-{x+y, x-y}.  As -1 is in
+    # the group, the orbit holds both B and -B, and each pair (x, y), x < y, adds
+    # its half: x, y, x + y and the difference whose sign flips between B and -B.
     columns = []
     for col, orb in enumerate(index.pair_orbits):
         if col % DEADLINE_EVERY == 0:
             check_deadline(deadline)
         hits: list[int] = []
-        x, y = orb[0]
-        if sorted(((-x) % v, (-y) % v)) == [x, y]:
-            for x, y in orb:
-                hits += (u_row[x], u_row[y], u_row[(-x) % v], u_row[(-y) % v],
-                         d_row[(x + y) % v], d_row[(x - y) % v],
-                         d_row[(-x - y) % v], d_row[(y - x) % v])
-        else:
-            for x, y in orb:
-                s = x + y
-                if s < v:
-                    hits += (u_row[x], u_row[y], d_row[s], d_row[y - x])
-                else:
-                    hits += (u_row[x], u_row[y], d_row[s - v], d_row[v + x - y])
+        for x, y in orb:
+            s = x + y
+            if s < v:
+                hits += (u_row[x], u_row[y], d_row[s], d_row[y - x])
+            else:
+                hits += (u_row[x], u_row[y], d_row[s - v], d_row[v + x - y])
         hits.sort()
         columns.append(tuple(hits[hits.count(-1):]))
     return columns
@@ -250,8 +249,8 @@ def option_table(group: MultiplierGroup, *, deadline: float | None = None) -> Co
     """The group's spec-free system, from the cache or built from its orbits' columns.
 
     Every row is required and every option alive.  A column that hits a row
-    twice can never meet a 0-1 row, and twin orbits {x, y} and {x, -y} hit the
-    same rows, so only the first column of each row tuple is kept.  A table over
+    twice can never meet a 0-1 row, and distinct twin classes can hit the same
+    rows, so only the first column of each row tuple is kept.  A table over
     OPTION_CACHE_BITS is not kept; otherwise the oldest tables are evicted until
     the total fits.  The stages check the deadline as they do alone, and a build
     that overruns it stores nothing.
@@ -347,6 +346,7 @@ def km_search(v: int, generators: tuple[int, ...] | list[int], spec: PPSSpec, *,
     generated, inside each stage of a build and between them, and in the solve.
     """
     check_deadline(deadline)
+    _class_pair_marks(v)  # a modulus too large for orbits is refused before its group
     group = MultiplierGroup.generate(v, generators, deadline=deadline)
     if not square_sums_agree(spec):
         _check_excluded_sets(group, spec)  # as build_system would, before the None

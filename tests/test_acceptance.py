@@ -41,6 +41,7 @@ from designforge.ooc import (
     verify_ooc,
     verify_sdf,
 )
+from test_kramer_mesner import _all_pair_orbits, _class_multisets
 
 PAIR_SET_ENTRIES = ("ps-13", "aps-27-3-6", "aps-27-3-3", "ps-133",
                     "aps-651-217", "aps-243-18", "aps-255-85", "aps-275-110")
@@ -299,10 +300,9 @@ def test_criterion_9_randomized_properties():
         units = [x for x in range(2, v - 1) if math.gcd(x, v) == 1]
         gens = [v - 1] + ([rng.choice(units)] if units else [])
         group = MultiplierGroup.generate(v, gens)
-        index = orbits(group)
-        for col in rng.sample(range(len(index.pair_orbits)),
-                              min(8, len(index.pair_orbits))):
-            u_counts, d_counts = _class_multisets(v, index.pair_orbits[col])
+        index, every = orbits(group), _all_pair_orbits(group)
+        for col in rng.sample(range(len(every)), min(8, len(every))):
+            u_counts, d_counts = _class_multisets(v, every[col])
             for orbit in index.element_orbits:
                 assert len({u_counts.get(z, 0) for z in orbit}) == 1
                 assert len({d_counts.get(z, 0) for z in orbit}) == 1
@@ -312,20 +312,3 @@ def test_criterion_9_randomized_properties():
             f"{scaled} scalings, {negated} negations, {permuted} reorderings "
             f"stayed valid; {corrupted} corruptions caught; 50 orbit systems "
             f"weight-consistent")
-
-
-def _class_multisets(v, orbit):
-    u_counts: dict[int, int] = {}
-    d_counts: dict[int, int] = {}
-    done = set()
-    for x, y in orbit:
-        if (x, y) in done:
-            continue
-        done.add((x, y))
-        done.add(tuple(sorted(((-x) % v, (-y) % v))))
-        for z in (x, y, (-x) % v, (-y) % v):
-            u_counts[z] = u_counts.get(z, 0) + 1
-        s, d = (x + y) % v, (x - y) % v
-        for z in (s, d, (-s) % v, (-d) % v):
-            d_counts[z] = d_counts.get(z, 0) + 1
-    return u_counts, d_counts

@@ -229,9 +229,12 @@ def test_budget_env_must_be_a_number(monkeypatch, capsys, budget):
     assert repr(budget) in lines[0] and not captured.out
 
 
-@pytest.mark.parametrize("engine", [["km", "--generators", "100000000"], ["exhaustive", "--force"]])
-def test_a_modulus_too_large_for_its_pair_marks_is_refused_at_once(capsys, engine):
-    # v**2 = 10**16 bytes of pair marks exceed any 64-bit user address space
+@pytest.mark.parametrize("engine", [["km", "--generators", "100000000"], ["exhaustive", "--force"],
+                                    ["km", "--generators", "100000000,3"]])
+def test_a_modulus_too_large_for_its_pair_marks_is_refused_at_once(monkeypatch, capsys, engine):
+    # (v//2 + 1)**2 ~ 2.5 * 10**15 bytes of pair marks exceed any 64-bit user address
+    # space; km refuses the modulus before it generates <-1, 3>, with its millions of elements
+    monkeypatch.delenv("DESIGNFORGE_BUDGET_SECS", raising=False)
     started = time.monotonic()
     assert main(["search", engine[0], "--v", "100000001", "--type", "ps", *engine[1:]]) == 3
     assert time.monotonic() - started < 1
@@ -242,13 +245,16 @@ def test_a_modulus_too_large_for_its_pair_marks_is_refused_at_once(capsys, engin
 
 
 def test_a_km_search_over_a_large_group_stops_at_its_budget(monkeypatch, capsys):
+    # the modulus is refused for its pair marks before the group is generated, well
+    # within the budget
     monkeypatch.setenv("DESIGNFORGE_BUDGET_SECS", "1")
     started = time.monotonic()
     assert main(["search", "km", "--v", "100000001", "--type", "ps",
                  "--generators", "100000000,3"]) == 3
-    assert time.monotonic() - started < 3
+    assert time.monotonic() - started < 1
     captured = capsys.readouterr()
-    assert captured.err.strip().splitlines() == ["search aborted: search hit its deadline"]
+    assert captured.err.strip().splitlines() == [
+        "search aborted: the pair orbits of Z_100000001 need 2500000100000001 bytes"]
     assert not captured.out
 
 

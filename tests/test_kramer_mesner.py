@@ -57,7 +57,7 @@ def test_orbits_small():
     g = MultiplierGroup.generate(5, [4])
     idx = orbits(g)
     assert idx.element_orbits == ((0,), (1, 4), (2, 3))
-    assert len(idx.pair_orbits) == 6
+    assert idx.pair_orbits == (((1, 2), (3, 4)),)  # one twin class of the 6 pair orbits
     assert idx.element_reps == (0, 1, 2)
 
 
@@ -75,10 +75,9 @@ def test_weight_well_definedness_random_groups():
         units = [x for x in range(2, v - 1) if _coprime(x, v)]
         g = MultiplierGroup.generate(v, [v - 1] + ([rng.choice(units)] if units else []))
         idx = orbits(g)
-        sample = rng.sample(range(len(idx.pair_orbits)),
-                            min(12, len(idx.pair_orbits)))
-        for col in sample:
-            u_counts, d_counts = _class_multisets(v, idx.pair_orbits[col])
+        every = _all_pair_orbits(g)
+        for col in rng.sample(range(len(every)), min(12, len(every))):
+            u_counts, d_counts = _class_multisets(v, every[col])
             for orbit in idx.element_orbits:
                 u_vals = {u_counts.get(z, 0) for z in orbit}
                 d_vals = {d_counts.get(z, 0) for z in orbit}
@@ -108,6 +107,45 @@ def _class_multisets(v, orbit):
     return u_counts, d_counts
 
 
+def _all_pair_orbits(group):
+    """Every pair orbit of the group, pairs with 0 and self-negating pairs included, in
+    ascending order of their least pairs: twins kept apart."""
+    v, seen, out = group.v, set(), []
+    for x in range(v):
+        for y in range(x + 1, v):
+            if (x, y) not in seen:
+                orbit = sorted({tuple(sorted((x * h % v, y * h % v))) for h in group.elements})
+                seen.update(orbit)
+                out.append(tuple(orbit))
+    return out
+
+
+def _reference_columns(v, element_reps, pair_orbits):
+    """Per pair orbit, the rows it hits, ascending, a row once per hit.
+
+    Each pair (x, y) of a self-negating orbit adds its whole negation class, x, y, -x, -y
+    and x + y, x - y, -x - y, y - x; a pair of any other orbit adds its half, x, y, x + y
+    and the difference whose sign flips between it and its negative.  Only residues that
+    represent their element orbit are tallied.
+    """
+    n = len(element_reps)
+    row = {rep: i for i, rep in enumerate(element_reps)}
+    columns = []
+    for orbit in pair_orbits:
+        x, y = orbit[0]
+        self_negating = sorted(((-x) % v, (-y) % v)) == [x, y]
+        hits = []
+        for x, y in orbit:
+            if self_negating:
+                elements, sums = (x, y, -x, -y), (x + y, x - y, -x - y, y - x)
+            else:
+                elements, sums = (x, y), (x + y, y - x if x + y < v else x - y)
+            hits += [row[z % v] for z in elements if z % v in row]
+            hits += [n + row[z % v] for z in sums if z % v in row]
+        columns.append(tuple(sorted(hits)))
+    return columns
+
+
 def _j(spec, index):
     """Per row, 1 if it must be covered: its orbit lies outside the side's excluded set."""
     return [int(rep not in a) for a in (spec.a1, spec.a2) for rep in index.element_reps]
@@ -129,26 +167,30 @@ def _exact_cover_of(columns, j):
 
 
 def _reference_search(group, spec):
-    """The orbit search from the raw columns, with no twin merging and no cache: the
-    chosen pair-orbit representatives, or None."""
-    index = orbits(group)
-    chosen = _exact_cover_of(kramer_mesner._columns(group, index, None), _j(spec, index))
-    return None if chosen is None else [index.pair_orbits[col][0] for col in chosen]
+    """The orbit search over every pair orbit's test-built column, with no twin merging and
+    no cache: the chosen pair-orbit representatives, or None."""
+    index, every = orbits(group), _all_pair_orbits(group)
+    chosen = _exact_cover_of(_reference_columns(group.v, index.element_reps, every),
+                             _j(spec, index))
+    return None if chosen is None else [every[col][0] for col in chosen]
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_columns_tally_each_orbit_representative(data):
-    """columns[c].count(i) is pair orbit c's class-multiset weight at row i's representative."""
+    """columns[c].count(i) is pair orbit c's class-multiset weight at row i's representative,
+    for every pair orbit's reference column and for _columns on the twin-class orbits."""
     v = data.draw(st.integers(3, 70).filter(lambda u: u % 4), label="v")
     units = [x for x in range(2, v - 1) if _coprime(x, v)]
     extra = data.draw(st.lists(st.sampled_from(units), max_size=2), label="extra") if units else []
     g = MultiplierGroup.generate(v, [v - 1] + extra)
     idx = orbits(g)
-    columns = kramer_mesner._columns(g, idx, None)
+    assert kramer_mesner._columns(g, idx, None) == _reference_columns(v, idx.element_reps,
+                                                                      idx.pair_orbits)
+    every = _all_pair_orbits(g)
+    columns = _reference_columns(v, idx.element_reps, every)
     n = len(idx.element_reps)
-    assert len(columns) == len(idx.pair_orbits)
-    for col, orbit in enumerate(idx.pair_orbits):
+    for col, orbit in enumerate(every):
         u_counts, d_counts = _class_multisets(v, orbit)
         assert list(columns[col]) == sorted(columns[col])
         assert all(0 <= row < 2 * n for row in columns[col])
@@ -159,8 +201,9 @@ def test_columns_tally_each_orbit_representative(data):
 
 def test_build_system_v5():
     g = MultiplierGroup.generate(5, [4])
-    assert tuple(o[0] for o in orbits(g).pair_orbits) == (
+    assert tuple(o[0] for o in _all_pair_orbits(g)) == (
         (0, 1), (0, 2), (1, 2), (1, 3), (1, 4), (2, 3))
+    assert tuple(o[0] for o in orbits(g).pair_orbits) == ((1, 2),)
     system = build_system(g, PPSSpec.ps(5))
     assert system.required == 0b110110  # J = (0, 1, 1, 0, 1, 1), row 0 the lowest bit
     assert system.element_reps == (0, 1, 2)
@@ -294,6 +337,41 @@ def test_sign_group_options_are_the_class_pairs_in_lexicographic_order(monkeypat
             tuple(sorted((a, b, h + min(a + b, v - a - b), h + b - a))) for a, b in pairs], v
 
 
+def test_option_table_equals_the_table_built_from_every_pair_orbit(monkeypatch):
+    """On every distinct <-1, g> with v < 100, orbits lists one orbit per twin class {c, +-d},
+    1 <= c < d <= v//2, in ascending order of its least pair, and option_table equals the
+    table built from every pair orbit: each orbit's column, the columns that hit no row
+    twice, the first of each row tuple."""
+    checked = 0
+    for v in range(3, 100):
+        groups = {group.elements: group for group in (MultiplierGroup.generate(v, [v - 1, g])
+                                                      for g in range(1, v) if _coprime(g, v))}
+        for group in groups.values():
+            index, every = orbits(group), _all_pair_orbits(group)
+            assert set(index.pair_orbits) <= set(every), v
+            twins = [{tuple(sorted((min(x, v - x), min(y, v - y)))) for x, y in orbit}
+                     for orbit in index.pair_orbits]
+            h = v // 2 + 1
+            assert sorted(pair for twin in twins for pair in twin) == [
+                (c, d) for c in range(1, h) for d in range(c + 1, h)], v
+            least = [orbit[0] for orbit in index.pair_orbits]
+            assert least == [min(twin) for twin in twins] == sorted(least), v
+
+            reps, n_rows = index.element_reps, 2 * len(index.element_reps)
+            first: dict[tuple[int, ...], tuple[int, int]] = {}
+            for orbit, rows in zip(every, _reference_columns(v, reps, every)):
+                if len(set(rows)) == len(rows):
+                    first.setdefault(rows, orbit[0])
+            monkeypatch.setattr(kramer_mesner, "_TABLES", {})
+            table = kramer_mesner.option_table(group)
+            assert (table.element_reps, table.pairs, table.cover, table.clash, table.covered_by,
+                    table.required, table.alive) == (
+                reps, tuple(first.values()), *option_masks(list(first), n_rows),
+                (1 << n_rows) - 1, (1 << len(first)) - 1), (v, group.generators)
+            checked += 1
+    assert checked == 471
+
+
 def test_develop_reproduces_published_tables():
     g133 = MultiplierGroup.generate(133, [122])
     developed = develop(PS133_INITIAL_PAIRS, g133)
@@ -357,14 +435,14 @@ PINNED = {13: (15, [(1, 5), (2, 3), (4, 6)]),
 
 
 @pytest.mark.parametrize("v, generators, spec, m, support", [
-    (13, [12], PPSSpec.ps(13), 42, (9, 17, 34)),
-    (27, [26], PPSSpec.aps(27, 3, 6), 182, (15, 47, 108, 121, 133, 158)),
-    (133, [122], PPSSpec.ps(133), 1474,
-     (22, 294, 404, 530, 638, 751, 916, 998, 1055, 1202, 1235)),
+    (13, [12], PPSSpec.ps(13), 15, (3, 5, 13)),
+    (27, [26], PPSSpec.aps(27, 3, 6), 78, (2, 21, 49, 53, 57, 69)),
+    (133, [122], PPSSpec.ps(133), 715,
+     (0, 145, 196, 266, 321, 383, 457, 498, 518, 597, 602)),
 ])
 def test_solve_binary_pinned_solutions(v, generators, spec, m, support):
     """The first solution under fewest-candidates branching, ties to the lowest row: the
-    pair orbits at ``support`` among the m pair orbits."""
+    pair orbits at ``support`` among the m twin-class pair orbits."""
     group = MultiplierGroup.generate(v, generators)
     pair_orbits = orbits(group).pair_orbits
     kept, pairs = PINNED[v]
@@ -414,8 +492,8 @@ def test_km_search_checks_its_deadline_before_the_costly_stages(monkeypatch):
 
 
 def test_generating_a_large_group_checks_the_deadline():
-    # <-1, 3> modulo 10**8 + 1 has millions of elements; orbits would refuse the
-    # modulus only once the group is enumerated
+    # <-1, 3> modulo 10**8 + 1 has millions of elements; km_search refuses the modulus
+    # before it enumerates them, and generating the group alone checks the deadline
     v = 100000001
     started = time.monotonic()
     with pytest.raises(BudgetExceededError):
@@ -463,7 +541,7 @@ def test_every_stage_reports_a_deadline_overrun_the_same_way(monkeypatch):
 
 
 def test_option_masks_checks_its_deadline_between_clash_masks(monkeypatch):
-    # the 10,100 sign-group columns at v = 201; at v = 601 the 44,850 kept options'
+    # the 4,950 sign-group columns at v = 201; at v = 601 the 44,850 kept options'
     # clash masks take ~250 MB
     group = MultiplierGroup.generate(201, (-1,))
     index = orbits(group)
