@@ -453,14 +453,16 @@ def exact_cover(cover: list[int], clash: list[int], covered_by: list[int], open_
                 alive: int, branch, *, deadline: float | None = None) -> list[int] | None:
     """Knuth's Algorithm X over int bitsets: the first exact cover found, or None.
 
-    Option o covers the items in ``cover[o]`` and rules out the options in
-    ``clash[o]`` (itself and every option sharing an item with it);
-    ``covered_by[i]`` holds the options covering item i.  A search state is
-    (open primary items, alive options), so selecting is two AND-NOTs with no
-    undo.  Items never open are secondary: covered at most once.  The node
-    branches on the item ``branch(open_items, alive, covered_by)`` and tries
-    its alive options in ascending order.  Returns the chosen options in order.
-    The deadline is checked on the first node, then every DEADLINE_EVERY nodes.
+    Option o covers the items in ``cover[o]``; ``covered_by[i]`` holds the
+    options covering item i.  Selecting o rules out ``clash[o]``: itself and
+    every option sharing an item with it.  A 0 there is filled on o's first
+    select, in the caller's list, with the OR of its items' ``covered_by``, so
+    later selects and later calls reuse it.  A search state is (open primary
+    items, alive options), so selecting is two AND-NOTs with no undo.  Items
+    never open are secondary: covered at most once.  The node branches on the
+    item ``branch(open_items, alive, covered_by)`` and tries its alive options
+    in ascending order.  Returns the chosen options in order.  The deadline is
+    checked on the first node, then every DEADLINE_EVERY nodes.
     """
     stack: list[tuple[int, int, int, int]] = []  # (open, alive, untried, chosen) per level
     nodes = 0
@@ -477,34 +479,34 @@ def exact_cover(cover: list[int], clash: list[int], covered_by: list[int], open_
         option = low.bit_length() - 1
         stack.append((open_items, alive, untried ^ low, option))
         open_items &= ~cover[option]
-        alive &= ~clash[option]
+        mask = clash[option]
+        if not mask:
+            items = cover[option]
+            while items:
+                mask |= covered_by[(items & -items).bit_length() - 1]
+                items &= items - 1
+            clash[option] = mask
+        alive &= ~mask
     return [frame[3] for frame in stack]
 
 
 def option_masks(members: list[tuple[int, ...]], n_items: int, *,
-                 deadline: float | None = None) -> tuple[list[int], list[int], list[int]]:
-    """The ``cover``, ``clash`` and ``covered_by`` masks of :func:`exact_cover`.
+                 deadline: float | None = None) -> tuple[list[int], list[int]]:
+    """The ``cover`` and ``covered_by`` masks of :func:`exact_cover`.
 
-    Option o covers the items listed in ``members[o]``.  The clash masks take
-    O(options**2) bits, so the deadline is checked before the first and then
-    every DEADLINE_EVERY of them.
+    Option o covers the items listed in ``members[o]``.  The deadline is checked
+    before the first option and then every DEADLINE_EVERY of them.
     """
-    covered_by = [0] * n_items
-    for option, items in enumerate(members):
-        bit = 1 << option
-        for i in items:
-            covered_by[i] |= bit
-    cover, clash = [], []
+    cover, covered_by = [], [0] * n_items
     for option, items in enumerate(members):
         if option % DEADLINE_EVERY == 0:
             check_deadline(deadline)
-        mask = bits = 0
+        bit, mask = 1 << option, 0
         for i in items:
             mask |= 1 << i
-            bits |= covered_by[i]
+            covered_by[i] |= bit
         cover.append(mask)
-        clash.append(bits)
-    return cover, clash, covered_by
+    return cover, covered_by
 
 
 # exhaustive_search refuses more pairs than this over a larger modulus unless forced.

@@ -103,11 +103,11 @@ class OrbitIndex:
         return tuple(o[0] for o in self.element_orbits)
 
 
-def _class_pair_marks(v: int) -> bytearray:
-    """Zeroed marks of the +-class pairs (c, d) of Z_v at c * (v//2 + 1) + d, if they fit."""
+def _pair_marks_size(v: int) -> int:
+    """The size of marks of the +-class pairs (c, d) of Z_v at c * (v//2 + 1) + d, if it fits."""
     size = (v // 2 + 1) ** 2
     try:
-        return bytearray(size)
+        return len(bytes(size))  # calloc'd and freed unwritten: the probe touches no page
     except (MemoryError, OverflowError):
         raise BudgetExceededError(f"the pair orbits of Z_{v} need {size} bytes") from None
 
@@ -122,7 +122,7 @@ def orbits(group: MultiplierGroup, *, deadline: float | None = None) -> OrbitInd
     """
     check_deadline(deadline)
     v, els = group.v, group.elements
-    marks, w = _class_pair_marks(v), v // 2 + 1
+    marks, w = bytearray(_pair_marks_size(v)), v // 2 + 1
     seen_element = bytearray(v)
     element_orbits = []
     for x in range(v):
@@ -208,8 +208,8 @@ def _fewest_options(open_items: int, alive: int, covered_by: list[int]) -> int:
     return item
 
 
-# The option-table cache holds at most this many bits of clash masks (8 MiB);
-# a larger table is built for the call that needs it and not kept.
+# The option-table cache holds at most this many bits of covered_by masks, rows x options
+# a table (8 MiB); a larger table is built for the call that needs it and not kept.
 OPTION_CACHE_BITS = 1 << 26
 
 
@@ -220,8 +220,9 @@ class CoverSystem:
     ``element_reps`` are the element-orbit representatives in ascending order
     (row i and n + i are orbit i's element and sum/difference rows), ``pairs``
     the representatives of the kept pair orbits, the options, and
-    ``cover``/``clash``/``covered_by`` their exact-cover masks.  ``required`` is
-    the mask of rows to cover and ``alive`` the mask of options in play.
+    ``cover``/``clash``/``covered_by`` their exact-cover masks, ``clash[o]`` 0
+    until a solve first selects o (one list for a table and its spec views).
+    ``required`` is the mask of rows to cover and ``alive`` the options in play.
     """
 
     element_reps: tuple[int, ...]
@@ -236,11 +237,6 @@ class CoverSystem:
     def m(self) -> int:
         return len(self.pairs)
 
-    @property
-    def bits(self) -> int:
-        """The clash masks' size: at most one bit per pair of options."""
-        return len(self.pairs) ** 2
-
 
 _TABLES: dict[tuple[int, tuple[int, ...]], CoverSystem] = {}  # by (v, elements), oldest first
 
@@ -250,10 +246,10 @@ def option_table(group: MultiplierGroup, *, deadline: float | None = None) -> Co
 
     Every row is required and every option alive.  A column that hits a row
     twice can never meet a 0-1 row, and distinct twin classes can hit the same
-    rows, so only the first column of each row tuple is kept.  A table over
-    OPTION_CACHE_BITS is not kept; otherwise the oldest tables are evicted until
-    the total fits.  The stages check the deadline as they do alone, and a build
-    that overruns it stores nothing.
+    rows, so only the first column of each row tuple is kept.  A table of over
+    OPTION_CACHE_BITS rows x options is not kept; otherwise the oldest tables are
+    evicted until the total fits.  The stages check the deadline as they do
+    alone, and a build that overruns it stores nothing.
     """
     key = (group.v, group.elements)
     table = _TABLES.get(key)
@@ -265,15 +261,14 @@ def option_table(group: MultiplierGroup, *, deadline: float | None = None) -> Co
     for col, rows in enumerate(_columns(group, index, deadline)):
         if len(set(rows)) == len(rows):
             first.setdefault(rows, col)
-    n_rows = 2 * len(index.element_orbits)
+    n_rows, m = 2 * len(index.element_orbits), len(first)
+    cover, covered_by = option_masks(list(first), n_rows, deadline=deadline)
     table = CoverSystem(index.element_reps, tuple(index.pair_orbits[c][0] for c in first.values()),
-                        *option_masks(list(first), n_rows, deadline=deadline),
-                        (1 << n_rows) - 1, (1 << len(first)) - 1)
-    if table.bits <= OPTION_CACHE_BITS:
-        held = table.bits + sum(cached.bits for cached in _TABLES.values())
-        while held > OPTION_CACHE_BITS:
-            held -= _TABLES.pop(next(iter(_TABLES))).bits
+                        cover, [0] * m, covered_by, (1 << n_rows) - 1, (1 << m) - 1)
+    if n_rows * m <= OPTION_CACHE_BITS:
         _TABLES[key] = table
+        while sum(len(held.covered_by) * held.m for held in _TABLES.values()) > OPTION_CACHE_BITS:
+            del _TABLES[next(iter(_TABLES))]
     return table
 
 
@@ -346,7 +341,7 @@ def km_search(v: int, generators: tuple[int, ...] | list[int], spec: PPSSpec, *,
     generated, inside each stage of a build and between them, and in the solve.
     """
     check_deadline(deadline)
-    _class_pair_marks(v)  # a modulus too large for orbits is refused before its group
+    _pair_marks_size(v)  # a modulus too large for orbits is refused before its group
     group = MultiplierGroup.generate(v, generators, deadline=deadline)
     if not square_sums_agree(spec):
         _check_excluded_sets(group, spec)  # as build_system would, before the None

@@ -390,7 +390,7 @@ def test_deadline_stops_exhaustive_search_while_it_builds_its_option_table():
     import time
     import tracemalloc
 
-    # a complete forced PS(601) table takes hundreds of MiB
+    # a complete forced PS(601) table takes ~29 MB (its 44,850 options' covered_by masks)
     tracemalloc.start()
     try:
         with pytest.raises(BudgetExceededError):

@@ -1,8 +1,13 @@
 from __future__ import annotations
 
 import itertools
+import os
 import random
+import subprocess
+import sys
+import textwrap
 import time
+from pathlib import Path
 from unittest.mock import patch
 
 import pytest
@@ -159,9 +164,9 @@ def _exact_cover_of(columns, j):
     """
     kept = [col for col, rows in enumerate(columns)
             if len(set(rows)) == len(rows) and all(j[i] for i in rows)]
-    cover, clash, covered_by = option_masks([columns[col] for col in kept], len(j))
+    cover, covered_by = option_masks([columns[col] for col in kept], len(j))
     required = sum(ji << i for i, ji in enumerate(j))
-    chosen = exact_cover(cover, clash, covered_by, required, (1 << len(kept)) - 1,
+    chosen = exact_cover(cover, [0] * len(kept), covered_by, required, (1 << len(kept)) - 1,
                          kramer_mesner._fewest_options)
     return None if chosen is None else [kept[option] for option in chosen]
 
@@ -269,8 +274,9 @@ def test_solve_binary_v5():
 
 
 def test_solve_binary_infeasible_row():
-    cover, clash, covered_by = option_masks([(0,), ()], 2)  # row 1 required, uncoverable
-    assert exact_cover(cover, clash, covered_by, 0b11, 0b11, kramer_mesner._fewest_options) is None
+    cover, covered_by = option_masks([(0,), ()], 2)  # row 1 required, uncoverable
+    assert exact_cover(cover, [0, 0], covered_by, 0b11, 0b11,
+                       kramer_mesner._fewest_options) is None
     assert _exact_cover_of([(0,), ()], [1, 1]) is None
 
 
@@ -337,12 +343,120 @@ def test_sign_group_options_are_the_class_pairs_in_lexicographic_order(monkeypat
             tuple(sorted((a, b, h + min(a + b, v - a - b), h + b - a))) for a, b in pairs], v
 
 
+def _eager_option_masks(members, n_items):
+    """(cover, clash, covered_by) as option_masks built them when every clash mask was made
+    up front: clash[o] is the OR of covered_by over the items of option o."""
+    covered_by = [0] * n_items
+    for option, items in enumerate(members):
+        bit = 1 << option
+        for i in items:
+            covered_by[i] |= bit
+    cover, clash = [], []
+    for items in members:
+        mask = bits = 0
+        for i in items:
+            mask |= 1 << i
+            bits |= covered_by[i]
+        cover.append(mask)
+        clash.append(bits)
+    return cover, clash, covered_by
+
+
+def _eager_exact_cover(cover, clash, covered_by, open_items, alive, branch):
+    """exact_cover as it ran when every clash mask came filled in, with no deadline."""
+    stack = []
+    while open_items:
+        untried = alive & covered_by[branch(open_items, alive, covered_by)]
+        while not untried:
+            if not stack:
+                return None
+            open_items, alive, untried, _ = stack.pop()
+        low = untried & -untried
+        option = low.bit_length() - 1
+        stack.append((open_items, alive, untried ^ low, option))
+        open_items &= ~cover[option]
+        alive &= ~clash[option]
+    return [frame[3] for frame in stack]
+
+
+def _counted(branch, limit=None):
+    """branch, and the list it appends to at each node; past ``limit`` nodes it raises
+    _NodeLimit."""
+    nodes = []
+
+    def counted(*args):
+        if len(nodes) == limit:
+            raise _NodeLimit
+        nodes.append(None)
+        return branch(*args)
+
+    return counted, nodes
+
+
+class _NodeLimit(Exception):
+    pass
+
+
+def _rows_of(mask):
+    return tuple(i for i in range(mask.bit_length()) if mask >> i & 1)
+
+
+def _assert_lazy_kernel_matches_eager(members, n_items, required, alive, branch):
+    """exact_cover from all-0 clash masks returns the eager kernel's answer after as many
+    nodes, and every mask it fills is the eager one; returns the answer."""
+    cover, clash, covered_by = _eager_option_masks(members, n_items)
+    assert option_masks(members, n_items) == (cover, covered_by)
+    eager_branch, eager_nodes = _counted(branch)
+    expected = _eager_exact_cover(cover, clash, covered_by, required, alive, eager_branch)
+    lazy = [0] * len(members)
+    lazy_branch, lazy_nodes = _counted(branch)
+    assert exact_cover(cover, lazy, covered_by, required, alive, lazy_branch) == expected
+    assert len(lazy_nodes) == len(eager_nodes)
+    assert all(mask in (0, clash[option]) for option, mask in enumerate(lazy))
+    return expected
+
+
+def _lowest_open_row(items, *_):
+    return (items & -items).bit_length() - 1
+
+
+def _check_option_table(group, monkeypatch, nodes=200):
+    """option_table equals the table built from every pair orbit (each orbit's column, the
+    columns that hit no row twice, the first of each row tuple), with the eager masks'
+    cover and covered_by and all-0 clash masks.  A solve of every row some option covers,
+    stopped after ``nodes`` nodes, fills clash masks of the cached table equal to the eager
+    ones; returns how many."""
+    v, index, every = group.v, orbits(group), _all_pair_orbits(group)
+    reps, n_rows = index.element_reps, 2 * len(index.element_reps)
+    first: dict[tuple[int, ...], tuple[int, int]] = {}
+    for orbit, rows in zip(every, _reference_columns(v, reps, every)):
+        if len(set(rows)) == len(rows):
+            first.setdefault(rows, orbit[0])
+    cover, clash, covered_by = _eager_option_masks(list(first), n_rows)
+    m = len(first)
+    monkeypatch.setattr(kramer_mesner, "_TABLES", {})
+    table = kramer_mesner.option_table(group)
+    assert (table.element_reps, table.pairs, table.cover, table.clash, table.covered_by,
+            table.required, table.alive) == (
+        reps, tuple(first.values()), cover, [0] * m, covered_by,
+        (1 << n_rows) - 1, (1 << m) - 1), (v, group.generators)
+    required = sum(1 << row for row, options in enumerate(table.covered_by) if options)
+    branch, _ = _counted(kramer_mesner._fewest_options, nodes)
+    try:
+        exact_cover(table.cover, table.clash, table.covered_by, required, table.alive, branch)
+    except _NodeLimit:
+        pass
+    assert kramer_mesner.option_table(group).clash is table.clash
+    filled = [option for option, mask in enumerate(table.clash) if mask]
+    assert all(table.clash[option] == clash[option] for option in filled), (v, group.generators)
+    return len(filled)
+
+
 def test_option_table_equals_the_table_built_from_every_pair_orbit(monkeypatch):
     """On every distinct <-1, g> with v < 100, orbits lists one orbit per twin class {c, +-d},
     1 <= c < d <= v//2, in ascending order of its least pair, and option_table equals the
-    table built from every pair orbit: each orbit's column, the columns that hit no row
-    twice, the first of each row tuple."""
-    checked = 0
+    table built from every pair orbit, with clash masks filled on first select."""
+    checked = filled = 0
     for v in range(3, 100):
         groups = {group.elements: group for group in (MultiplierGroup.generate(v, [v - 1, g])
                                                       for g in range(1, v) if _coprime(g, v))}
@@ -356,20 +470,88 @@ def test_option_table_equals_the_table_built_from_every_pair_orbit(monkeypatch):
                 (c, d) for c in range(1, h) for d in range(c + 1, h)], v
             least = [orbit[0] for orbit in index.pair_orbits]
             assert least == [min(twin) for twin in twins] == sorted(least), v
-
-            reps, n_rows = index.element_reps, 2 * len(index.element_reps)
-            first: dict[tuple[int, ...], tuple[int, int]] = {}
-            for orbit, rows in zip(every, _reference_columns(v, reps, every)):
-                if len(set(rows)) == len(rows):
-                    first.setdefault(rows, orbit[0])
-            monkeypatch.setattr(kramer_mesner, "_TABLES", {})
-            table = kramer_mesner.option_table(group)
-            assert (table.element_reps, table.pairs, table.cover, table.clash, table.covered_by,
-                    table.required, table.alive) == (
-                reps, tuple(first.values()), *option_masks(list(first), n_rows),
-                (1 << n_rows) - 1, (1 << len(first)) - 1), (v, group.generators)
+            filled += _check_option_table(group, monkeypatch)
             checked += 1
     assert checked == 471
+    assert filled > 10_000
+
+
+@pytest.mark.parametrize("v, generators", [(401, [400]), (651, [68])])
+def test_large_option_tables_equal_the_table_built_from_every_pair_orbit(
+        v, generators, monkeypatch):
+    assert _check_option_table(MultiplierGroup.generate(v, generators), monkeypatch,
+                               nodes=2000) > 100
+
+
+def test_tables_the_options_squared_cap_refused_are_cached(monkeypatch):
+    """APS(651)'s <68> table and the sign group's at v = 601 have more than 2**13 options,
+    so options**2 exceeds OPTION_CACHE_BITS, but rows x options does not: a second call
+    returns the cached system and runs no build stage."""
+    monkeypatch.setattr(kramer_mesner, "_TABLES", {})
+    for group in (MultiplierGroup.generate(651, [68]), MultiplierGroup.generate(601, [600])):
+        table = kramer_mesner.option_table(group)
+        assert table.m ** 2 > kramer_mesner.OPTION_CACHE_BITS
+        with monkeypatch.context() as patched:
+            for stage in ("orbits", "_columns", "option_masks"):
+                patched.setattr(kramer_mesner, stage,
+                                lambda *a, _stage=stage, **k: pytest.fail(f"{_stage} ran"))
+            assert kramer_mesner.option_table(group) is table
+    assert len(kramer_mesner._TABLES) == 2
+
+
+# The km_search requests of the search benchmark's deck, as (v, generators, spec).
+DECK_KM_SPECS = ([(13, (1, 12), PPSSpec.ps(13)), (27, (1, 26), PPSSpec.aps(27, 3, 6)),
+                  (133, (122,), PPSSpec.ps(133))]
+                 + [(51, (1, 50), PPSSpec.aps(51, a, b)) for a, b in (
+                     (6, 2), (9, 20), (11, 15), (12, 4), (13, 24), (14, 18), (21, 10), (24, 8))]
+                 + [(75, (1, 74), PPSSpec.aps(75, a, b)) for a, b in (
+                     (5, 5), (10, 10), (20, 5), (35, 5), (35, 10))])
+
+
+def test_deck_km_solves_match_the_eager_kernel():
+    assert len(DECK_KM_SPECS) == 16
+    for v, generators, spec in DECK_KM_SPECS:
+        group = MultiplierGroup.generate(v, generators)
+        system = build_system(group, spec)
+        chosen = _assert_lazy_kernel_matches_eager(
+            [_rows_of(mask) for mask in system.cover], len(system.covered_by),
+            system.required, system.alive, kramer_mesner._fewest_options)
+        assert chosen is not None, spec
+        assert km_search(v, generators, spec) == develop([system.pairs[o] for o in chosen],
+                                                         group)
+
+
+def test_exhaustive_solves_match_the_eager_kernel():
+    """Every PS(v) and APS(v, alpha, beta), 1 <= alpha, beta <= v//2, odd v <= 41, that
+    passes the square-sum identity."""
+    checked = 0
+    for v in range(3, 42, 2):
+        half = v // 2
+        specs = ([PPSSpec.ps(v)] if v % 4 == 1 else
+                 [PPSSpec.aps(v, a, b) for a in range(1, half + 1) for b in range(1, half + 1)])
+        for spec in filter(square_sums_agree, specs):
+            system = build_system(MultiplierGroup.generate(v, (-1,)), spec)
+            chosen = _assert_lazy_kernel_matches_eager(
+                [_rows_of(mask) for mask in system.cover], len(system.covered_by),
+                system.required, system.alive, _lowest_open_row)
+            expected = None if chosen is None else PairSet(v, tuple(system.pairs[o]
+                                                                    for o in chosen))
+            assert exhaustive_search(spec, force=True) == expected, spec
+            checked += 1
+    assert checked == 50
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_random_systems_match_the_eager_kernel(data):
+    n_items = data.draw(st.integers(1, 10), label="items")
+    members = data.draw(st.lists(st.lists(st.integers(0, n_items - 1), max_size=4),
+                                 max_size=16), label="members")
+    required = data.draw(st.integers(0, (1 << n_items) - 1), label="required")
+    alive = data.draw(st.integers(0, (1 << len(members)) - 1), label="alive")
+    branch = data.draw(st.sampled_from([kramer_mesner._fewest_options, _lowest_open_row]),
+                       label="branch")
+    _assert_lazy_kernel_matches_eager(members, n_items, required, alive, branch)
 
 
 def test_develop_reproduces_published_tables():
@@ -540,9 +722,8 @@ def test_every_stage_reports_a_deadline_overrun_the_same_way(monkeypatch):
     assert len(texts) == 1, texts
 
 
-def test_option_masks_checks_its_deadline_between_clash_masks(monkeypatch):
-    # the 4,950 sign-group columns at v = 201; at v = 601 the 44,850 kept options'
-    # clash masks take ~250 MB
+def test_option_masks_checks_its_deadline_between_options(monkeypatch):
+    # the 4,950 sign-group columns at v = 201: checks before options 0, 1024, ..., 4096
     group = MultiplierGroup.generate(201, (-1,))
     index = orbits(group)
     members = kramer_mesner._columns(group, index, None)
@@ -561,6 +742,9 @@ def test_option_masks_checks_its_deadline_between_clash_masks(monkeypatch):
     with pytest.raises(BudgetExceededError):  # raised by the check before option 2048
         option_masks(members, n_rows, deadline=time.monotonic() + 60)
     assert len(checks) == 3
+    monkeypatch.setattr(core, "check_deadline", checks.append)
+    option_masks(members, n_rows, deadline=time.monotonic() + 60)
+    assert len(checks) == 3 + 5
 
 
 @settings(max_examples=80, deadline=None)
@@ -630,6 +814,30 @@ def test_a_warm_km_search_runs_no_build_stage(monkeypatch):
     assert list(kramer_mesner._TABLES) == [(27, (1, 26))]
 
 
+def test_km_search_probes_the_pair_marks_without_writing_them():
+    """APS(20,003, 1, 1) fails the square-sum identity, so km_search answers None once it
+    has probed the (v//2 + 1)**2 = 100,040,004 bytes of pair marks: the probe must leave
+    them unwritten, not resident."""
+    code = textwrap.dedent("""
+        import resource
+        from designforge.core import PPSSpec
+        from designforge.kramer_mesner import km_search
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+        assert km_search(20003, (-1,), PPSSpec.aps(20003, 1, 1)) is None
+        print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before)
+    """)
+    src = str(Path(kramer_mesner.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    # Linux carries the spawning process's peak RSS into a child's ru_maxrss at exec, so the
+    # search runs in a grandchild, spawned by a small launcher rather than by this process.
+    launcher = ("import subprocess, sys; "
+                "sys.exit(subprocess.run([sys.executable, '-c', sys.argv[1]]).returncode)")
+    done = subprocess.run([sys.executable, "-c", launcher, code], env=env, capture_output=True,
+                          text=True, check=True, timeout=60)
+    assert int(done.stdout) < 16 << 10  # KiB: the marks alone are 95 MiB
+
+
 def test_a_spec_failing_the_square_sum_identity_gets_none_after_every_earlier_check(
         monkeypatch):
     monkeypatch.setattr(kramer_mesner, "_TABLES", {})
@@ -657,10 +865,15 @@ def test_a_build_that_overruns_its_deadline_stores_nothing(monkeypatch):
     assert kramer_mesner._TABLES == before
 
 
+def _bits(table):
+    """The covered_by masks' size the cache counts: rows x options."""
+    return len(table.covered_by) * table.m
+
+
 def test_a_table_over_the_cap_is_used_and_not_stored(monkeypatch):
     group = MultiplierGroup.generate(133, [122])
     monkeypatch.setattr(kramer_mesner, "_TABLES", {})
-    bits = kramer_mesner.option_table(group).bits
+    bits = _bits(kramer_mesner.option_table(group))
     monkeypatch.setattr(kramer_mesner, "_TABLES", {})
     monkeypatch.setattr(kramer_mesner, "OPTION_CACHE_BITS", bits - 1)
     assert km_search(133, [122], PPSSpec.ps(133)) == develop(PS133_PINNED, group)
@@ -669,15 +882,15 @@ def test_a_table_over_the_cap_is_used_and_not_stored(monkeypatch):
 
 def test_the_cache_never_holds_more_than_its_cap(monkeypatch):
     monkeypatch.setattr(kramer_mesner, "_TABLES", {})
-    sizes = {v: kramer_mesner.option_table(MultiplierGroup.generate(v, [v - 1])).bits
+    sizes = {v: _bits(kramer_mesner.option_table(MultiplierGroup.generate(v, [v - 1])))
              for v in (29, 33, 37, 41)}
     monkeypatch.setattr(kramer_mesner, "_TABLES", {})
-    cap = sizes[37] + sizes[41]
+    cap = sizes[29] + sizes[33] + sizes[41]
     monkeypatch.setattr(kramer_mesner, "OPTION_CACHE_BITS", cap)
     held = []
     for v in (29, 33, 37, 41, 29, 33):
         kramer_mesner.option_table(MultiplierGroup.generate(v, [v - 1]))
         held.append([key[0] for key in kramer_mesner._TABLES])
-        assert sum(table.bits for table in kramer_mesner._TABLES.values()) <= cap
+        assert sum(_bits(table) for table in kramer_mesner._TABLES.values()) <= cap
     # the oldest tables go first
     assert held == [[29], [29, 33], [29, 33, 37], [37, 41], [41, 29], [41, 29, 33]]
