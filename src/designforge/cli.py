@@ -1,8 +1,8 @@
 """Command-line front end.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error, 3 search
-exhausted (or out of budget).  Machine-readable output via --json.  Search
-budgets honor the DESIGNFORGE_BUDGET_SECS environment variable.
+exhausted (or out of budget, or out of memory).  Machine-readable output via
+--json.  Search budgets honor the DESIGNFORGE_BUDGET_SECS environment variable.
 """
 
 from __future__ import annotations
@@ -114,17 +114,13 @@ def _cmd_verify(args) -> int:
 
 def _cmd_search(args) -> int:
     spec = _spec_from_args(args, args.v)
-    try:
-        if args.engine == "km":
-            if not args.generators:
-                raise ValueError("--generators is required for the km engine")
-            gens = [int(g) for g in args.generators.split(",")]
-            found = km_search(args.v, gens, spec, deadline=_deadline())
-        else:
-            found = exhaustive_search(spec, force=args.force, deadline=_deadline())
-    except BudgetExceededError as exc:
-        print(f"search aborted: {exc}", file=sys.stderr)
-        return EXHAUSTED
+    if args.engine == "km":
+        if not args.generators:
+            raise ValueError("--generators is required for the km engine")
+        gens = [int(g) for g in args.generators.split(",")]
+        found = km_search(args.v, gens, spec, deadline=_deadline())
+    else:
+        found = exhaustive_search(spec, force=args.force, deadline=_deadline())
     if found is None:
         print("no solution exists", file=sys.stderr)
         return EXHAUSTED
@@ -243,11 +239,7 @@ def _cmd_ooc(args) -> int:
         report = verify_ooc(code)
         _emit(report.to_json(), args.json)
         return OK if report.differences_distinct else INVALID
-    try:
-        maximal, witness = is_maximal(code)
-    except BudgetExceededError as exc:
-        print(f"search aborted: {exc}", file=sys.stderr)
-        return EXHAUSTED
+    maximal, witness = is_maximal(code)
     _emit({"is_maximal": maximal,
            "witness": list(witness) if witness else None}, args.json)
     return OK
@@ -362,6 +354,12 @@ def main(argv: list[str] | None = None) -> int:
         # str() of a KeyError is the repr of its message, quotes included
         print(f"error: {exc.args[0] if isinstance(exc, KeyError) else exc}", file=sys.stderr)
         return USAGE
+    except BudgetExceededError as exc:
+        print(f"search aborted: {exc}", file=sys.stderr)
+        return EXHAUSTED
+    except MemoryError:  # a modulus too large for the O(v) marks of a verifier or construction
+        print(f"{args.command} aborted: out of memory", file=sys.stderr)
+        return EXHAUSTED
 
 
 if __name__ == "__main__":

@@ -520,15 +520,18 @@ def exhaustive_search(spec: PPSSpec, *, force: bool = False,
 
     The sign group's :func:`~designforge.kramer_mesner.solve_binary` on its
     :func:`~designforge.kramer_mesner.build_system`, whose options are the class
-    pairs (a, b), a < b, in lexicographic order.  It branches on the lowest open
-    row: the smallest uncovered element class, and once none is left, every
-    sum/difference class is covered too.  Unless forced, it first refuses more
-    than EXHAUSTIVE_MAX_PAIRS pairs over v > EXHAUSTIVE_MAX_V.  Then it checks
+    pairs (a, b), a < b, in lexicographic order.  It takes a row with at most one
+    alive option first, as that option lies in every completion of the node, and
+    otherwise branches on the lowest open row: the smallest uncovered element
+    class, and once none is left, every sum/difference class is covered too.  So
+    the chosen pairs, sorted, are the least set.  Unless forced, it first refuses
+    more than EXHAUSTIVE_MAX_PAIRS pairs over v > EXHAUSTIVE_MAX_V.  Then it checks
     the deadline, and a spec that fails :func:`square_sums_agree` gets None with
     no group generated and no table read or built; the build and the solve
     check the deadline as they go.
     """
-    from .kramer_mesner import MultiplierGroup, build_system, solve_binary  # imports core
+    from .kramer_mesner import (  # imports core
+        MultiplierGroup, _forced_or_lowest, build_system, solve_binary)
     v = spec.v
     if not force and spec.pair_count > EXHAUSTIVE_MAX_PAIRS and v > EXHAUSTIVE_MAX_V:
         raise BudgetExceededError(
@@ -537,6 +540,5 @@ def exhaustive_search(spec: PPSSpec, *, force: bool = False,
     if not square_sums_agree(spec):
         return None
     system = build_system(MultiplierGroup.generate(v, (-1,)), spec, deadline=deadline)
-    chosen = solve_binary(system, lambda items, *_: (items & -items).bit_length() - 1,
-                          deadline=deadline)
-    return None if chosen is None else PairSet(v, tuple(chosen))
+    chosen = solve_binary(system, _forced_or_lowest, deadline=deadline)
+    return None if chosen is None else PairSet(v, tuple(sorted(chosen)))

@@ -195,17 +195,36 @@ def _check_excluded_sets(group: MultiplierGroup, spec: PPSSpec) -> None:
 
 
 def _fewest_options(open_items: int, alive: int, covered_by: list[int]) -> int:
-    """The open row with the fewest alive columns, ties to the lowest row."""
+    """The highest open row with at most one alive option, else the open row with the fewest.
+
+    Scanning down from the highest rows, the sum/difference rows, reaches such a forced or
+    dead row sooner.  A forced row's one option lies in every completion of the node, and a
+    dead row ends it, so taking either first leaves the branching nodes, and the first
+    solution, as under the fewest-options rule alone.  Without one, the full scan breaks
+    ties to the lowest row.
+    """
     best = item = None
     while open_items:
-        row = (open_items & -open_items).bit_length() - 1
+        row = open_items.bit_length() - 1
         count = (alive & covered_by[row]).bit_count()
-        if count <= 1:  # a later row with none would be a dead end under any branch
+        if count <= 1:
             return row
-        if best is None or count < best:
+        if best is None or count <= best:
             best, item = count, row
-        open_items &= open_items - 1
+        open_items ^= 1 << row
     return item
+
+
+def _forced_or_lowest(open_items: int, alive: int, covered_by: list[int]) -> int:
+    """The highest open row with at most one alive option, as in :func:`_fewest_options`,
+    else the lowest open row."""
+    lowest = (open_items & -open_items).bit_length() - 1
+    while open_items:
+        row = open_items.bit_length() - 1
+        if (alive & covered_by[row]).bit_count() <= 1:
+            return row
+        open_items ^= 1 << row
+    return lowest
 
 
 # The option-table cache holds at most this many bits of covered_by masks, rows x options
@@ -302,9 +321,10 @@ def solve_binary(system: CoverSystem, branch=_fewest_options, *,
     """The pairs of the first exact cover of the system's required rows, or None.
 
     :func:`~designforge.core.exact_cover` branches on the row ``branch`` picks,
-    by default the one with the fewest alive options, ties to the lowest row,
-    and tries options in ascending order.  It checks the deadline on the first
-    node and every DEADLINE_EVERY nodes.
+    by default :func:`_fewest_options`: a row with at most one alive option if
+    any, else the one with the fewest, ties to the lowest row.  It tries options
+    in ascending order and returns the pairs in the order they were chosen.  It
+    checks the deadline on the first node and every DEADLINE_EVERY nodes.
     """
     chosen = exact_cover(system.cover, system.clash, system.covered_by, system.required,
                          system.alive, branch, deadline=deadline)

@@ -362,3 +362,24 @@ def test_missing_flag_is_a_usage_error(capsys, command, needle):
     lines = captured.err.strip().splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:") and needle in lines[0], captured.err
     assert "Traceback" not in captured.err and not captured.out
+
+
+_OVERSIZED_PAIRS = {"v": 10**15 + 1, "pairs": [[1, 2]]}
+_OVERSIZED_CODE = {"n": 10**15 + 1, "k": 4, "codewords": [[0, 1, 3, 7]]}
+
+
+@pytest.mark.parametrize("command, payload", [
+    (["verify", "--type", "ps"], _OVERSIZED_PAIRS),
+    (["whist", "develop"], _OVERSIZED_PAIRS),
+    (["cdm", "from-pairs"], _OVERSIZED_PAIRS),
+    (["ooc", "verify"], _OVERSIZED_CODE),
+    (["ooc", "maximal"], _OVERSIZED_CODE),
+], ids=["verify", "whist-develop", "cdm-from-pairs", "ooc-verify", "ooc-maximal"])
+def test_a_modulus_too_large_for_its_marks_is_out_of_memory_in_one_line(
+        example_file, capsys, command, payload):
+    # the +-class marks of Z_v alone would take v//2 + 1 ~ 5 * 10**14 bytes
+    assert main(command + ["--file", example_file("big.json", payload)]) == 3
+    captured = capsys.readouterr()
+    lines = captured.err.strip().splitlines()
+    assert lines == [f"{command[0]} aborted: out of memory"], captured.err
+    assert "Traceback" not in captured.err and not captured.out

@@ -554,6 +554,97 @@ def test_random_systems_match_the_eager_kernel(data):
     _assert_lazy_kernel_matches_eager(members, n_items, required, alive, branch)
 
 
+def _lowest_first_fewest_options(open_items, alive, covered_by):
+    """The fewest-options rule as it scanned from the lowest open row: the first row with
+    at most one alive option, else the open row with the fewest, ties to the lowest."""
+    best = item = None
+    while open_items:
+        row = (open_items & -open_items).bit_length() - 1
+        count = (alive & covered_by[row]).bit_count()
+        if count <= 1:
+            return row
+        if best is None or count < best:
+            best, item = count, row
+        open_items &= open_items - 1
+    return item
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.data())
+def test_both_rules_take_a_forced_or_dead_row_and_otherwise_branch_as_before(data):
+    """_fewest_options picks the lowest-first scan's row and _forced_or_lowest the lowest
+    open row when every open row has two or more alive options; otherwise each picks an
+    open row with at most one."""
+    n_rows = data.draw(st.integers(1, 12), label="rows")
+    m = data.draw(st.integers(0, 16), label="options")
+    covered_by = data.draw(st.lists(st.integers(0, (1 << m) - 1), min_size=n_rows,
+                                    max_size=n_rows), label="covered_by")
+    open_items = data.draw(st.integers(1, (1 << n_rows) - 1), label="open")
+    alive = data.draw(st.integers(0, (1 << m) - 1), label="alive")
+    counts = {row: (alive & covered_by[row]).bit_count() for row in _rows_of(open_items)}
+    for rule, before in ((kramer_mesner._fewest_options, _lowest_first_fewest_options),
+                         (kramer_mesner._forced_or_lowest, _lowest_open_row)):
+        row = rule(open_items, alive, covered_by)
+        if min(counts.values()) >= 2:
+            assert row == before(open_items, alive, covered_by)
+        else:
+            assert counts[row] <= 1
+
+
+def _sign_group_aps_specs(v):
+    """Every APS(v, alpha, beta), 1 <= alpha, beta <= v//2, that passes the square-sum
+    identity."""
+    half = v // 2
+    return [spec for spec in (PPSSpec.aps(v, a, b) for a in range(1, half + 1)
+                              for b in range(1, half + 1)) if square_sums_agree(spec)]
+
+
+def test_km_search_finds_the_set_the_lowest_first_scan_finds():
+    """On the deck's km specs and every sign-group APS at v = 47 and 51 that passes the
+    identity, km_search equals the developed solve under the lowest-first scan."""
+    cases = DECK_KM_SPECS + [(v, (v - 1,), spec) for v in (47, 51)
+                             for spec in _sign_group_aps_specs(v)]
+    for v, generators, spec in cases:
+        group = MultiplierGroup.generate(v, generators)
+        system = build_system(group, spec)
+        chosen = exact_cover(system.cover, system.clash, system.covered_by, system.required,
+                             system.alive, _lowest_first_fewest_options)
+        assert chosen is not None, spec
+        assert km_search(v, generators, spec) == develop([system.pairs[o] for o in chosen],
+                                                         group), spec
+    assert len(cases) == 16 + 23 + 32
+
+
+def test_exhaustive_search_takes_fewer_nodes_than_the_lowest_row_rule(monkeypatch):
+    """On the specs of test_exhaustive_solves_match_the_eager_kernel, the forced rows taken
+    first give the lowest-row rule's set in fewer nodes in total."""
+    nodes, solve = [], kramer_mesner.solve_binary
+
+    def counted_solve(system, branch, **kwargs):
+        counted, seen = _counted(branch)
+        try:
+            return solve(system, counted, **kwargs)
+        finally:
+            nodes.extend(seen)
+
+    monkeypatch.setattr(kramer_mesner, "solve_binary", counted_solve)
+    lowest_row_nodes = checked = 0
+    for v in range(3, 42, 2):
+        specs = [PPSSpec.ps(v)] if v % 4 == 1 else _sign_group_aps_specs(v)
+        for spec in filter(square_sums_agree, specs):
+            system = build_system(MultiplierGroup.generate(v, (-1,)), spec)
+            branch, lowest = _counted(_lowest_open_row)
+            chosen = exact_cover(system.cover, system.clash, system.covered_by,
+                                 system.required, system.alive, branch)
+            lowest_row_nodes += len(lowest)
+            expected = None if chosen is None else PairSet(v, tuple(system.pairs[o]
+                                                                    for o in chosen))
+            assert exhaustive_search(spec, force=True) == expected, spec
+            checked += 1
+    assert checked == 50
+    assert len(nodes) < lowest_row_nodes
+
+
 def test_develop_reproduces_published_tables():
     g133 = MultiplierGroup.generate(133, [122])
     developed = develop(PS133_INITIAL_PAIRS, g133)
