@@ -440,7 +440,7 @@ def scale_set(s: PairSet, lam: int) -> PairSet:
         (x * lam % s.v, y * lam % s.v) for x, y in s.pairs))
 
 
-DEADLINE_EVERY = 1024  # nodes, orbits, columns or options between deadline checks
+DEADLINE_EVERY = 1024  # search nodes, group elements or twin classes between deadline checks
 
 
 def check_deadline(deadline: float | None) -> None:
@@ -488,25 +488,6 @@ def exact_cover(cover: list[int], clash: list[int], covered_by: list[int], open_
             clash[option] = mask
         alive &= ~mask
     return [frame[3] for frame in stack]
-
-
-def option_masks(members: list[tuple[int, ...]], n_items: int, *,
-                 deadline: float | None = None) -> tuple[list[int], list[int]]:
-    """The ``cover`` and ``covered_by`` masks of :func:`exact_cover`.
-
-    Option o covers the items listed in ``members[o]``.  The deadline is checked
-    before the first option and then every DEADLINE_EVERY of them.
-    """
-    cover, covered_by = [], [0] * n_items
-    for option, items in enumerate(members):
-        if option % DEADLINE_EVERY == 0:
-            check_deadline(deadline)
-        bit, mask = 1 << option, 0
-        for i in items:
-            mask |= 1 << i
-            covered_by[i] |= bit
-        cover.append(mask)
-    return cover, covered_by
 
 
 # exhaustive_search refuses more pairs than this over a larger modulus unless forced.

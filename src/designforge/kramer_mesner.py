@@ -7,9 +7,10 @@ side, one option per twin class (the orbits of {x, y} and {x, -y}) that hits
 no row twice.  Orbit weights are well defined because the element
 multiplicity of an orbit multiset is constant along each element orbit.
 
-:func:`km_search` and ``core.exhaustive_search`` (the sign group) both run
-:func:`solve_binary` on :func:`build_system`: the group's cached
-:func:`option_table` with the spec's excluded orbits taken out.
+:func:`orbits` builds a group's spec-free system in one walk over its twin
+classes, and :func:`option_table` caches it.  :func:`km_search` and
+``core.exhaustive_search`` (the sign group) both run :func:`solve_binary` on
+:func:`build_system`: that table with the spec's excluded orbits taken out.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 
 from .core import (DEADLINE_EVERY, BudgetExceededError, PairSet, PPSSpec, check_deadline,
-                   exact_cover, option_masks, square_sums_agree, verify_pps)
+                   exact_cover, square_sums_agree, verify_pps)
 from .modarith import crt_lift, factorint, mult_order
 
 
@@ -92,15 +93,28 @@ def suggest_multiplier(v: int) -> int:
 
 
 @dataclass(frozen=True)
-class OrbitIndex:
-    """Element orbits and, per twin class, one pair orbit (see :func:`orbits`), with reps."""
+class CoverSystem:
+    """One group's exact-cover system, with the rows a spec requires and the options it allows.
 
-    element_orbits: tuple[tuple[int, ...], ...]
-    pair_orbits: tuple[tuple[tuple[int, int], ...], ...]
+    ``element_reps`` are the element-orbit representatives in ascending order
+    (row i and n + i are orbit i's element and sum/difference rows), ``pairs``
+    the least pairs of the kept twin classes, the options, and
+    ``cover``/``clash``/``covered_by`` their exact-cover masks, ``clash[o]`` 0
+    until a solve first selects o (one list for a table and its spec views).
+    ``required`` is the mask of rows to cover and ``alive`` the options in play.
+    """
+
+    element_reps: tuple[int, ...]
+    pairs: tuple[tuple[int, int], ...]
+    cover: list[int]
+    clash: list[int]
+    covered_by: list[int]
+    required: int
+    alive: int
 
     @property
-    def element_reps(self) -> tuple[int, ...]:
-        return tuple(o[0] for o in self.element_orbits)
+    def m(self) -> int:
+        return len(self.pairs)
 
 
 def _pair_marks_size(v: int) -> int:
@@ -112,32 +126,40 @@ def _pair_marks_size(v: int) -> int:
         raise BudgetExceededError(f"the pair orbits of Z_{v} need {size} bytes") from None
 
 
-def orbits(group: MultiplierGroup, *, deadline: float | None = None) -> OrbitIndex:
-    """Element orbits, and the orbit of the least pair of each twin class {x, +-y}.
+def orbits(group: MultiplierGroup, *, deadline: float | None = None) -> CoverSystem:
+    """The group's spec-free system: one option per twin class {x, +-y} that hits no row twice.
 
-    The orbit of each +-class pair 1 <= c < d <= v//2 still unmarked in lexicographic order
-    is listed and marks its twin class; pairs with 0 or y = -x hit a row twice and are never
-    listed.  A modulus too large for the marks is refused before any O(v) work; the
-    deadline is checked on entry, then every DEADLINE_EVERY pair orbits.
+    The +-class pairs 1 <= c < d <= v//2 are walked in lexicographic order, and the orbit
+    of each one still unmarked marks its twin class, so (c, d) is the least pair of that
+    class.  An option is dropped if it hits a row twice, as no 0-1 row can take it, or the
+    rows of an earlier option.  Pairs with 0 or y = -x hit a row twice and are never
+    walked.  Every row is required and every option alive.  A modulus too large for the
+    marks is refused before any O(v) work; the deadline is checked on entry, then every
+    DEADLINE_EVERY twin classes.
     """
     check_deadline(deadline)
     v, els = group.v, group.elements
     marks, w = bytearray(_pair_marks_size(v)), v // 2 + 1
-    seen_element = bytearray(v)
-    element_orbits = []
+    # The row of each residue on either side when it is the least of its element orbit,
+    # -1 otherwise; the weight at a representative is the weight of its whole orbit.
+    u_row, reps = [-1] * v, []
+    seen = bytearray(v)
     for x in range(v):
-        if seen_element[x]:
-            continue
-        orb = sorted({x * h % v for h in els})
-        for z in orb:
-            seen_element[z] = 1
-        element_orbits.append(tuple(orb))
-    pair_orbits = []
+        if not seen[x]:
+            u_row[x] = len(reps)
+            reps.append(x)
+            for h in els:
+                seen[x * h % v] = 1
+    n = len(reps)
+    d_row = [-1 if row < 0 else n + row for row in u_row]
+    options: dict[tuple[int, ...], tuple[int, int]] = {}  # rows hit -> least pair
+    classes = 0
     for c in range(1, w):
         for d in range(c + 1, w):
             if marks[c * w + d]:
                 continue
-            if len(pair_orbits) % DEADLINE_EVERY == 0:
+            classes += 1
+            if classes % DEADLINE_EVERY == 0:
                 check_deadline(deadline)
             orb = set()
             for h in els:
@@ -145,42 +167,33 @@ def orbits(group: MultiplierGroup, *, deadline: float | None = None) -> OrbitInd
                 orb.add((x, y) if x < y else (y, x))
                 x, y = (x if x + x < v else v - x), (y if y + y < v else v - y)
                 marks[x * w + y if x < y else y * w + x] = 1
-            pair_orbits.append(tuple(sorted(orb)))
-    return OrbitIndex(tuple(element_orbits), tuple(pair_orbits))
-
-
-def _columns(group: MultiplierGroup, index: OrbitIndex,
-             deadline: float | None) -> list[tuple[int, ...]]:
-    """Per pair orbit of :func:`orbits`, none self-negating, the rows it hits, ascending, a
-    row once per hit; the deadline is checked on the first column, then every DEADLINE_EVERY."""
-    v = group.v
-    reps = index.element_reps
-    n = len(reps)
-    # The row of each residue on either side when it is an orbit
-    # representative, -1 otherwise; the weight at a representative is the
-    # weight of its whole orbit.
-    u_row = [-1] * v
-    for i, rep in enumerate(reps):
-        u_row[rep] = i
-    d_row = [-1 if row < 0 else n + row for row in u_row]
-    # A selected orbit enters the final set through one member of each negation
-    # class {B, -B}, B != -B, contributing +-{x, y} and +-{x+y, x-y}.  As -1 is in
-    # the group, the orbit holds both B and -B, and each pair (x, y), x < y, adds
-    # its half: x, y, x + y and the difference whose sign flips between B and -B.
-    columns = []
-    for col, orb in enumerate(index.pair_orbits):
-        if col % DEADLINE_EVERY == 0:
-            check_deadline(deadline)
-        hits: list[int] = []
-        for x, y in orb:
-            s = x + y
-            if s < v:
-                hits += (u_row[x], u_row[y], d_row[s], d_row[y - x])
-            else:
-                hits += (u_row[x], u_row[y], d_row[s - v], d_row[v + x - y])
-        hits.sort()
-        columns.append(tuple(hits[hits.count(-1):]))
-    return columns
+            # A selected orbit enters the final set through one member of each negation
+            # class {B, -B}, B != -B, contributing +-{x, y} and +-{x+y, x-y}.  As -1 is in
+            # the group, the orbit holds both B and -B, and each pair (x, y), x < y, adds
+            # its half: x, y, x + y and the difference whose sign flips between B and -B.
+            hits: list[int] = []
+            for x, y in orb:
+                s = x + y
+                if s < v:
+                    hits += (u_row[x], u_row[y], d_row[s], d_row[y - x])
+                else:
+                    hits += (u_row[x], u_row[y], d_row[s - v], d_row[v + x - y])
+            hits.sort()
+            rows = tuple(hits[hits.count(-1):])
+            if len(set(rows)) == len(rows):
+                options.setdefault(rows, (c, d))
+    m = len(options)
+    bitmaps = [bytearray(m // 8 + 1) for _ in range(2 * n)]  # per row, its options' bits
+    cover = []
+    for option, rows in enumerate(options):
+        mask = 0
+        for row in rows:
+            mask |= 1 << row
+            bitmaps[row][option >> 3] |= 1 << (option & 7)
+        cover.append(mask)
+    return CoverSystem(tuple(reps), tuple(options.values()), cover, [0] * m,
+                       [int.from_bytes(bits, "little") for bits in bitmaps],
+                       (1 << 2 * n) - 1, (1 << m) - 1)
 
 
 def _check_excluded_sets(group: MultiplierGroup, spec: PPSSpec) -> None:
@@ -231,63 +244,24 @@ def _forced_or_lowest(open_items: int, alive: int, covered_by: list[int]) -> int
 # a table (8 MiB); a larger table is built for the call that needs it and not kept.
 OPTION_CACHE_BITS = 1 << 26
 
-
-@dataclass(frozen=True)
-class CoverSystem:
-    """One group's exact-cover system, with the rows a spec requires and the options it allows.
-
-    ``element_reps`` are the element-orbit representatives in ascending order
-    (row i and n + i are orbit i's element and sum/difference rows), ``pairs``
-    the representatives of the kept pair orbits, the options, and
-    ``cover``/``clash``/``covered_by`` their exact-cover masks, ``clash[o]`` 0
-    until a solve first selects o (one list for a table and its spec views).
-    ``required`` is the mask of rows to cover and ``alive`` the options in play.
-    """
-
-    element_reps: tuple[int, ...]
-    pairs: tuple[tuple[int, int], ...]
-    cover: list[int]
-    clash: list[int]
-    covered_by: list[int]
-    required: int
-    alive: int
-
-    @property
-    def m(self) -> int:
-        return len(self.pairs)
-
-
 _TABLES: dict[tuple[int, tuple[int, ...]], CoverSystem] = {}  # by (v, elements), oldest first
 
 
 def option_table(group: MultiplierGroup, *, deadline: float | None = None) -> CoverSystem:
-    """The group's spec-free system, from the cache or built from its orbits' columns.
+    """The group's :func:`orbits` system, from the cache or built under the caller's deadline.
 
-    Every row is required and every option alive.  A column that hits a row
-    twice can never meet a 0-1 row, and distinct twin classes can hit the same
-    rows, so only the first column of each row tuple is kept.  A table of over
-    OPTION_CACHE_BITS rows x options is not kept; otherwise the oldest tables are
-    evicted until the total fits.  The stages check the deadline as they do
-    alone, and a build that overruns it stores nothing.
+    A table of over OPTION_CACHE_BITS rows x options is not kept; otherwise the
+    oldest tables are evicted until the total fits.  A build that overruns its
+    deadline raises and stores nothing.
     """
     key = (group.v, group.elements)
     table = _TABLES.get(key)
-    if table is not None:
-        return table
-    index = orbits(group, deadline=deadline)
-    check_deadline(deadline)
-    first: dict[tuple[int, ...], int] = {}
-    for col, rows in enumerate(_columns(group, index, deadline)):
-        if len(set(rows)) == len(rows):
-            first.setdefault(rows, col)
-    n_rows, m = 2 * len(index.element_orbits), len(first)
-    cover, covered_by = option_masks(list(first), n_rows, deadline=deadline)
-    table = CoverSystem(index.element_reps, tuple(index.pair_orbits[c][0] for c in first.values()),
-                        cover, [0] * m, covered_by, (1 << n_rows) - 1, (1 << m) - 1)
-    if n_rows * m <= OPTION_CACHE_BITS:
-        _TABLES[key] = table
-        while sum(len(held.covered_by) * held.m for held in _TABLES.values()) > OPTION_CACHE_BITS:
-            del _TABLES[next(iter(_TABLES))]
+    if table is None:
+        table = orbits(group, deadline=deadline)
+        if len(table.covered_by) * table.m <= OPTION_CACHE_BITS:
+            _TABLES[key] = table
+            while sum(len(t.covered_by) * t.m for t in _TABLES.values()) > OPTION_CACHE_BITS:
+                del _TABLES[next(iter(_TABLES))]
     return table
 
 
@@ -358,7 +332,7 @@ def km_search(v: int, generators: tuple[int, ...] | list[int], spec: PPSSpec, *,
     that fails :func:`~designforge.core.square_sums_agree` then gets None with no
     table read.  The group's :func:`option_table` is built on its first search
     and read after that.  The deadline is checked on entry, while the group is
-    generated, inside each stage of a build and between them, and in the solve.
+    generated, in a cold table's build and in the solve.
     """
     check_deadline(deadline)
     _pair_marks_size(v)  # a modulus too large for orbits is refused before its group

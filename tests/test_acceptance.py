@@ -24,7 +24,7 @@ from designforge.core import (
     verify_pps,
 )
 from designforge.designs import cdm_from_round, develop_rounds, initial_round, verify_cdm, verify_whist
-from designforge.kramer_mesner import MultiplierGroup, develop, km_search, orbits
+from designforge.kramer_mesner import MultiplierGroup, develop, km_search
 from designforge.modarith import generates_mod_pm_one, mod_sqrt
 from designforge.ooc import (
     SDF,
@@ -41,7 +41,7 @@ from designforge.ooc import (
     verify_ooc,
     verify_sdf,
 )
-from test_kramer_mesner import _all_pair_orbits, _class_multisets
+from test_kramer_mesner import _all_pair_orbits, _class_multisets, _element_orbits
 
 PAIR_SET_ENTRIES = ("ps-13", "aps-27-3-6", "aps-27-3-3", "ps-133",
                     "aps-651-217", "aps-243-18", "aps-255-85", "aps-275-110")
@@ -300,10 +300,10 @@ def test_criterion_9_randomized_properties():
         units = [x for x in range(2, v - 1) if math.gcd(x, v) == 1]
         gens = [v - 1] + ([rng.choice(units)] if units else [])
         group = MultiplierGroup.generate(v, gens)
-        index, every = orbits(group), _all_pair_orbits(group)
+        element_orbits, every = _element_orbits(group), _all_pair_orbits(group)
         for col in rng.sample(range(len(every)), min(8, len(every))):
             u_counts, d_counts = _class_multisets(v, every[col])
-            for orbit in index.element_orbits:
+            for orbit in element_orbits:
                 assert len({u_counts.get(z, 0) for z in orbit}) == 1
                 assert len({d_counts.get(z, 0) for z in orbit}) == 1
         checked += 1
