@@ -357,7 +357,7 @@ def main(argv: list[str] | None = None) -> int:
     except BudgetExceededError as exc:
         print(f"search aborted: {exc}", file=sys.stderr)
         return EXHAUSTED
-    except MemoryError:  # a modulus too large for the O(v) marks of a verifier or construction
+    except (MemoryError, OverflowError):  # O(v) marks too large for memory or for an index
         print(f"{args.command} aborted: out of memory", file=sys.stderr)
         return EXHAUSTED
 

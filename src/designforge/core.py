@@ -449,49 +449,7 @@ def check_deadline(deadline: float | None) -> None:
         raise BudgetExceededError("search hit its deadline")
 
 
-def exact_cover(cover: list[int], clash: list[int], covered_by: list[int], open_items: int,
-                alive: int, branch, *, deadline: float | None = None) -> list[int] | None:
-    """Knuth's Algorithm X over int bitsets: the first exact cover found, or None.
-
-    Option o covers the items in ``cover[o]``; ``covered_by[i]`` holds the
-    options covering item i.  Selecting o rules out ``clash[o]``: itself and
-    every option sharing an item with it.  A 0 there is filled on o's first
-    select, in the caller's list, with the OR of its items' ``covered_by``, so
-    later selects and later calls reuse it.  A search state is (open primary
-    items, alive options), so selecting is two AND-NOTs with no undo.  Items
-    never open are secondary: covered at most once.  The node branches on the
-    item ``branch(open_items, alive, covered_by)`` and tries its alive options
-    in ascending order.  Returns the chosen options in order.  The deadline is
-    checked on the first node, then every DEADLINE_EVERY nodes.
-    """
-    stack: list[tuple[int, int, int, int]] = []  # (open, alive, untried, chosen) per level
-    nodes = 0
-    while open_items:
-        if nodes % DEADLINE_EVERY == 0:
-            check_deadline(deadline)
-        nodes += 1
-        untried = alive & covered_by[branch(open_items, alive, covered_by)]
-        while not untried:
-            if not stack:
-                return None
-            open_items, alive, untried, _ = stack.pop()
-        low = untried & -untried
-        option = low.bit_length() - 1
-        stack.append((open_items, alive, untried ^ low, option))
-        open_items &= ~cover[option]
-        mask = clash[option]
-        if not mask:
-            items = cover[option]
-            while items:
-                mask |= covered_by[(items & -items).bit_length() - 1]
-                items &= items - 1
-            clash[option] = mask
-        alive &= ~mask
-    return [frame[3] for frame in stack]
-
-
-# exhaustive_search refuses more pairs than this over a larger modulus unless forced.
-EXHAUSTIVE_MAX_PAIRS = 6
+# exhaustive_search refuses a larger modulus unless forced.
 EXHAUSTIVE_MAX_V = 40
 
 
@@ -506,15 +464,14 @@ def exhaustive_search(spec: PPSSpec, *, force: bool = False,
     otherwise branches on the lowest open row: the smallest uncovered element
     class, and once none is left, every sum/difference class is covered too.  So
     the chosen pairs, sorted, are the least set.  Unless forced, it first refuses
-    more than EXHAUSTIVE_MAX_PAIRS pairs over v > EXHAUSTIVE_MAX_V.  Then it checks
-    the deadline, and a spec that fails :func:`square_sums_agree` gets None with
-    no group generated and no table read or built; the build and the solve
-    check the deadline as they go.
+    every v > EXHAUSTIVE_MAX_V.  Then it checks the deadline, and a spec that
+    fails :func:`square_sums_agree` gets None with no group generated and no
+    table read or built; the build and the solve check the deadline as they go.
     """
     from .kramer_mesner import (  # imports core
         MultiplierGroup, _forced_or_lowest, build_system, solve_binary)
     v = spec.v
-    if not force and spec.pair_count > EXHAUSTIVE_MAX_PAIRS and v > EXHAUSTIVE_MAX_V:
+    if not force and v > EXHAUSTIVE_MAX_V:
         raise BudgetExceededError(
             f"search for {spec.pair_count} pairs over Z_{v} exceeds the default budget")
     check_deadline(deadline)

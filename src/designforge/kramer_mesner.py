@@ -20,7 +20,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 
 from .core import (DEADLINE_EVERY, BudgetExceededError, PairSet, PPSSpec, check_deadline,
-                   exact_cover, square_sums_agree, verify_pps)
+                   square_sums_agree, verify_pps)
 from .modarith import crt_lift, factorint, mult_order
 
 
@@ -292,17 +292,46 @@ def build_system(group: MultiplierGroup, spec: PPSSpec, *,
 
 def solve_binary(system: CoverSystem, branch=_fewest_options, *,
                  deadline: float | None = None) -> list[tuple[int, int]] | None:
-    """The pairs of the first exact cover of the system's required rows, or None.
+    """Knuth's Algorithm X over int bitsets: the pairs of the first exact cover of the
+    system's required rows, in the order they were chosen, or None.
 
-    :func:`~designforge.core.exact_cover` branches on the row ``branch`` picks,
-    by default :func:`_fewest_options`: a row with at most one alive option if
-    any, else the one with the fewest, ties to the lowest row.  It tries options
-    in ascending order and returns the pairs in the order they were chosen.  It
-    checks the deadline on the first node and every DEADLINE_EVERY nodes.
+    Option o covers the rows in ``cover[o]``; ``covered_by[r]`` holds the options
+    covering row r.  Selecting o rules out ``clash[o]``: itself and every option
+    sharing a row with it.  A 0 there is filled on o's first select, in the system's
+    shared list, with the OR of its rows' ``covered_by``, so later selects and later
+    solves reuse it.  A search state is (open required rows, alive options), so
+    selecting is two AND-NOTs with no undo; rows not required are covered at most
+    once.  The node branches on the row ``branch(open_rows, alive, covered_by)``
+    picks, by default :func:`_fewest_options`, and tries its alive options in
+    ascending order.  The deadline is checked on the first node, then every
+    DEADLINE_EVERY nodes.
     """
-    chosen = exact_cover(system.cover, system.clash, system.covered_by, system.required,
-                         system.alive, branch, deadline=deadline)
-    return None if chosen is None else [system.pairs[option] for option in chosen]
+    cover, clash, covered_by = system.cover, system.clash, system.covered_by
+    open_rows, alive = system.required, system.alive
+    stack: list[tuple[int, int, int, int]] = []  # (open, alive, untried, chosen) per level
+    nodes = 0
+    while open_rows:
+        if nodes % DEADLINE_EVERY == 0:
+            check_deadline(deadline)
+        nodes += 1
+        untried = alive & covered_by[branch(open_rows, alive, covered_by)]
+        while not untried:
+            if not stack:
+                return None
+            open_rows, alive, untried, _ = stack.pop()
+        low = untried & -untried
+        option = low.bit_length() - 1
+        stack.append((open_rows, alive, untried ^ low, option))
+        open_rows &= ~cover[option]
+        mask = clash[option]
+        if not mask:
+            rows = cover[option]
+            while rows:
+                mask |= covered_by[(rows & -rows).bit_length() - 1]
+                rows &= rows - 1
+            clash[option] = mask
+        alive &= ~mask
+    return [system.pairs[frame[3]] for frame in stack]
 
 
 def develop(initial: list[tuple[int, int]] | tuple, group: MultiplierGroup) -> PairSet:

@@ -366,6 +366,9 @@ def test_missing_flag_is_a_usage_error(capsys, command, needle):
 
 _OVERSIZED_PAIRS = {"v": 10**15 + 1, "pairs": [[1, 2]]}
 _OVERSIZED_CODE = {"n": 10**15 + 1, "k": 4, "codewords": [[0, 1, 3, 7]]}
+# past 2**63 the size of the marks overflows an index before it can fail to allocate
+_UNINDEXABLE_PAIRS = {"v": 10**20 + 1, "pairs": [[1, 2]]}
+_UNINDEXABLE_CODE = {"n": 10**20 + 1, "k": 4, "codewords": [[0, 1, 3, 7]]}
 
 
 @pytest.mark.parametrize("command, payload", [
@@ -374,10 +377,18 @@ _OVERSIZED_CODE = {"n": 10**15 + 1, "k": 4, "codewords": [[0, 1, 3, 7]]}
     (["cdm", "from-pairs"], _OVERSIZED_PAIRS),
     (["ooc", "verify"], _OVERSIZED_CODE),
     (["ooc", "maximal"], _OVERSIZED_CODE),
-], ids=["verify", "whist-develop", "cdm-from-pairs", "ooc-verify", "ooc-maximal"])
+    (["verify", "--type", "ps"], _UNINDEXABLE_PAIRS),
+    (["whist", "develop"], _UNINDEXABLE_PAIRS),
+    (["cdm", "from-pairs"], _UNINDEXABLE_PAIRS),
+    (["ooc", "verify"], _UNINDEXABLE_CODE),
+    (["ooc", "maximal"], _UNINDEXABLE_CODE),
+], ids=["verify", "whist-develop", "cdm-from-pairs", "ooc-verify", "ooc-maximal",
+        "verify-1e20", "whist-develop-1e20", "cdm-from-pairs-1e20", "ooc-verify-1e20",
+        "ooc-maximal-1e20"])
 def test_a_modulus_too_large_for_its_marks_is_out_of_memory_in_one_line(
         example_file, capsys, command, payload):
-    # the +-class marks of Z_v alone would take v//2 + 1 ~ 5 * 10**14 bytes
+    # the +-class marks of Z_v alone would take v//2 + 1 ~ 5 * 10**14 bytes, or more
+    # than an index can hold
     assert main(command + ["--file", example_file("big.json", payload)]) == 3
     captured = capsys.readouterr()
     lines = captured.err.strip().splitlines()

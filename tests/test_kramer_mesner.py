@@ -21,12 +21,12 @@ from designforge.core import (
     PairSet,
     PPSSpec,
     aps_necessary,
-    exact_cover,
     exhaustive_search,
     square_sums_agree,
     verify_pps,
 )
 from designforge.kramer_mesner import (
+    CoverSystem,
     MultiplierGroup,
     build_system,
     develop,
@@ -192,8 +192,8 @@ def _exact_cover_of(columns, j):
             if len(set(rows)) == len(rows) and all(j[i] for i in rows)]
     cover, _, covered_by = _eager_option_masks([columns[col] for col in kept], len(j))
     required = sum(ji << i for i, ji in enumerate(j))
-    chosen = exact_cover(cover, [0] * len(kept), covered_by, required, (1 << len(kept)) - 1,
-                         kramer_mesner._fewest_options)
+    chosen = solve_binary(_indexed_system(cover, [0] * len(kept), covered_by, required,
+                                          (1 << len(kept)) - 1))
     return None if chosen is None else [kept[option] for option in chosen]
 
 
@@ -302,8 +302,7 @@ def test_solve_binary_v5():
 
 def test_solve_binary_infeasible_row():
     cover, _, covered_by = _eager_option_masks([(0,), ()], 2)  # row 1 required, uncoverable
-    assert exact_cover(cover, [0, 0], covered_by, 0b11, 0b11,
-                       kramer_mesner._fewest_options) is None
+    assert solve_binary(_indexed_system(cover, [0, 0], covered_by, 0b11, 0b11)) is None
     assert _exact_cover_of([(0,), ()], [1, 1]) is None
 
 
@@ -388,8 +387,15 @@ def _eager_option_masks(members, n_items):
     return cover, clash, covered_by
 
 
+def _indexed_system(cover, clash, covered_by, required, alive):
+    """The CoverSystem of these masks whose pairs are the option indices, so that
+    solve_binary returns the chosen options."""
+    return CoverSystem((), tuple(range(len(cover))), cover, clash, covered_by, required, alive)
+
+
 def _eager_exact_cover(cover, clash, covered_by, open_items, alive, branch):
-    """exact_cover as it ran when every clash mask came filled in, with no deadline."""
+    """solve_binary's kernel as it ran when every clash mask came filled in, with no
+    deadline: the chosen options."""
     stack = []
     while open_items:
         untried = alive & covered_by[branch(open_items, alive, covered_by)]
@@ -428,14 +434,15 @@ def _rows_of(mask):
 
 
 def _assert_lazy_kernel_matches_eager(members, n_items, required, alive, branch):
-    """exact_cover from all-0 clash masks returns the eager kernel's answer after as many
+    """solve_binary from all-0 clash masks returns the eager kernel's answer after as many
     nodes, and every mask it fills is the eager one; returns the answer."""
     cover, clash, covered_by = _eager_option_masks(members, n_items)
     eager_branch, eager_nodes = _counted(branch)
     expected = _eager_exact_cover(cover, clash, covered_by, required, alive, eager_branch)
     lazy = [0] * len(members)
     lazy_branch, lazy_nodes = _counted(branch)
-    assert exact_cover(cover, lazy, covered_by, required, alive, lazy_branch) == expected
+    assert solve_binary(_indexed_system(cover, lazy, covered_by, required, alive),
+                        lazy_branch) == expected
     assert len(lazy_nodes) == len(eager_nodes)
     assert all(mask in (0, clash[option]) for option, mask in enumerate(lazy))
     return expected
@@ -468,7 +475,8 @@ def _check_option_table(group, monkeypatch, nodes=200):
     required = sum(1 << row for row, options in enumerate(table.covered_by) if options)
     branch, _ = _counted(kramer_mesner._fewest_options, nodes)
     try:
-        exact_cover(table.cover, table.clash, table.covered_by, required, table.alive, branch)
+        solve_binary(_indexed_system(table.cover, table.clash, table.covered_by, required,
+                                     table.alive), branch)
     except _NodeLimit:
         pass
     assert kramer_mesner.option_table(group).clash is table.clash
@@ -629,12 +637,9 @@ def test_km_search_finds_the_set_the_lowest_first_scan_finds():
                              for spec in _sign_group_aps_specs(v)]
     for v, generators, spec in cases:
         group = MultiplierGroup.generate(v, generators)
-        system = build_system(group, spec)
-        chosen = exact_cover(system.cover, system.clash, system.covered_by, system.required,
-                             system.alive, _lowest_first_fewest_options)
+        chosen = solve_binary(build_system(group, spec), _lowest_first_fewest_options)
         assert chosen is not None, spec
-        assert km_search(v, generators, spec) == develop([system.pairs[o] for o in chosen],
-                                                         group), spec
+        assert km_search(v, generators, spec) == develop(chosen, group), spec
     assert len(cases) == 16 + 23 + 32
 
 
@@ -657,11 +662,9 @@ def test_exhaustive_search_takes_fewer_nodes_than_the_lowest_row_rule(monkeypatc
         for spec in filter(square_sums_agree, specs):
             system = build_system(MultiplierGroup.generate(v, (-1,)), spec)
             branch, lowest = _counted(_lowest_open_row)
-            chosen = exact_cover(system.cover, system.clash, system.covered_by,
-                                 system.required, system.alive, branch)
+            chosen = solve_binary(system, branch)  # unpatched: its nodes count in lowest only
             lowest_row_nodes += len(lowest)
-            expected = None if chosen is None else PairSet(v, tuple(system.pairs[o]
-                                                                    for o in chosen))
+            expected = None if chosen is None else PairSet(v, tuple(chosen))
             assert exhaustive_search(spec, force=True) == expected, spec
             checked += 1
     assert checked == 50
@@ -824,7 +827,8 @@ def test_every_stage_reports_a_deadline_overrun_the_same_way(monkeypatch):
         lambda deadline: orbits(g, deadline=deadline),
         lambda deadline: build_system(g, PPSSpec.aps(27, 3, 6), deadline=deadline),
         lambda deadline: kramer_mesner.option_table(g, deadline=deadline),
-        lambda deadline: exact_cover([1], [1], [1], 1, 1, lambda *_: 0, deadline=deadline),
+        lambda deadline: solve_binary(_indexed_system([1], [1], [1], 1, 1), lambda *_: 0,
+                                      deadline=deadline),
         lambda deadline: exhaustive_search(PPSSpec.ps(13), deadline=deadline),
         lambda deadline: km_search(27, [26], PPSSpec.aps(27, 3, 6), deadline=deadline),
     ]
@@ -966,6 +970,33 @@ def test_a_spec_failing_the_square_sum_identity_gets_none_after_every_earlier_ch
     assert km_search(59, [58], aps59, deadline=time.monotonic() + 1) is None
     assert exhaustive_search(PPSSpec.ps(45), force=True, deadline=time.monotonic() + 1) is None
     assert kramer_mesner._TABLES == {}
+
+
+def _six_pair_pps(v):
+    """The PPS over Z_v whose A1 and A2 are the complements of the +-classes hit by six
+    fixed pairs, so that those pairs are a valid set."""
+    pairs = ((1, 3), (5, 12), (7, 20), (9, 30), (11, 41), (13, 60))
+    elements = {z for pair in pairs for z in pair}
+    sums = {z for x, y in pairs for z in (x + y, y - x)}
+    return PPSSpec(v, frozenset(z for z in range(v) if min(z, v - z) not in elements),
+                   frozenset(z for z in range(v) if min(z, v - z) not in sums))
+
+
+def test_exhaustive_search_refuses_every_modulus_past_its_budget_unless_forced(monkeypatch):
+    """Unless forced, a PPS over v > 40 is refused before its O(v^2) sign-group table,
+    however few its pairs."""
+    monkeypatch.setattr(kramer_mesner, "_TABLES", {})
+    for v in (3001, 401):
+        spec = _six_pair_pps(v)
+        assert spec.pair_count == 6
+        start = time.monotonic()
+        with pytest.raises(BudgetExceededError,
+                           match=f"search for 6 pairs over Z_{v} exceeds the default budget"):
+            exhaustive_search(spec)
+        assert time.monotonic() - start < 0.1
+    assert kramer_mesner._TABLES == {}
+    found = exhaustive_search(spec, force=True)
+    assert found is not None and verify_pps(found, spec).valid
 
 
 def test_a_build_that_overruns_its_deadline_stores_nothing(monkeypatch):
