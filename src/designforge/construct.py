@@ -199,18 +199,27 @@ def cyclotomic_witnesses(p: int, q: int) -> tuple[tuple[int, int], tuple[int, in
 def cyclotomic_pps(p: int, q: int) -> tuple[PairSet, PPSSpec]:
     """Pair set on Z_pq covering exactly the residues coprime to pq.
 
-    Both excluded sets are the union of the multiples of p and of q.
+    Both excluded sets are the union of the multiples of p and of q.  The
+    pairs are the CRT lifts (x1*s1*ep + x2*s2*eq, y1*s1*ep + y2*s2*eq) mod pq
+    over the nonzero squares s1 mod p and then s2 mod q, both ascending.  The
+    p-side terms (one per s1) and the q-side terms (one per s2) are reduced
+    mod pq once each, so a pair costs two additions mod pq.
     """
     if not (isprime(p) and isprime(q)) or p % 4 != 3 or q % 4 != 3 or not p > q > 3:
         raise ValueError("need primes p > q > 3 with p, q = 3 modulo 4")
     (x1, y1), (x2, y2) = cyclotomic_witnesses(p, q)
     n = p * q
     ep, eq = crt_basis([p, q])
-    squares_q = sorted(_nonzero_squares(q))
-    pairs = _ordered(((x1 * s1 * ep + x2 * s2 * eq) % n, (y1 * s1 * ep + y2 * s2 * eq) % n)
-                     for s1 in sorted(_nonzero_squares(p)) for s2 in squares_q)
+    q_terms = [(x2 * s2 * eq % n, y2 * s2 * eq % n) for s2 in sorted(_nonzero_squares(q))]
+    pairs = []
+    for s1 in sorted(_nonzero_squares(p)):
+        a, b = x1 * s1 * ep % n, y1 * s1 * ep % n
+        for c, d in q_terms:
+            x = (a + c) % n
+            y = (b + d) % n
+            pairs.append((x, y) if x < y else (y, x))  # smaller first, as PairSet stores them
     excluded = frozenset(range(0, n, p)) | frozenset(range(0, n, q))
-    return _trusted(PairSet, v=n, pairs=pairs), PPSSpec(n, excluded, excluded)
+    return _trusted(PairSet, v=n, pairs=tuple(pairs)), PPSSpec(n, excluded, excluded)
 
 
 def union_pps_pq(

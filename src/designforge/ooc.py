@@ -12,12 +12,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations
 
-from .construct import silver_pps_p2, union_pps_pq
+from .construct import silver_pps_p2, silver_witness, union_pps_pq
 from .core import (BudgetExceededError, PairSet, SetKind, _trusted, _unmarked, infer_params,
                    json_field)
-from .modarith import crt_basis, mod_sqrt
+from .modarith import crt_basis
 
 
 @dataclass(frozen=True)
@@ -92,20 +91,28 @@ def _difference_counts(n: int, blocks) -> list[int]:
 
 
 def _difference_report(code: OOCode) -> OOCReport:
-    """One pass of +-class marks: each b - a (a < b in a codeword) marks min(b - a, n - b + a).
+    """+-class marks by codeword column: each d = b - a, a < b in a codeword, marks min(d, n - d).
 
-    The differences and their negatives are distinct exactly when every upper
-    difference marks a class of its own and, for even n, none is n/2 (which is
-    its own negative).  Only a failing code is tallied.
+    The codewords are sorted, so column i of the transposed code lies below
+    column j for i < j, and each pair of columns gives one upper difference
+    per codeword: N codewords give N*k(k-1)/2 of them.  The differences and
+    their negatives are distinct exactly when every upper difference marks a
+    class of its own and, for even n, none is n/2 (which is its own
+    negative).  A code with no codewords has no columns and leaves all of
+    Z_n.  Only a failing code is tallied.
     """
     n = code.n
     h = n // 2
     marks = bytearray(h + 1)
-    upper = [b - a for cw in code.codewords for a, b in combinations(cw, 2)]
-    for d in upper:
-        marks[d if d <= h else n - d] = 1
+    columns = list(zip(*code.codewords))
+    for i, low in enumerate(columns):
+        for high in columns[i + 1:]:
+            for a, b in zip(low, high):
+                d = b - a
+                marks[d if d <= h else n - d] = 1
+    upper = len(code.codewords) * code.k * (code.k - 1) // 2
     repeated: frozenset[int] = frozenset()
-    if marks.count(1) != len(upper) or (n % 2 == 0 and marks[h]):
+    if marks.count(1) != upper or (n % 2 == 0 and marks[h]):
         counts = _difference_counts(n, code.codewords)
         repeated = frozenset(d for d, c in enumerate(counts) if c > 1)
     leave = _unmarked(marks, n)
@@ -174,17 +181,6 @@ def _template(k: int) -> int:
     return 3 if k == 4 else 5
 
 
-def _lift(m: int, v: int, rows) -> tuple[tuple[int, ...], ...]:
-    """Each (block, seconds) row of Z_m x Z_v as a codeword of Z_{mv}, reduced and sorted.
-
-    The rows' points must be distinct, so that the result is an OOCode codeword.
-    """
-    n = m * v
-    em, ev = crt_basis([m, v])
-    return tuple(tuple(sorted([(i * em + x * ev) % n for i, x in zip(block, seconds)]))
-                 for block, seconds in rows)
-
-
 def _pair_template_code(m: int, k: int, pairs, v: int) -> OOCode:
     """Codewords {(1,x),(1,-x),(-1,y),(-1,-y)} (plus (0,0) when k=5) over Z_{mv}.
 
@@ -223,7 +219,12 @@ def ooc_45v_from_ps(s: PairSet) -> OOCode:
 
     Nine codewords per pair follow the SIGMA45 block patterns in the first
     coordinate; two extra constant-second-coordinate codewords close the
-    difference leave down to five elements.
+    difference leave down to five elements.  Written through the CRT basis
+    (e45, ev) of Z_45 x Z_v: the first coordinates of SIGMA45[0] and of the
+    two repeated blocks become offsets b*e45 mod 45v once per call, and for
+    each Z = z*ev, z in (x, -x, y, -y), a repeated block's codeword is the
+    sorted (offset_t + t*Z) mod 45v, t = 0..4.  A LEAVE45 codeword is its
+    block's sorted offsets.
     """
     v = s.v
     if v % 4 != 1 or math.gcd(v, 45) != 1:
@@ -231,14 +232,25 @@ def ooc_45v_from_ps(s: PairSet) -> OOCode:
     spec = infer_params(s)
     if spec is None or spec.kind is not SetKind.PS:
         raise ValueError("input must be a valid PS")
-    rows = []
+    n = 45 * v
+    e45, ev = crt_basis([45, v])
+    (f0, f1, f2, f3, f4), (a0, a1, a2, a3, a4), (b0, b1, b2, b3, b4) = (
+        [t * e45 % n for t in block] for block in SIGMA45[:2] + SIGMA45[5:6])
+    codewords = []
     for x, y in s.pairs:
-        rows.append((SIGMA45[0], (0, x, -x, y, -y)))
-        for z, a, b in zip((x, -x, y, -y), SIGMA45[1:5], SIGMA45[5:]):
-            multiples = tuple(j * z for j in range(5))
-            rows += [(a, multiples), (b, multiples)]
-    rows += [(block, (0,) * 5) for block in LEAVE45]
-    return _trusted(OOCode, n=45 * v, k=5, codewords=_lift(45, v, rows))
+        xv, yv = x * ev, y * ev
+        codewords.append(tuple(sorted((f0, (f1 + xv) % n, (f2 - xv) % n,
+                                       (f3 + yv) % n, (f4 - yv) % n))))
+        for z in (xv, -xv, yv, -yv):
+            z2 = z + z
+            z3 = z2 + z
+            z4 = z3 + z
+            codewords.append(tuple(sorted((a0, (a1 + z) % n, (a2 + z2) % n,
+                                           (a3 + z3) % n, (a4 + z4) % n))))
+            codewords.append(tuple(sorted((b0, (b1 + z) % n, (b2 + z2) % n,
+                                           (b3 + z3) % n, (b4 + z4) % n))))
+    codewords += [tuple(sorted(t * e45 % n for t in block)) for block in LEAVE45]
+    return _trusted(OOCode, n=n, k=5, codewords=tuple(codewords))
 
 
 def maximal_ooc_pq(p: int, q: int, sp: PairSet, sq: PairSet, k: int) -> OOCode:
@@ -255,11 +267,12 @@ def maximal_ooc_pq(p: int, q: int, sp: PairSet, sq: PairSet, k: int) -> OOCode:
 def maximal_ooc_p2(p: int, k: int) -> OOCode:
     """Maximal (3p^2, 4, 1) or (5p^2, 5, 1) code from the prime-square chain.
 
-    Requires 1 + sqrt(2) to generate the units of Z_{p^2} up to sign; the
-    known failures (e.g. p = 31) surface as a ValueError.
+    Requires a prime p = 7 (mod 8), checked first, and 1 + sqrt(2) to
+    generate the units of Z_{p^2} up to sign; the known failures (e.g.
+    p = 31) surface as a ValueError.  beta = theta - 1 is sqrt(2) mod p^2.
     """
     m = _template(k)
-    beta = mod_sqrt(2, p * p)
+    beta = silver_witness(p, square=True).theta - 1
     pairs, _ = silver_pps_p2(p, 1, beta)
     return _pair_template_code(m, k, pairs.pairs, p * p)
 

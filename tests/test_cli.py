@@ -188,6 +188,15 @@ def test_ooc_build_p2(capsys):
     assert code["n"] == 147 and len(code["codewords"]) == 11
 
 
+@pytest.mark.parametrize("p", [0, 1, 2, 8, 9, 13, 15, 17, 49, -7])
+def test_ooc_build_p2_names_the_p_it_was_given(capsys, p):
+    # p is checked before sqrt(2) mod p^2 is taken, so no error names the modulus p^2
+    assert main(["ooc", "build", "--kind", "p2", "--p", str(p)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: p must be a prime congruent to 7 modulo 8, got {p}\n"
+    assert not captured.out
+
+
 def test_catalog_commands(capsys):
     assert main(["catalog", "--list"]) == 0
     listing = capsys.readouterr().out

@@ -29,7 +29,7 @@ from designforge.construct import (
 )
 from designforge.core import (PairSet, PPSSpec, admissible_params, infer_params, scale_set,
                               square_sums_agree, verify_pps)
-from designforge.modarith import mod_sqrt
+from designforge.modarith import crt_basis, mod_sqrt
 
 PS5 = PairSet(5, ((1, 2),))
 PS13 = PairSet(13, ((1, 5), (2, 3), (4, 6)))
@@ -264,6 +264,28 @@ def test_cyclotomic_pps():
         cyclotomic_pps(7, 3)
     with pytest.raises(ValueError):
         cyclotomic_pps(13, 7)  # 13 = 1 mod 4
+
+
+def _cyclotomic_pairs_by_full_lift(p: int, q: int) -> tuple[tuple[int, int], ...]:
+    """Each pair lifted whole: (x1*s1*ep + x2*s2*eq, y1*s1*ep + y2*s2*eq) mod pq, smaller first."""
+    (x1, y1), (x2, y2) = cyclotomic_witnesses(p, q)
+    n = p * q
+    ep, eq = crt_basis([p, q])
+    squares_p = sorted({x * x % p for x in range(1, p)})
+    squares_q = sorted({x * x % q for x in range(1, q)})
+    lifts = (((x1 * s1 * ep + x2 * s2 * eq) % n, (y1 * s1 * ep + y2 * s2 * eq) % n)
+             for s1 in squares_p for s2 in squares_q)
+    return tuple((x, y) if x < y else (y, x) for x, y in lifts)
+
+
+CYCLOTOMIC_PRIMES = [p for p in primerange(5, 120) if p % 4 == 3]
+
+
+@pytest.mark.parametrize("p, q", [(p, q) for p in CYCLOTOMIC_PRIMES for q in CYCLOTOMIC_PRIMES
+                                  if p > q] + [(191, 127), (263, 71)])
+def test_cyclotomic_pps_pairs_are_the_full_lifts_in_order(p, q):
+    s, _ = cyclotomic_pps(p, q)
+    assert s.pairs == _cyclotomic_pairs_by_full_lift(p, q)
 
 
 def test_union_pps_pq():

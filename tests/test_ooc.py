@@ -261,6 +261,24 @@ def _reference_report(code: OOCode) -> OOCReport:
     return OOCReport(not repeated, repeated, leave, len(leave) <= code.k * (code.k - 1))
 
 
+@pytest.mark.parametrize("n", [1, 2, 13, 36, 585, 1000])
+@pytest.mark.parametrize("k", [2, 4, 5, 7])
+def test_a_code_with_no_codewords_leaves_all_of_z_n(n, k):
+    code = OOCode(n, k, ())
+    assert verify_ooc(code) == _reference_report(code)
+    assert verify_ooc(code).leave == frozenset(range(n))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_verify_ooc_agrees_with_the_difference_tally_up_to_k_8(data):
+    n = data.draw(st.integers(2, 2_000))
+    k = data.draw(st.integers(2, min(n, 8)))
+    word = st.lists(st.integers(0, n - 1), min_size=k, max_size=k, unique=True)
+    code = OOCode(n, k, tuple(map(tuple, data.draw(st.lists(word, max_size=12)))))
+    assert verify_ooc(code) == _reference_report(code)
+
+
 @functools.cache
 def _large_codes() -> tuple[OOCode, ...]:
     """Pair-template and 45v codes from n = 665 to n = 77,805, built once."""
