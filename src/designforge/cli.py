@@ -44,6 +44,7 @@ from .designs import (
     verify_whist,
 )
 from .kramer_mesner import km_search
+from .modarith import isprime
 from .ooc import (
     OOCode,
     is_maximal,
@@ -128,9 +129,16 @@ def _cmd_search(args) -> int:
     return OK
 
 
-def _aps_file_or_silver(path: str | None, p: int) -> PairSet:
-    """The pair set in the file at ``path``, or the silver APS of ``p`` if no file is given."""
-    return silver_aps(p)[0] if path is None else PairSet.from_json(_load_json(path))
+def _aps_file_or_silver(path: str | None, v: int, flag: str) -> PairSet:
+    """The pair set in the file at ``path``, or the silver APS of ``v`` if no file is given.
+
+    ``v`` is the value of ``--flag``, which an error about it names.
+    """
+    if path is not None:
+        return PairSet.from_json(_load_json(path))
+    if not isprime(v) or v % 8 != 7:
+        raise ValueError(f"{flag} must be a prime congruent to 7 modulo 8, got {v}")
+    return silver_aps(v)[0]
 
 
 def _print_construction(result: tuple[PairSet, PPSSpec], as_json: bool) -> int:
@@ -176,8 +184,8 @@ def _cmd_construct(args) -> int:
     elif args.what == "cyclotomic":
         result = cyclotomic_pps(args.p, args.q)
     else:  # union
-        result = union_pps_pq(args.p, args.q, _aps_file_or_silver(args.sp, args.p),
-                              _aps_file_or_silver(args.sq, args.q))
+        result = union_pps_pq(args.p, args.q, _aps_file_or_silver(args.sp, args.p, "p"),
+                              _aps_file_or_silver(args.sq, args.q, "q"))
     return _print_construction(result, args.json)
 
 
@@ -227,8 +235,8 @@ def _cmd_ooc(args) -> int:
         elif args.kind == "block45":
             code = ooc_45v_from_ps(PairSet.from_json(_load_json(args.file)))
         elif args.kind == "pq":
-            code = maximal_ooc_pq(args.p, args.q, _aps_file_or_silver(args.sp, args.p),
-                                  _aps_file_or_silver(args.sq, args.q), args.k)
+            code = maximal_ooc_pq(args.p, args.q, _aps_file_or_silver(args.sp, args.p, "p"),
+                                  _aps_file_or_silver(args.sq, args.q, "q"), args.k)
         else:
             code = maximal_ooc_p2(args.p, args.k)
         _emit(code.to_json(), args.json)

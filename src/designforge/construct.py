@@ -203,7 +203,8 @@ def cyclotomic_pps(p: int, q: int) -> tuple[PairSet, PPSSpec]:
     pairs are the CRT lifts (x1*s1*ep + x2*s2*eq, y1*s1*ep + y2*s2*eq) mod pq
     over the nonzero squares s1 mod p and then s2 mod q, both ascending.  The
     p-side terms (one per s1) and the q-side terms (one per s2) are reduced
-    mod pq once each, so a pair costs two additions mod pq.
+    mod pq once each, and the p-side ones shifted down by pq, so each
+    coordinate of a pair is one addition and one correction of a negative sum.
     """
     if not (isprime(p) and isprime(q)) or p % 4 != 3 or q % 4 != 3 or not p > q > 3:
         raise ValueError("need primes p > q > 3 with p, q = 3 modulo 4")
@@ -213,10 +214,14 @@ def cyclotomic_pps(p: int, q: int) -> tuple[PairSet, PPSSpec]:
     q_terms = [(x2 * s2 * eq % n, y2 * s2 * eq % n) for s2 in sorted(_nonzero_squares(q))]
     pairs = []
     for s1 in sorted(_nonzero_squares(p)):
-        a, b = x1 * s1 * ep % n, y1 * s1 * ep % n
+        a, b = x1 * s1 * ep % n - n, y1 * s1 * ep % n - n
         for c, d in q_terms:
-            x = (a + c) % n
-            y = (b + d) % n
+            x = a + c
+            if x < 0:
+                x += n
+            y = b + d
+            if y < 0:
+                y += n
             pairs.append((x, y) if x < y else (y, x))  # smaller first, as PairSet stores them
     excluded = frozenset(range(0, n, p)) | frozenset(range(0, n, q))
     return _trusted(PairSet, v=n, pairs=tuple(pairs)), PPSSpec(n, excluded, excluded)

@@ -277,12 +277,18 @@ def verify_pps(s: PairSet, spec: PPSSpec) -> VerifyReport:
                         missing1, repeated1, missing2, repeated2)
 
 
-_FLIP = bytes.maketrans(b"\x00\x01", b"\x01\x00")
-
-
 def _unmarked(marks: bytearray, v: int) -> frozenset[int]:
-    """The residues of the classes that marks leaves unmarked."""
-    classes = frozenset(itertools.compress(range(len(marks)), marks.translate(_FLIP)))
+    """The residues of the classes that marks leaves unmarked.
+
+    ``marks.find`` steps from one unmarked class to the next, so the cost
+    grows with the number of unmarked classes, not with the number of classes.
+    """
+    unmarked = []
+    c = marks.find(0)
+    while c >= 0:
+        unmarked.append(c)
+        c = marks.find(0, c + 1)
+    classes = frozenset(unmarked)
     return classes | {v - c for c in classes if c}
 
 

@@ -186,16 +186,22 @@ def _pair_template_code(m: int, k: int, pairs, v: int) -> OOCode:
 
     The pairs must come from a valid pair set: x, y, -x and -y are then
     distinct and nonzero modulo v, so each codeword has k distinct points.
+    X = x*ev and Y = y*ev are reduced mod n once each, so every point is
+    one addition or subtraction of two residues, reduced mod n.
     """
     n = m * v
     e1, ev = crt_basis([m, v])  # (1, 0) and (0, 1)
     e2 = n - e1  # (-1, 0)
-    codewords = tuple(tuple(sorted(((e1 + x * ev) % n, (e1 - x * ev) % n,
-                                    (e2 + y * ev) % n, (e2 - y * ev) % n)))
-                      for x, y in pairs)
+    codewords = []
+    for x, y in pairs:
+        xe = x * ev % n
+        ye = y * ev % n
+        cw = [(e1 + xe) % n, (e1 - xe) % n, (e2 + ye) % n, (e2 - ye) % n]
+        cw.sort()
+        codewords.append(tuple(cw))
     if k == 5:  # (0, 0) is 0, below every other point
-        codewords = tuple((0,) + cw for cw in codewords)
-    return _trusted(OOCode, n=n, k=k, codewords=codewords)
+        codewords = [(0,) + cw for cw in codewords]
+    return _trusted(OOCode, n=n, k=k, codewords=tuple(codewords))
 
 
 def ooc_from_pairs(s: PairSet, k: int) -> OOCode:

@@ -197,6 +197,17 @@ def test_ooc_build_p2_names_the_p_it_was_given(capsys, p):
     assert not captured.out
 
 
+@pytest.mark.parametrize("command", [["ooc", "build", "--kind", "pq"], ["construct", "union"]])
+@pytest.mark.parametrize("flag", ["p", "q"])
+def test_a_bad_default_aps_modulus_is_named_by_its_flag(capsys, command, flag):
+    # with no --sp/--sq file, each of p and q gets its silver APS, and a bad one is named
+    values = {"p": "191", "q": "127", flag: "9"}
+    assert main(command + ["--p", values["p"], "--q", values["q"]]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {flag} must be a prime congruent to 7 modulo 8, got 9\n"
+    assert not captured.out
+
+
 def test_catalog_commands(capsys):
     assert main(["catalog", "--list"]) == 0
     listing = capsys.readouterr().out

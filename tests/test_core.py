@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from collections import Counter
@@ -227,6 +228,47 @@ def test_class_marks_agree_with_reference_at_large_v(case):
     s, spec = case
     assert verify_pps(s, spec) == _reference_report(s, spec)
     assert infer_params(s) == _reference_infer(s)
+
+
+def _reference_unmarked(marks: bytearray, v: int) -> frozenset[int]:
+    """core._unmarked as a flip of the marks compressed against range(len(marks))."""
+    flip = bytes.maketrans(b"\x00\x01", b"\x01\x00")
+    classes = frozenset(itertools.compress(range(len(marks)), marks.translate(flip)))
+    return classes | {v - c for c in classes if c}
+
+
+@st.composite
+def _class_mark_cases(draw) -> tuple[bytearray, int]:
+    """0/1 marks over the v//2 + 1 classes of Z_v, 1 to 5,000 of them, filled to a drawn density."""
+    v = draw(st.integers(1, 9_999))
+    size = v // 2 + 1
+    fill = draw(st.sampled_from(("all zero", "few marked", "half", "few unmarked", "all one")))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    if fill == "half":
+        marks = bytearray(rng.getrandbits(1) for _ in range(size))
+    else:
+        marks = bytearray([fill in ("few unmarked", "all one")]) * size
+        if fill.startswith("few"):
+            flipped = {rng.randrange(size) for _ in range(draw(st.integers(1, 20)))}
+            # the end classes: 0, and v/2 (its own negative) when v is even
+            flipped |= {c for c in (0, size - 1) if draw(st.booleans())}
+            for c in flipped:
+                marks[c] ^= 1
+    return marks, v
+
+
+@settings(max_examples=300, deadline=None)
+@given(_class_mark_cases())
+def test_unmarked_agrees_with_the_compressed_flip(case):
+    marks, v = case
+    assert core._unmarked(marks, v) == _reference_unmarked(marks, v)
+
+
+@pytest.mark.parametrize("v", [1, 2, 13, 36, 10_001, 10_000])
+def test_an_empty_pair_set_leaves_every_residue_on_both_sides(v):
+    spec = infer_params(PairSet(v, ()))
+    assert spec == _reference_infer(PairSet(v, ()))
+    assert spec.a1 == spec.a2 == frozenset(range(v))
 
 
 def test_aps_necessary_examples():

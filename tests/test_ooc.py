@@ -412,8 +412,11 @@ def test_pair_set_codes_are_table_blocks_beside_their_pairs(case, data):
         _assert_table_rows(ooc_from_pairs(s, k), m, s.v, _pair_rows(s.pairs, k))
 
 
-@pytest.mark.parametrize("k", [4, 5])
-@pytest.mark.parametrize("p, q", [(23, 7), (71, 23)])
+# (p, q, k) of maximal_ooc_pq, up to the sizes the benchmark's designs deck serves
+PQ_CODES = [(23, 7, 4), (23, 7, 5), (71, 23, 4), (71, 23, 5), (191, 127, 4), (151, 31, 5)]
+
+
+@pytest.mark.parametrize("p, q, k", PQ_CODES)
 def test_maximal_pq_codes_are_table_blocks_beside_their_pairs(p, q, k):
     sp, sq = silver_aps(p)[0], silver_aps(q)[0]
     rows = _pair_rows(union_pps_pq(p, q, sp, sq)[0].pairs, k)
@@ -443,8 +446,7 @@ def test_pair_set_builders_emit_normalised_codes(case, data):
     _assert_normalised(ooc_45v_from_ps(s) if m == 45 else ooc_from_pairs(s, 4 if m == 3 else 5))
 
 
-@pytest.mark.parametrize("k", [4, 5])
-@pytest.mark.parametrize("p, q", [(23, 7), (71, 23)])
+@pytest.mark.parametrize("p, q, k", PQ_CODES)
 def test_maximal_pq_builder_emits_normalised_codes(p, q, k):
     _assert_normalised(maximal_ooc_pq(p, q, silver_aps(p)[0], silver_aps(q)[0], k))
 
