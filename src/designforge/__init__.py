@@ -9,12 +9,12 @@ from .core import (
     aps_necessary,
     admissible_params,
     admissible_witness,
-    exhaustive_search,
     infer_params,
     nonexistence_case,
     scale_set,
     verify_pps,
 )
+from .kramer_mesner import exhaustive_search
 
 __all__ = [
     "BudgetExceededError",

@@ -30,7 +30,6 @@ from .core import (
     BudgetExceededError,
     PairSet,
     PPSSpec,
-    exhaustive_search,
     json_field,
     verify_pps,
 )
@@ -43,7 +42,7 @@ from .designs import (
     verify_cdm,
     verify_whist,
 )
-from .kramer_mesner import km_search
+from .kramer_mesner import exhaustive_search, km_search
 from .modarith import isprime
 from .ooc import (
     OOCode,
@@ -116,10 +115,13 @@ def _cmd_verify(args) -> int:
 def _cmd_search(args) -> int:
     spec = _spec_from_args(args, args.v)
     if args.engine == "km":
-        if not args.generators:
-            raise ValueError("--generators is required for the km engine")
+        _require(args, "search km", "generators")
+        if args.force:
+            raise ValueError("--force is for the exhaustive engine, not km")
         gens = [int(g) for g in args.generators.split(",")]
         found = km_search(args.v, gens, spec, deadline=_deadline())
+    elif args.generators is not None:
+        raise ValueError("--generators is for the km engine, not exhaustive")
     else:
         found = exhaustive_search(spec, force=args.force, deadline=_deadline())
     if found is None:
@@ -254,6 +256,8 @@ def _cmd_ooc(args) -> int:
 
 
 def _cmd_catalog(args) -> int:
+    if (args.id is not None) + args.list + args.check > 1:
+        raise ValueError("catalog takes one of an entry id, --list and --check")
     if args.check:
         results = cat.check_all()
         _emit(results if args.json else

@@ -1,4 +1,4 @@
-"""Pair-set data model, verifiers, necessary conditions and the search oracle.
+"""Pair-set data model, verifiers and necessary conditions.
 
 A pair set over Z_v is a list of unordered pairs {x, y}.  Closing the pairs
 under negation must tile Z_v minus an excluded set A1, and closing the sums
@@ -280,14 +280,13 @@ def verify_pps(s: PairSet, spec: PPSSpec) -> VerifyReport:
 def _unmarked(marks: bytearray, v: int) -> frozenset[int]:
     """The residues of the classes that marks leaves unmarked.
 
-    ``marks.find`` steps from one unmarked class to the next, so the cost
-    grows with the number of unmarked classes, not with the number of classes.
+    ``marks.find`` steps from run to run: the loop grows with the runs, not the classes.
     """
-    unmarked = []
-    c = marks.find(0)
+    unmarked, c = [], marks.find(0)
     while c >= 0:
-        unmarked.append(c)
-        c = marks.find(0, c + 1)
+        e = marks.find(1, c)
+        unmarked += range(c, e if e >= 0 else len(marks))
+        c = marks.find(0, e) if e >= 0 else -1
     classes = frozenset(unmarked)
     return classes | {v - c for c in classes if c}
 
@@ -455,34 +454,4 @@ def check_deadline(deadline: float | None) -> None:
         raise BudgetExceededError("search hit its deadline")
 
 
-# exhaustive_search refuses a larger modulus unless forced.
-EXHAUSTIVE_MAX_V = 40
-
-
-def exhaustive_search(spec: PPSSpec, *, force: bool = False,
-                      deadline: float | None = None) -> PairSet | None:
-    """Backtracking oracle: the lexicographically first valid pair set, or None.
-
-    The sign group's :func:`~designforge.kramer_mesner.solve_binary` on its
-    :func:`~designforge.kramer_mesner.build_system`, whose options are the class
-    pairs (a, b), a < b, in lexicographic order.  It takes a row with at most one
-    alive option first, as that option lies in every completion of the node, and
-    otherwise branches on the lowest open row: the smallest uncovered element
-    class, and once none is left, every sum/difference class is covered too.  So
-    the chosen pairs, sorted, are the least set.  Unless forced, it first refuses
-    every v > EXHAUSTIVE_MAX_V.  Then it checks the deadline, and a spec that
-    fails :func:`square_sums_agree` gets None with no group generated and no
-    table read or built; the build and the solve check the deadline as they go.
-    """
-    from .kramer_mesner import (  # imports core
-        MultiplierGroup, _forced_or_lowest, build_system, solve_binary)
-    v = spec.v
-    if not force and v > EXHAUSTIVE_MAX_V:
-        raise BudgetExceededError(
-            f"search for {spec.pair_count} pairs over Z_{v} exceeds the default budget")
-    check_deadline(deadline)
-    if not square_sums_agree(spec):
-        return None
-    system = build_system(MultiplierGroup.generate(v, (-1,)), spec, deadline=deadline)
-    chosen = solve_binary(system, _forced_or_lowest, deadline=deadline)
-    return None if chosen is None else PairSet(v, tuple(sorted(chosen)))
+from .kramer_mesner import EXHAUSTIVE_MAX_V, exhaustive_search  # noqa: E402 (it imports core)

@@ -9,7 +9,7 @@ multiplicity of an orbit multiset is constant along each element orbit.
 
 :func:`orbits` builds a group's spec-free system in one walk over its twin
 classes, and :func:`option_table` caches it.  :func:`km_search` and
-``core.exhaustive_search`` (the sign group) both run :func:`solve_binary` on
+:func:`exhaustive_search` (the sign group) both run :func:`solve_binary` on
 :func:`build_system`: that table with the spec's excluded orbits taken out.
 """
 
@@ -376,3 +376,30 @@ def km_search(v: int, generators: tuple[int, ...] | list[int], spec: PPSSpec, *,
     if not verify_pps(result, spec).valid:
         raise AssertionError("developed solution failed verification; solver bug")
     return result
+
+
+EXHAUSTIVE_MAX_V = 40  # exhaustive_search refuses a larger modulus unless forced
+
+
+def exhaustive_search(spec: PPSSpec, *, force: bool = False,
+                      deadline: float | None = None) -> PairSet | None:
+    """Backtracking oracle: the lexicographically first valid pair set, or None.
+
+    :func:`solve_binary` on the sign group's :func:`build_system`, whose options are the
+    class pairs (a, b), a < b, in lexicographic order, under :func:`_forced_or_lowest`.  A
+    forced option lies in every completion of its node, and the lowest open row is the
+    smallest uncovered element class (once none is left, every sum/difference class is
+    covered too), so the chosen pairs, sorted, are the least set.  Unless forced, it first
+    refuses every v > EXHAUSTIVE_MAX_V.  Then it checks the deadline, and a spec that fails
+    :func:`~designforge.core.square_sums_agree` gets None before any group is made or table read.
+    """
+    v = spec.v
+    if not force and v > EXHAUSTIVE_MAX_V:
+        raise BudgetExceededError(
+            f"search for {spec.pair_count} pairs over Z_{v} exceeds the default budget")
+    check_deadline(deadline)
+    if not square_sums_agree(spec):
+        return None
+    system = build_system(MultiplierGroup.generate(v, (-1,)), spec, deadline=deadline)
+    chosen = solve_binary(system, _forced_or_lowest, deadline=deadline)
+    return None if chosen is None else PairSet(v, tuple(sorted(chosen)))

@@ -375,6 +375,11 @@ def test_missing_field_is_named_in_one_line(example_file, capsys, command, paylo
     (["ooc", "maximal"], "--file"),
     (["search", "exhaustive", "--v", "0", "--type", "ps"], "got 0"),
     (["search", "km", "--v", "0", "--type", "ps", "--generators", "1"], "got 0"),
+    (["search", "exhaustive", "--v", "13", "--type", "ps", "--generators", "4"], "--generators"),
+    (["search", "km", "--v", "13", "--type", "ps", "--generators", "12", "--force"], "--force"),
+    (["catalog", "--list", "ps-13"], "--list"),
+    (["catalog", "--list", "--check"], "--list"),
+    (["catalog", "ps-13", "--check"], "--check"),
 ])
 def test_missing_flag_is_a_usage_error(capsys, command, needle):
     assert main(command) == 2

@@ -601,7 +601,7 @@ def test_the_search_itself_finds_no_set_where_the_square_sum_identity_fails():
         for spec in rejected:
             assert exhaustive_search(spec, force=True) is None
         assert not kramer_mesner._TABLES  # the identity answered before any table
-        with patch.object(core, "square_sums_agree", lambda spec: True), \
+        with patch.object(kramer_mesner, "square_sums_agree", lambda spec: True), \
                 patch.object(kramer_mesner, "build_system",
                              wraps=kramer_mesner.build_system) as build, \
                 patch.object(kramer_mesner, "solve_binary",

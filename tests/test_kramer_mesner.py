@@ -953,6 +953,26 @@ def test_km_search_probes_the_pair_marks_without_writing_them():
     assert int(done.stdout) < 16 << 10  # KiB: the marks alone are 95 MiB
 
 
+def test_the_oracle_is_one_function_under_the_package_core_and_kramer_mesner():
+    """A tracer that wraps ``core.exhaustive_search`` wherever that object is held reaches
+    every call only if the three names are one function.  core re-exports it from
+    kramer_mesner, which imports core, so each entry point is also imported on its own
+    in a fresh process: a package that imported kramer_mesner before core would fail."""
+    import designforge
+    from designforge import core
+    assert designforge.exhaustive_search is core.exhaustive_search \
+        is kramer_mesner.exhaustive_search
+    assert core.EXHAUSTIVE_MAX_V == 40
+    src = str(Path(kramer_mesner.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    for statement in ("import designforge.kramer_mesner", "import designforge.core",
+                      "from designforge.core import exhaustive_search"):
+        done = subprocess.run([sys.executable, "-c", statement], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
+
+
 def test_a_spec_failing_the_square_sum_identity_gets_none_after_every_earlier_check(
         monkeypatch):
     monkeypatch.setattr(kramer_mesner, "_TABLES", {})
