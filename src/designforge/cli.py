@@ -91,7 +91,22 @@ def _require(args, command: str, *flags: str) -> None:
             raise ValueError(f"--{flag} is required for {command}")
 
 
+def _refuse_unread(args, command: str) -> None:
+    """Raise ValueError naming a given flag that ``command`` does not read.
+
+    The flags checked are those that the commands of ``_READS`` sharing the
+    first word of ``command`` read between them.
+    """
+    group, reads = command.split()[0], _READS[command]
+    for key, flags in _READS.items():
+        if key.split()[0] == group:
+            for flag in flags:
+                if flag not in reads and getattr(args, flag) is not None:
+                    raise ValueError(f"--{flag} is not read by {command}")
+
+
 def _spec_from_args(args, v: int) -> PPSSpec:
+    _refuse_unread(args, f"--type {args.type}")
     if args.type == "ps":
         return PPSSpec.ps(v)
     if args.type == "aps":
@@ -158,11 +173,30 @@ _CONSTRUCT_FLAGS = {
     "compose": ("ps", "aps"), "product": ("ps", "ps2"), "cyclotomic": ("p", "q"),
     "union": ("p", "q"),
 }
+_OOC_BUILD_FLAGS = {"pairs": ("file",), "block45": ("file",), "pq": ("p", "q"), "p2": ("p",)}
+# Every flag each command reads, the required ones above included.  A flag
+# given to a command that does not read it, while another command of its
+# group does, is a usage error: no flag is parsed and then ignored.
+_READS = {
+    "construct silver": ("p", "alpha", "beta"), "construct silver-square": ("p", "alpha", "beta"),
+    "construct inflate": ("file", "u"), "construct compose": ("ps", "aps"),
+    "construct product": ("ps", "ps2"), "construct cyclotomic": ("p", "q"),
+    "construct union": ("p", "q", "sp", "sq"),
+    "whist round": ("file", "alpha"), "whist develop": ("file", "alpha", "checks"),
+    "whist verify": ("file", "checks"),
+    "ooc build --kind pairs": ("kind", "file", "k"), "ooc build --kind block45": ("kind", "file"),
+    "ooc build --kind pq": ("kind", "p", "q", "sp", "sq", "k"),
+    "ooc build --kind p2": ("kind", "p", "k"), "ooc verify": ("file",), "ooc maximal": ("file",),
+    "--type ps": (), "--type aps": ("alpha", "beta"), "--type pps": ("a1", "a2"),
+}
+_DEFAULT_CHECKS = "basic,zcps,directed,ordered"
+_DEFAULT_K = 4
 
 
 def _cmd_construct(args) -> int:
     command = f"construct {args.what}"
     _require(args, command, *_CONSTRUCT_FLAGS[args.what])
+    _refuse_unread(args, command)
     if args.what == "silver":
         if args.alpha is None and args.beta is None:
             result = silver_aps(args.p)
@@ -192,9 +226,12 @@ def _cmd_construct(args) -> int:
 
 
 def _cmd_whist(args) -> int:
+    command = f"whist {args.action}"
+    _refuse_unread(args, command)
+    checks = tuple((_DEFAULT_CHECKS if args.checks is None else args.checks).split(","))
     if args.action == "verify":
         tournament = WhistTournament.from_json(_load_json(args.file))
-        results = verify_whist(tournament, tuple(args.checks.split(",")))
+        results = verify_whist(tournament, checks)
         _emit({name: res.passed if args.json else f"{res.passed} {res.detail}".strip()
                for name, res in results.items()}, args.json)
         return OK if all(r.passed for r in results.values()) else INVALID
@@ -204,7 +241,7 @@ def _cmd_whist(args) -> int:
         _emit({"round": [list(g) for g in r0]}, args.json)
         return OK
     tournament = develop_rounds(r0, pairs.v)
-    results = verify_whist(tournament, tuple(args.checks.split(",")))
+    results = verify_whist(tournament, checks)
     payload = tournament.to_json()
     payload["checks"] = {name: res.passed for name, res in results.items()}
     _emit(payload, args.json)
@@ -225,25 +262,26 @@ def _cmd_cdm(args) -> int:
     return OK if report.valid else INVALID
 
 
-_OOC_BUILD_FLAGS = {"pairs": ("file",), "block45": ("file",), "pq": ("p", "q"), "p2": ("p",)}
-
-
 def _cmd_ooc(args) -> int:
     if args.action == "build":
         _require(args, "ooc build", "kind")
-        _require(args, f"ooc build --kind {args.kind}", *_OOC_BUILD_FLAGS[args.kind])
+        command = f"ooc build --kind {args.kind}"
+        _require(args, command, *_OOC_BUILD_FLAGS[args.kind])
+        _refuse_unread(args, command)
+        k = _DEFAULT_K if args.k is None else args.k
         if args.kind == "pairs":
-            code = ooc_from_pairs(PairSet.from_json(_load_json(args.file)), args.k)
+            code = ooc_from_pairs(PairSet.from_json(_load_json(args.file)), k)
         elif args.kind == "block45":
             code = ooc_45v_from_ps(PairSet.from_json(_load_json(args.file)))
         elif args.kind == "pq":
             code = maximal_ooc_pq(args.p, args.q, _aps_file_or_silver(args.sp, args.p, "p"),
-                                  _aps_file_or_silver(args.sq, args.q, "q"), args.k)
+                                  _aps_file_or_silver(args.sq, args.q, "q"), k)
         else:
-            code = maximal_ooc_p2(args.p, args.k)
+            code = maximal_ooc_p2(args.p, k)
         _emit(code.to_json(), args.json)
         return OK
     _require(args, f"ooc {args.action}", "file")
+    _refuse_unread(args, f"ooc {args.action}")
     code = OOCode.from_json(_load_json(args.file))
     if args.action == "verify":
         report = verify_ooc(code)
@@ -264,9 +302,13 @@ def _cmd_catalog(args) -> int:
               {k: ("ok" if v else "FAIL") for k, v in results.items()}, args.json)
         return OK if all(results.values()) else INVALID
     if args.id is None:
-        for entry_id in cat.ids():
-            entry = cat.get(entry_id)
-            print(f"{entry_id}\t{entry.kind}\t{entry.provenance}")
+        entries = [cat.get(entry_id) for entry_id in cat.ids()]
+        if args.json:
+            print(json.dumps([{"id": e.id, "kind": e.kind, "provenance": e.provenance}
+                              for e in entries], sort_keys=True))
+        else:
+            for e in entries:
+                print(f"{e.id}\t{e.kind}\t{e.provenance}")
         return OK
     entry = cat.get(args.id)
     _emit(entry.to_json(), args.json)
@@ -325,7 +367,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--file", required=True,
                    help="pair-set file (round/develop) or tournament file (verify)")
     p.add_argument("--alpha", type=int, help="special-game parameter for APS input")
-    p.add_argument("--checks", default="basic,zcps,directed,ordered")
+    p.add_argument("--checks",
+                   help=f"comma-separated checks (develop, verify; default {_DEFAULT_CHECKS})")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_whist)
 
@@ -339,7 +382,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("action", choices=["build", "verify", "maximal"])
     p.add_argument("--kind", choices=["pairs", "block45", "pq", "p2"])
     p.add_argument("--file")
-    p.add_argument("--k", type=int, default=4)
+    p.add_argument("--k", type=int, help=f"codeword weight (build; default {_DEFAULT_K})")
     p.add_argument("--p", type=int)
     p.add_argument("--q", type=int)
     p.add_argument("--sp")

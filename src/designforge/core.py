@@ -189,36 +189,43 @@ class VerifyReport:
         }
 
 
-def _class_marks(s: PairSet) -> tuple[bytearray, bytearray]:
-    """Per cover, a mark at each +-class min(z, v - z) that a pair of s hits.
+def _residue_marks(s: PairSet) -> tuple[bytearray, bytearray]:
+    """Per cover, one mark per +-class hit, on one side of the class.
 
-    Cover 1 is hit at the classes of x and y, cover 2 at those of x + y and
-    y - x.  The invariant 0 <= x < y < v makes the classes need no ``% v``.
+    Cover 1 is marked at x and y, cover 2 at x + y and y - x; -x, -y and
+    x - y are the other sides.  The invariant 0 <= x < y < v, x + y != v
+    keeps every index in range and nonzero modulo v with no ``% v``: when
+    x + y < v, the index x + y - v is negative and marks x + y.
     """
     v = s.v
-    h = v // 2
-    m1, m2 = bytearray(h + 1), bytearray(h + 1)
+    m1, m2 = bytearray(v), bytearray(v)
     for x, y in s.pairs:
-        m1[x if x <= h else v - x] = 1
-        m1[y if y <= h else v - y] = 1
-        t = x + y
-        if t >= v:
-            t -= v
-        m2[t if t <= h else v - t] = 1
-        d = y - x
-        m2[d if d <= h else v - d] = 1
+        m1[x] = m1[y] = 1
+        m2[x + y - v] = 1
+        m2[y - x] = 1
     return m1, m2
 
 
-def _hit_once(marks: bytearray, n: int, v: int) -> bool:
-    """Each of the 2n class hits of n pairs went to its own class of two residues."""
-    return marks.count(1) == 2 * n and not marks[0] and (v % 2 == 1 or not marks[v // 2])
+def _fold(marks: bytearray, hits: int) -> tuple[bool, int]:
+    """Residue marks over Z_v read by +-class: (one hit per class, the classes hit).
+
+    The residues c and -c, 1 <= c <= v//2, become byte c - 1 of two ints.
+    The ``hits`` marks went one to a class when no class is marked on both
+    sides (for even v that rules out v/2, which is both) and the two ints
+    hold ``hits`` marks between them.  A mark at 0, in neither int, leaves
+    them at most hits - 1.  The classes hit are the OR of the two ints, in
+    the layout :func:`_leave` reads.
+    """
+    h = len(marks) // 2
+    up = int.from_bytes(marks[1:h + 1], "little")
+    down = int.from_bytes(marks[len(marks) - h:], "big")
+    return not up & down and up.bit_count() + down.bit_count() == hits, up | down
 
 
 def _cover_counts(s: PairSet) -> tuple[list[int], list[int]]:
     """Multiplicity of each residue in the unions of +-{x, y} and of +-{x+y, x-y}.
 
-    Tallied per +-class as in :func:`_class_marks`, then unfolded: residue
+    Tallied per +-class min(z, v - z) of each hit z, then unfolded: residue
     z > v//2 reads class v - z, and the classes 0 and v/2, where z = -z,
     count twice per hit.
     """
@@ -257,18 +264,19 @@ _VALID = VerifyReport(True, frozenset(), frozenset(), frozenset(), frozenset())
 def verify_pps(s: PairSet, spec: PPSSpec) -> VerifyReport:
     """Check both cover conditions of s against spec, with full diagnostics.
 
-    One pass of :func:`_class_marks` decides a valid set: each cover hits 2n
-    distinct classes of two residues, none excluded, and 4n = v - |A1|.
-    Only a failing set is tallied for its diagnostics.
+    One pass of :func:`_residue_marks` and one :func:`_fold` per cover
+    decide a valid set: each cover hits 2n distinct classes of two residues,
+    no excluded residue (A1 and A2 are closed under negation, so a class
+    outside them has neither side in them), and 4n = v - |A1|.  Only a
+    failing set is tallied for its diagnostics.
     """
     v = spec.v
     if s.v != v:
         raise ValueError(f"pair set modulus {s.v} != spec modulus {v}")
     n = len(s.pairs)
-    m1, m2 = _class_marks(s)
-    if (4 * n == v - len(spec.a1) and _hit_once(m1, n, v) and _hit_once(m2, n, v)
-            and not any(m1[min(z, v - z)] for z in spec.a1)
-            and not any(m2[min(z, v - z)] for z in spec.a2)):
+    m1, m2 = _residue_marks(s)
+    if (4 * n == v - len(spec.a1) and _fold(m1, 2 * n)[0] and _fold(m2, 2 * n)[0]
+            and not any(m1[z] for z in spec.a1) and not any(m2[z] for z in spec.a2)):
         return _VALID
     c1, c2 = _cover_counts(s)
     missing1, repeated1 = _diagnose(c1, spec.a1)
@@ -291,16 +299,23 @@ def _unmarked(marks: bytearray, v: int) -> frozenset[int]:
     return classes | {v - c for c in classes if c}
 
 
+def _leave(classes: int, v: int) -> frozenset[int]:
+    """The residues of the classes that a fold's ``classes`` leaves unhit, 0 among them."""
+    return _unmarked(b"\0" + classes.to_bytes(v // 2, "little"), v)
+
+
 def infer_params(s: PairSet) -> PPSSpec | None:
     """Read the excluded sets off the two covers; None if either cover repeats.
 
     The tightest applicable label is available as ``.kind`` on the result.
     """
     v, n = s.v, len(s.pairs)
-    m1, m2 = _class_marks(s)
-    if not (_hit_once(m1, n, v) and _hit_once(m2, n, v)):
+    m1, m2 = _residue_marks(s)
+    once1, classes1 = _fold(m1, 2 * n)
+    once2, classes2 = _fold(m2, 2 * n)
+    if not (once1 and once2):
         return None
-    return PPSSpec(v, _unmarked(m1, v), _unmarked(m2, v))
+    return PPSSpec(v, _leave(classes1, v), _leave(classes2, v))
 
 
 def square_sums_agree(spec: PPSSpec) -> bool:

@@ -11,7 +11,6 @@ from functools import lru_cache
 
 from sympy import isprime
 from sympy.ntheory import factorint
-from sympy.ntheory import sqrt_mod as _sympy_sqrt_mod
 
 
 def _prime_power_shape(m: int) -> tuple[int, int]:
@@ -26,6 +25,34 @@ def _prime_power_shape(m: int) -> tuple[int, int]:
     raise ValueError(f"modulus {m} must be an odd prime or the square of one")
 
 
+def _prime_sqrt(a: int, p: int) -> int | None:
+    """A square root of the unit a in [1, p) modulo the odd prime p, or None.
+
+    One power when p = 3 (mod 4); Tonelli-Shanks otherwise.
+    """
+    if p % 4 == 3:
+        root = pow(a, (p + 1) // 4, p)
+        return root if root * root % p == a else None
+    half = (p - 1) // 2
+    if pow(a, half, p) != 1:
+        return None
+    s = ((p - 1) & (1 - p)).bit_length() - 1  # p - 1 = q * 2**s, q odd
+    q = (p - 1) >> s
+    z = 2
+    while pow(z, half, p) != p - 1:  # a non-residue; its q-th power has order 2**s
+        z += 1
+    c, t, root = pow(z, q, p), pow(a, q, p), pow(a, (q + 1) // 2, p)
+    while t != 1:  # root**2 = a * t throughout; each step lowers the order of t
+        i, t2 = 0, t
+        while t2 != 1:
+            t2 = t2 * t2 % p
+            i += 1
+        b = pow(c, 1 << (s - i - 1), p)
+        s, c = i, b * b % p
+        t, root = t * c % p, root * b % p
+    return root
+
+
 def mod_sqrt(a: int, m: int) -> int | None:
     """Canonical square root of a modulo m, or None if a is a non-residue.
 
@@ -38,7 +65,7 @@ def mod_sqrt(a: int, m: int) -> int | None:
         return 0
     if math.gcd(a, m) != 1:
         raise ValueError(f"{a} is neither 0 nor a unit modulo {m}")
-    root = _sympy_sqrt_mod(a, p)
+    root = _prime_sqrt(a % p, p)
     if root is None:
         return None
     if e == 1:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .construct import silver_pps_p2, silver_witness, union_pps_pq
-from .core import (BudgetExceededError, PairSet, SetKind, _trusted, _unmarked, infer_params,
+from .core import (BudgetExceededError, PairSet, SetKind, _fold, _leave, _trusted, infer_params,
                    json_field)
 from .modarith import crt_basis
 
@@ -91,31 +91,30 @@ def _difference_counts(n: int, blocks) -> list[int]:
 
 
 def _difference_report(code: OOCode) -> OOCReport:
-    """+-class marks by codeword column: each d = b - a, a < b in a codeword, marks min(d, n - d).
+    """Residue marks by codeword column: each d = b - a, a < b in a codeword, marks d.
 
     The codewords are sorted, so column i of the transposed code lies below
     column j for i < j, and each pair of columns gives one upper difference
     per codeword: N codewords give N*k(k-1)/2 of them.  The differences and
-    their negatives are distinct exactly when every upper difference marks a
-    class of its own and, for even n, none is n/2 (which is its own
-    negative).  A code with no codewords has no columns and leaves all of
-    Z_n.  Only a failing code is tallied.
+    their negatives are distinct exactly when the upper differences mark
+    one +-class each, which ``core._fold`` decides (for even n it rules out
+    n/2, its own negative); the leave is the classes left unhit.  A code
+    with no codewords has no columns and leaves all of Z_n.  Only a failing
+    code is tallied.
     """
     n = code.n
-    h = n // 2
-    marks = bytearray(h + 1)
+    marks = bytearray(n)
     columns = list(zip(*code.codewords))
     for i, low in enumerate(columns):
         for high in columns[i + 1:]:
             for a, b in zip(low, high):
-                d = b - a
-                marks[d if d <= h else n - d] = 1
-    upper = len(code.codewords) * code.k * (code.k - 1) // 2
+                marks[b - a] = 1
+    once, classes = _fold(marks, len(code.codewords) * code.k * (code.k - 1) // 2)
     repeated: frozenset[int] = frozenset()
-    if marks.count(1) != upper or (n % 2 == 0 and marks[h]):
+    if not once:
         counts = _difference_counts(n, code.codewords)
         repeated = frozenset(d for d, c in enumerate(counts) if c > 1)
-    leave = _unmarked(marks, n)
+    leave = _leave(classes, n)
     return OOCReport(not repeated, repeated, leave, len(leave) <= code.k * (code.k - 1))
 
 

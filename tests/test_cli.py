@@ -5,7 +5,7 @@ import time
 
 import pytest
 
-from designforge.catalog import get
+from designforge.catalog import get, ids
 from designforge.cli import main
 from designforge.construct import silver_pps_p2
 from designforge.core import PairSet
@@ -219,6 +219,60 @@ def test_catalog_commands(capsys):
 
     assert main(["catalog", "--check"]) == 0
     assert main(["catalog", "nope"]) == 2
+
+
+@pytest.mark.parametrize("command", [["catalog", "--list", "--json"], ["catalog", "--json"]])
+def test_the_catalog_listing_in_json_is_an_array_of_entries(capsys, command):
+    assert main(command) == 0
+    captured = capsys.readouterr()
+    assert json.loads(captured.out) == [
+        {"id": entry_id, "kind": get(entry_id).kind, "provenance": get(entry_id).provenance}
+        for entry_id in ids()]
+    assert not captured.err
+
+
+@pytest.mark.parametrize("command, reader", [
+    (["whist", "round", "--file", "ps.json", "--checks", "nonsense"], "whist round"),
+    (["whist", "verify", "--file", "wh.json", "--alpha", "3"], "whist verify"),
+    (["construct", "cyclotomic", "--p", "263", "--q", "71", "--u", "5"], "construct cyclotomic"),
+    (["construct", "cyclotomic", "--p", "263", "--q", "71", "--file", "nothing.json"],
+     "construct cyclotomic"),
+    (["construct", "silver", "--p", "7", "--q", "5"], "construct silver"),
+    (["construct", "silver-square", "--p", "7", "--sp", "aps.json"], "construct silver-square"),
+    (["construct", "inflate", "--file", "ps.json", "--u", "5", "--alpha", "1"],
+     "construct inflate"),
+    (["construct", "compose", "--ps", "ps.json", "--aps", "aps.json", "--ps2", "ps.json"],
+     "construct compose"),
+    (["construct", "product", "--ps", "ps.json", "--ps2", "ps.json", "--p", "7"],
+     "construct product"),
+    (["construct", "union", "--p", "23", "--q", "7", "--beta", "3"], "construct union"),
+    (["ooc", "build", "--kind", "block45", "--file", "ps.json", "--k", "5"],
+     "ooc build --kind block45"),
+    (["ooc", "build", "--kind", "p2", "--p", "127", "--q", "3"], "ooc build --kind p2"),
+    (["ooc", "build", "--kind", "pairs", "--file", "ps.json", "--sq", "aps.json"],
+     "ooc build --kind pairs"),
+    (["ooc", "verify", "--file", "code.json", "--kind", "pq"], "ooc verify"),
+    (["ooc", "maximal", "--file", "code.json", "--k", "4"], "ooc maximal"),
+    (["verify", "--file", "aps27.json", "--type", "ps", "--alpha", "3"], "--type ps"),
+    (["verify", "--file", "aps27.json", "--type", "aps", "--alpha", "3", "--beta", "6",
+      "--a1", "0"], "--type aps"),
+    (["search", "exhaustive", "--v", "13", "--type", "ps", "--a2", "0"], "--type ps"),
+    (["search", "km", "--v", "13", "--type", "pps", "--a1", "0", "--a2", "0", "--generators", "12",
+      "--beta", "1"], "--type pps"),
+])
+def test_a_flag_the_command_does_not_read_is_a_usage_error(example_file, capsys, command,
+                                                           reader):
+    """One line naming the flag, the last one given in each case, and what does not read it.
+
+    Only ``verify`` reads its file before the refusal, so no other file need exist.
+    """
+    if command[0] == "verify":
+        path = example_file("aps27.json", get("aps-27-3-6").pair_set().to_json())
+        command = [path if arg == "aps27.json" else arg for arg in command]
+    assert main(command) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {command[-2]} is not read by {reader}\n"
+    assert not captured.out
 
 
 def test_commands_are_deterministic(capsys):

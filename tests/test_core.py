@@ -230,6 +230,71 @@ def test_class_marks_agree_with_reference_at_large_v(case):
     assert infer_params(s) == _reference_infer(s)
 
 
+@st.composite
+def _fold_edge_cases(draw) -> PairSet:
+    """Random pairs over odd and even v up to 10**4, with hits forced onto the fold's edges.
+
+    Each edge puts a hit on 0 (cover 1 only: cover 2 cannot hit 0), on v//2
+    (its own negative when v is even), or on both sides z and -z of one
+    class of either cover, by an added pair whose entry, sum or difference
+    is the negative of a drawn pair's.
+    """
+    v = draw(st.integers(20, 10_000))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    h = v // 2
+    n = draw(st.integers(1, min(12, (v - 2) // 4 - 3)))  # room for three more pairs in the spec
+    pairs = []
+    while len(pairs) < n:
+        x, y = rng.randrange(v), rng.randrange(v)
+        if (x - y) % v and (x + y) % v:
+            pairs.append((x, y))
+    for edge in draw(st.lists(st.sampled_from(("0", "v/2 on cover 1", "v/2 on cover 2",
+                                               "+-z on cover 1", "+-z on cover 2")),
+                              min_size=1, max_size=3)):
+        i = rng.randrange(len(pairs))
+        x, y = pairs[i]
+        a = rng.randrange(v)
+        if edge == "0":
+            pairs[i] = (0, y)
+        elif edge == "v/2 on cover 1":
+            pairs[i] = (h, y)
+        elif edge == "v/2 on cover 2":
+            pairs[i] = (x, x + h) if rng.random() < 0.5 else (x, h - x)
+        elif edge == "+-z on cover 1":
+            pairs.append((-x, a))
+        else:  # the sum or the difference of the new pair is -(y - x) or -(x + y)
+            z = rng.choice((y - x, x + y))
+            pairs.append((a, -z - a) if rng.random() < 0.5 else (a, a + z))
+    assume(all((x - y) % v and (x + y) % v for x, y in pairs))
+    return PairSet(v, tuple(pairs))
+
+
+def _nearest_spec(s: PairSet) -> PPSSpec:
+    """The spec with |A1| = |A2| = v - 4n that s comes closest to meeting.
+
+    A1 (A2) holds 0, v/2 for even v, and then the +-classes that cover 1
+    (cover 2) leaves unhit before any it hits.  So a set whose only fault is
+    a hit on 0, on v/2 or on both sides of one class passes every other
+    test of verify_pps's fast path.
+    """
+    v, n = s.v, len(s.pairs)
+    base = {0, v // 2} if v % 2 == 0 else {0}
+    size = (v - 4 * n - len(base)) // 2
+    excluded = []
+    for counts in _reference_tally(s):
+        classes = sorted(range(1, (v + 1) // 2), key=lambda c: (counts[c] + counts[v - c] > 0, c))
+        excluded.append(frozenset(base.union(*({c, v - c} for c in classes[:size]))))
+    return PPSSpec(v, *excluded)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_fold_edge_cases())
+def test_fold_edges_agree_with_reference(s):
+    assert infer_params(s) == _reference_infer(s)
+    spec = _nearest_spec(s)
+    assert verify_pps(s, spec) == _reference_report(s, spec)
+
+
 def _reference_unmarked(marks: bytearray, v: int) -> frozenset[int]:
     """core._unmarked as a flip of the marks compressed against range(len(marks))."""
     flip = bytes.maketrans(b"\x00\x01", b"\x01\x00")

@@ -8,7 +8,9 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from sympy import nextprime
 from sympy import totient as sym_totient
+from sympy.ntheory import sqrt_mod as sym_sqrt_mod
 from sympy.ntheory.modular import crt as sym_crt
 
 from designforge import modarith
@@ -61,6 +63,30 @@ def test_mod_sqrt_rejects_bad_moduli():
             mod_sqrt(2, m)
     with pytest.raises(ValueError):
         mod_sqrt(7, 49)  # divisible by p but nonzero
+
+
+# Primes p = c * 2**s + 1 with large s, where Tonelli-Shanks climbs the most.
+_DEEP_TWO_PRIMES = (17, 97, 193, 257, 7681, 65537, 786433, 7340033, 998244353)
+
+
+@st.composite
+def _sqrt_cases(draw) -> tuple[int, int]:
+    """An odd prime or prime square m, and 0, a square unit or any unit of Z_m."""
+    p = draw(st.one_of(st.integers(2, 10**12).map(nextprime), st.sampled_from(_DEEP_TWO_PRIMES)))
+    m = p ** draw(st.sampled_from((1, 2)))
+    kind = draw(st.sampled_from(("zero", "square", "any unit")))
+    if kind == "zero":
+        return 0, m
+    x = draw(st.integers(1, m - 1).filter(lambda x: x % p))
+    return (x * x % m if kind == "square" else x), m
+
+
+@settings(max_examples=500, deadline=None)
+@given(_sqrt_cases())
+def test_mod_sqrt_agrees_with_sympy(case):
+    """The smaller root, or None for a non-residue, as sympy's sqrt_mod gives it."""
+    a, m = case
+    assert mod_sqrt(a, m) == sym_sqrt_mod(a, m)
 
 
 def test_crt_lift_examples():
