@@ -35,7 +35,7 @@ class OOCode:
         norm = []
         for cw in self.codewords:
             entries = tuple(sorted(x % self.n for x in cw))
-            if len(set(entries)) != self.k:
+            if len(entries) != self.k or len(set(entries)) != self.k:
                 raise ValueError(f"codeword {tuple(cw)} is not a {self.k}-subset of Z_{self.n}")
             norm.append(entries)
         object.__setattr__(self, "codewords", tuple(norm))
@@ -91,31 +91,41 @@ def _difference_counts(n: int, blocks) -> list[int]:
 
 
 def _difference_report(code: OOCode) -> OOCReport:
-    """Residue marks by codeword column: each d = b - a, a < b in a codeword, marks d.
+    """Residue marks a codeword at a time: each d = b - a, a < b in a codeword, marks d.
 
-    The codewords are sorted, so column i of the transposed code lies below
-    column j for i < j, and each pair of columns gives one upper difference
-    per codeword: N codewords give N*k(k-1)/2 of them.  The differences and
-    their negatives are distinct exactly when the upper differences mark
-    one +-class each, which ``core._fold`` decides (for even n it rules out
-    n/2, its own negative); the leave is the classes left unhit.  A code
-    with no codewords has no columns and leaves all of Z_n.  Only a failing
-    code is tallied.
+    The codewords are sorted k-tuples, so for k = 4 and k = 5 each one is
+    unpacked once and its k(k-1)/2 upper differences are stored in one
+    chained assignment; other weights, which no builder emits, mark them
+    column pair by column pair over the transposed code.  N codewords give
+    N*k(k-1)/2 upper differences.  The differences and their negatives are
+    distinct exactly when the upper differences mark one +-class each, which
+    ``core._fold`` decides (for even n it rules out n/2, its own negative);
+    the leave is the classes left unhit.  A code with no codewords leaves
+    all of Z_n.  Only a failing code is tallied.
     """
-    n = code.n
+    n, k = code.n, code.k
     marks = bytearray(n)
-    columns = list(zip(*code.codewords))
-    for i, low in enumerate(columns):
-        for high in columns[i + 1:]:
-            for a, b in zip(low, high):
-                marks[b - a] = 1
-    once, classes = _fold(marks, len(code.codewords) * code.k * (code.k - 1) // 2)
+    if k == 4:
+        for a, b, c, d in code.codewords:
+            marks[b - a] = marks[c - a] = marks[d - a] = marks[c - b] = marks[d - b] = \
+                marks[d - c] = 1
+    elif k == 5:
+        for a, b, c, d, e in code.codewords:
+            marks[b - a] = marks[c - a] = marks[d - a] = marks[e - a] = marks[c - b] = \
+                marks[d - b] = marks[e - b] = marks[d - c] = marks[e - c] = marks[e - d] = 1
+    else:
+        columns = list(zip(*code.codewords))
+        for i, low in enumerate(columns):
+            for high in columns[i + 1:]:
+                for a, b in zip(low, high):
+                    marks[b - a] = 1
+    once, classes = _fold(marks, len(code.codewords) * k * (k - 1) // 2)
     repeated: frozenset[int] = frozenset()
     if not once:
         counts = _difference_counts(n, code.codewords)
         repeated = frozenset(d for d, c in enumerate(counts) if c > 1)
     leave = _leave(classes, n)
-    return OOCReport(not repeated, repeated, leave, len(leave) <= code.k * (code.k - 1))
+    return OOCReport(not repeated, repeated, leave, len(leave) <= k * (k - 1))
 
 
 def verify_ooc(code: OOCode) -> OOCReport:
@@ -186,20 +196,40 @@ def _pair_template_code(m: int, k: int, pairs, v: int) -> OOCode:
     The pairs must come from a valid pair set: x, y, -x and -y are then
     distinct and nonzero modulo v, so each codeword has k distinct points.
     X = x*ev and Y = y*ev are reduced mod n once each, so every point is
-    one addition or subtraction of two residues, reduced mod n.
+    one addition or subtraction of two residues, reduced mod n.  The points
+    e1 +- X and e2 +- Y are put in order a pair at a time (one compare each)
+    and the two ordered pairs are merged straight into the codeword, behind
+    the (0, 0) point 0 when k = 5: two more compares when one pair lies
+    below the other, three when they interleave.
     """
     n = m * v
     e1, ev = crt_basis([m, v])  # (1, 0) and (0, 1)
     e2 = n - e1  # (-1, 0)
+    five = k == 5  # (0, 0) is 0, below every other point
     codewords = []
     for x, y in pairs:
         xe = x * ev % n
         ye = y * ev % n
-        cw = [(e1 + xe) % n, (e1 - xe) % n, (e2 + ye) % n, (e2 - ye) % n]
-        cw.sort()
-        codewords.append(tuple(cw))
-    if k == 5:  # (0, 0) is 0, below every other point
-        codewords = [(0,) + cw for cw in codewords]
+        a, b = (e1 + xe) % n, (e1 - xe) % n
+        if a > b:
+            a, b = b, a
+        c, d = (e2 + ye) % n, (e2 - ye) % n
+        if c > d:
+            c, d = d, c
+        if a < c:
+            if b < c:
+                cw = (0, a, b, c, d) if five else (a, b, c, d)
+            elif b < d:
+                cw = (0, a, c, b, d) if five else (a, c, b, d)
+            else:
+                cw = (0, a, c, d, b) if five else (a, c, d, b)
+        elif d < a:
+            cw = (0, c, d, a, b) if five else (c, d, a, b)
+        elif b < d:
+            cw = (0, c, a, b, d) if five else (c, a, b, d)
+        else:
+            cw = (0, c, a, d, b) if five else (c, a, d, b)
+        codewords.append(cw)
     return _trusted(OOCode, n=n, k=k, codewords=tuple(codewords))
 
 

@@ -380,6 +380,9 @@ def test_malformed_pair_or_game_is_named_in_one_line(example_file, capsys, comma
     (["ooc", "maximal"], {"n": 39, "k": 4, "codewords": [[0, 1, 2, 3], [0, 1, 2, 4]]}),
     (["whist", "verify", "--checks", "directed,ordered"], {"v": 0, "rounds": []}),
     (["whist", "verify"], {"v": -3, "rounds": []}),
+    # k distinct residues, but more than k entries: no k-subset
+    (["ooc", "verify"], {"n": 10, "k": 4, "codewords": [[1, 2, 3, 4, 4]]}),
+    (["ooc", "maximal"], {"n": 10, "k": 2, "codewords": [[1, 2, 2, 1]]}),
 ])
 def test_malformed_input_is_a_usage_error(example_file, capsys, command, payload):
     path = example_file("bad.json", payload)
@@ -466,8 +469,8 @@ _UNINDEXABLE_CODE = {"n": 10**20 + 1, "k": 4, "codewords": [[0, 1, 3, 7]]}
         "ooc-maximal-1e20"])
 def test_a_modulus_too_large_for_its_marks_is_out_of_memory_in_one_line(
         example_file, capsys, command, payload):
-    # the +-class marks of Z_v alone would take v//2 + 1 ~ 5 * 10**14 bytes, or more
-    # than an index can hold
+    # the residue marks of Z_v alone would take v = 10**15 + 1 bytes, or more than an
+    # index can hold
     assert main(command + ["--file", example_file("big.json", payload)]) == 3
     captured = capsys.readouterr()
     lines = captured.err.strip().splitlines()

@@ -13,7 +13,7 @@ from designforge.catalog import get
 from designforge.construct import (aps_with_params, ps_product, silver_aps, silver_pps_p2,
                                    union_pps_pq)
 from designforge.core import BudgetExceededError, PairSet, scale_set
-from designforge.modarith import mod_sqrt
+from designforge.modarith import crt_basis, mod_sqrt
 from designforge.ooc import (
     LEAVE45,
     SDF,
@@ -52,6 +52,10 @@ def test_ooc_code_validation():
             OOCode(39, k, ())
         with pytest.raises(ValueError, match="at least 2"):
             max_codeword_bound(39, k)
+    # k distinct residues, but not k entries: a repeated entry is no k-subset either
+    for k, cw in ((2, (1, 2, 2, 1)), (4, (1, 2, 3, 4, 4))):
+        with pytest.raises(ValueError, match=f"not a {k}-subset of Z_10"):
+            OOCode(10, k, (cw,))
     code = OOCode(10, 3, ((5, 1, 9),))
     assert code.codewords == ((1, 5, 9),)
     assert OOCode.from_json(code.to_json()) == code
@@ -319,25 +323,36 @@ def test_verify_ooc_agrees_with_the_difference_tally_at_large_n(index, edit, dat
 
 
 def _even_codes(m: int) -> dict[str, OOCode]:
-    """Hand-built codes of even length n = 2m, m >= 10; a difference of m is its own negative."""
+    """Hand-built codes of even length n = 2m, m >= 10; a difference of m is its own negative.
+
+    The weight-5 codes need m >= 12: no 5-subset of Z_20 or Z_22 has distinct
+    differences, and (0, 1, 3, 7, 3 + m) repeats more than m at m = 10 and 11.
+    """
     n = 2 * m
     return {
         "distinct": OOCode(n, 3, ((0, 1, 3), (0, 4, 9))),
         "only n/2": OOCode(n, 3, ((0, 1, 3), (0, 4, 4 + m))),
         "only n/2, k = 2": OOCode(n, 2, ((5, 5 + m),)),
         "n/2 and a repeat": OOCode(n, 3, ((0, 1, 3), (0, 1, 1 + m))),
+        "distinct, k = 4": OOCode(n, 4, ((0, 1, 3, 7),)),
+        "only n/2, k = 4": OOCode(n, 4, ((0, 1, 3, m),)),
+        "n/2 and a repeat, k = 4": OOCode(n, 4, ((0, 1, 2, m),)),
+        "distinct, k = 5": OOCode(n, 5, ((0, 1, 4, 9, 11),)),
+        "only n/2, k = 5": OOCode(n, 5, ((0, 1, 3, 7, 3 + m),)),
+        "n/2 and a repeat, k = 5": OOCode(n, 5, ((0, 1, 2, 3, m),)),
     }
 
 
-@settings(max_examples=60, deadline=None)
-@given(st.integers(10, 40_000), st.sampled_from(sorted(_even_codes(10))), st.data())
-def test_verify_ooc_agrees_with_the_difference_tally_at_even_n(m, name, data):
+@settings(max_examples=120, deadline=None)
+@given(st.sampled_from(sorted(_even_codes(12))), st.data())
+def test_verify_ooc_agrees_with_the_difference_tally_at_even_n(name, data):
+    m = data.draw(st.integers(12 if name.endswith("k = 5") else 10, 40_000))
     code = _even_codes(m)[name]
     t = data.draw(st.integers(0, code.n - 1))
     code = OOCode(code.n, code.k, tuple(tuple(x + t for x in cw) for cw in code.codewords))
     report = verify_ooc(code)
     assert report == _reference_report(code)
-    assert report.differences_distinct == (name == "distinct")
+    assert report.differences_distinct == name.startswith("distinct")
 
 
 @pytest.mark.parametrize("m", [1, 2, 10, 36_386])
@@ -455,6 +470,37 @@ def test_maximal_pq_builder_emits_normalised_codes(p, q, k):
 @pytest.mark.parametrize("p", [7, 23, 47])
 def test_maximal_p2_builder_emits_normalised_codes(p, k):
     _assert_normalised(maximal_ooc_p2(p, k))
+
+
+def _list_sort_template(m, k, pairs, v):
+    """The pair template with each codeword's four points sorted as a list, (0,) put in front."""
+    n = m * v
+    e1, ev = crt_basis([m, v])
+    e2 = n - e1
+    codewords = []
+    for x, y in pairs:
+        xe = x * ev % n
+        ye = y * ev % n
+        cw = [(e1 + xe) % n, (e1 - xe) % n, (e2 + ye) % n, (e2 - ye) % n]
+        cw.sort()
+        codewords.append(tuple(cw))
+    if k == 5:
+        codewords = [(0,) + cw for cw in codewords]
+    return tuple(codewords)
+
+
+@pytest.mark.parametrize("k", [4, 5])
+@pytest.mark.parametrize("v", [11, 13, 49, 143])
+def test_pair_template_merges_as_the_list_sort_does(v, k):
+    # every (x, y), 0 < x, y < v: the points (1, +-x) and (-1, +-y) are then distinct
+    m = 3 if k == 4 else 5
+    pairs = [(x, y) for x in range(1, v) for y in range(1, v)]
+    code = ooc._pair_template_code(m, k, pairs, v)
+    assert (code.n, code.k) == (m * v, k)
+    assert code.codewords == _list_sort_template(m, k, pairs, v)
+    # the merge order: which of the sorted points are (1, +-x), which (-1, +-y)
+    orders = {"".join("x" if c % m == 1 else "y" for c in cw[-4:]) for cw in code.codewords}
+    assert orders == {"xxyy", "xyxy", "xyyx", "yxxy", "yxyx", "yyxx"}
 
 
 def test_verify_then_is_maximal_count_the_differences_once(monkeypatch):
