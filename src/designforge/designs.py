@@ -1,4 +1,4 @@
-"""Whist tournaments, cyclic difference matrices, and contiguous-free plans.
+"""Whist tournaments and cyclic difference matrices.
 
 A game (a, b, c, d) seats four players round a table: a/c are partners (and
 first-kind players), b/d are partners (second-kind); every adjacent pair is
@@ -11,6 +11,7 @@ from __future__ import annotations
 import operator
 from collections.abc import Sequence
 from dataclasses import dataclass
+from itertools import chain
 from typing import Union
 
 from .core import PairSet, PPSSpec, _trusted, json_field, verify_pps
@@ -206,7 +207,9 @@ def develop_rounds(r0: tuple[Game, ...] | list[Game], u: int) -> WhistTournament
     """
     r0 = tuple(tuple(g) for g in r0)
     has_inf = any(INF in g for g in r0)
-    rounds = CyclicRounds(next(_development(r0, u), ()), u)
+    reduced = () if u < 1 else tuple([tuple([seat if seat == INF else seat % u for seat in g])
+                                      for g in r0])
+    rounds = CyclicRounds(reduced, u)
     return _trusted(WhistTournament, v=u + 1 if has_inf else u, u=u, rounds=rounds, cyclic=True)
 
 
@@ -261,9 +264,7 @@ def _check_basic(t: WhistTournament) -> CheckResult:
     if len(t.rounds) != expected_rounds:
         return CheckResult(False, f"expected {expected_rounds} rounds, got {len(t.rounds)}")
     everyone = set(t.players)
-    # Round j of a cyclic tournament is round 0 under a bijection of the
-    # players, so it is seated correctly exactly when round 0 is.
-    for rnd in t.rounds[:1] if t.cyclic else t.rounds:
+    for rnd in _seated_rounds(t):
         if len(rnd) != n or any(len(g) != 4 for g in rnd):
             return CheckResult(False, f"a round must have {n} games of four seats")
         seen = [seat for g in rnd for seat in g]
@@ -278,41 +279,70 @@ def _check_basic(t: WhistTournament) -> CheckResult:
     return _check_pair_rule(t, _opponents_both_ways, "opponent", 2)
 
 
+def _seated_rounds(t: WhistTournament):
+    """The rounds whose seating the checks read: round 0 alone on cyclic input.
+
+    Round j of a cyclic tournament is round 0 under a bijection of the
+    players, so it is seated correctly exactly when round 0 is.
+    """
+    return (t.rounds[0],) if t.cyclic and t.rounds else t.rounds
+
+
 def _misseated(t: WhistTournament) -> CheckResult | None:
     """Basic's failure when a game the checks read (round 0 on cyclic input) lacks four seats."""
-    for rnd in t.rounds[:1] if t.cyclic else t.rounds:
+    for rnd in _seated_rounds(t):
         if any(len(g) != 4 for g in rnd):
             return CheckResult(False, f"a round must have {t.v // 4} games of four seats")
     return None
 
 
 def _check_zcps(t: WhistTournament) -> CheckResult:
+    """Round 0's partner pairs, as a set, are the ±classes of Z_u - {0}, and {INF, 0} with INF.
+
+    For even u the class of u/2 is the pair (u/2, u/2).  A pair may repeat.
+    """
     if not t.cyclic:
         return CheckResult(False, "tournament is not cyclically developed")
+    if not t.rounds:
+        return CheckResult(False, "tournament has no initial round")
     misseated = _misseated(t)
     if misseated:
         return misseated
-    u = t.u
-    starter = {frozenset((x, (-x) % u)) for x in range(1, u)}
-    if t.v == u + 1:
-        starter.add(frozenset((INF, 0)))
-    got = {frozenset(p) for g in t.rounds[0] for p in partner_pairs(g)}
-    if got != starter:
-        return CheckResult(False, "initial-round partner pairs are not the patterned starter")
+    u, has_inf = t.u, t.v == t.u + 1
+    miss = CheckResult(False, "initial-round partner pairs are not the patterned starter")
+    marks = bytearray(u)  # marks[x] once x partners -x; the seats of round 0 lie in Z_u
+    inf_paired = False
+    for g in t.rounds[0]:
+        for x, y in partner_pairs(g):
+            if x == INF or y == INF:
+                if 0 not in (x, y):
+                    return miss
+                inf_paired = True
+            elif (x + y) % u:
+                return miss
+            else:
+                marks[x] = marks[y] = 1
+    if marks[0] or marks.count(0) != 1 or inf_paired != has_inf:
+        return miss
     return CheckResult(True)
 
 
 def _check_pair_rule(t: WhistTournament, pairs_of, name: str, want: int) -> CheckResult:
     """Every ordered pair of distinct players want times among pairs_of(game), none with itself."""
-    players = t.players
     if t.cyclic and t.rounds:
         # Every pair (z, z + d) is covered alike, and so is every (z, INF) and
-        # every (INF, z): the first miscount in player order is in row 0 or INF.
+        # every (INF, z): the counts decide, and the first miscount in player
+        # order is in row 0 or INF.
         by_diff, with_inf = _starter_counts(t, pairs_of)
+        has_inf = t.v == t.u + 1
+        if not by_diff[0] and by_diff.count(want) == t.u - 1 and (
+                not has_inf or with_inf == {(0, INF): want, (INF, 0): want, (INF, INF): 0}):
+            return CheckResult(True)
         covered = [((0, d), by_diff[d]) for d in range(t.u)]
-        if INF in players:
+        if has_inf:
             covered += with_inf.items()
     else:
+        players = t.players
         n = len(players)
         counts = _pair_counts(players, _seat_pairs(t, pairs_of))
         covered = (((x, y), counts[i * n + j])
@@ -374,23 +404,20 @@ def cdm_from_round(r0: tuple[Game, ...] | list[Game]) -> DifferenceMatrix:
     if any(INF in g for g in games):
         raise ValueError("rounds with the adjoined player do not yield difference matrices")
     v = 4 * len(games) + 1
-    players = sorted(seat for g in games for seat in g)
-    if players != list(range(1, v)):
+    # Once the seats are 1, ..., v - 1, the 4n = v - 1 differences of distinct
+    # seats are nonzero, so they tile Z_v - {0} when no two are equal.
+    seats = [seat for g in games for seat in g]
+    if len(seats) != v - 1 or set(seats) != set(range(1, v)):
         raise ValueError("round must contain every player of Z_v except 0 exactly once")
-    partner_diffs = sorted(
-        diff % v for a, b, c, d in games for diff in (a - c, c - a, b - d, d - b))
-    if partner_diffs != list(range(1, v)):
+    if len({diff % v for a, b, c, d in games for diff in (a - c, c - a, b - d, d - b)}) != v - 1:
         raise ValueError("partner differences do not tile Z_v - {0}")
-    directed_diffs = sorted((b - a) % v for g in games for a, b in opponent_pairs(g))
-    if directed_diffs != list(range(1, v)):
+    if len({(b - a) % v for g in games for a, b in opponent_pairs(g)}) != v - 1:
         raise ValueError("directed condition fails: left-opponent differences do not tile")
-    rows = [[0] for _ in range(5)]
-    for a, b, c, d in games:
-        block = (a, b, c, d)
-        rows[0].extend([0, 0, 0, 0])
-        for r in range(4):
-            rows[r + 1].extend(block[r:] + block[:r])
-    return DifferenceMatrix(5, v, tuple(tuple(r) for r in rows))
+    # Row r + 1 is 0, then each game's seats rotated left by r.
+    columns = [seats[i::4] for i in range(4)]
+    rows = [(0,) * v] + [(0, *chain.from_iterable(zip(*columns[r:], *columns[:r])))
+                         for r in range(4)]
+    return DifferenceMatrix(5, v, tuple(rows))
 
 
 @dataclass(frozen=True)
@@ -400,46 +427,11 @@ class CdmReport:
 
 
 def verify_cdm(d: DifferenceMatrix) -> CdmReport:
+    """Each row pair's v differences, one a column, are v distinct residues."""
+    v = d.v
     failures = []
     for r in range(d.k):
         for s in range(r + 1, d.k):
-            diffs = sorted((d.rows[r][l] - d.rows[s][l]) % d.v for l in range(len(d.rows[r])))
-            if diffs != list(range(d.v)):
+            if len(d.rows[r]) != v or len({(x - y) % v for x, y in zip(d.rows[r], d.rows[s])}) != v:
                 failures.append((r, s))
     return CdmReport(not failures, tuple(failures))
-
-
-@dataclass(frozen=True)
-class CbsecReport:
-    valid: bool
-    contiguous_hits: tuple[tuple[int, int], ...]
-    miscovered: tuple[tuple[int, int, int], ...]  # (x, y, count) for wrong coverage
-
-
-def verify_cbsec(v: int, k: int, blocks, cyclic: bool = False) -> CbsecReport:
-    """Check the contiguous-exclusion plan property.
-
-    Cyclically adjacent point pairs must appear in no block; every other
-    pair exactly once.  With cyclic=True the blocks are base blocks and are
-    developed modulo v first.
-    """
-    blocks = [tuple(x % v for x in b) for b in blocks]
-    for b in blocks:
-        if len(b) != k or len(set(b)) != k:
-            raise ValueError(f"block {b} is not a {k}-subset")
-    if cyclic:
-        blocks = [tuple(sorted((x + j) % v for x in b)) for b in blocks for j in range(v)]
-    counts = _pair_counts(range(v), ((b[i], b[j]) for b in blocks
-                                     for i in range(k) for j in range(i + 1, k)))
-    contiguous_hits = []
-    miscovered = []
-    for x in range(v):
-        for y in range(x + 1, v):
-            count = counts[x * v + y] + counts[y * v + x]
-            if (y - x) % v in (1, v - 1):
-                if count:
-                    contiguous_hits.append((x, y))
-            elif count != 1:
-                miscovered.append((x, y, count))
-    return CbsecReport(not contiguous_hits and not miscovered,
-                       tuple(contiguous_hits), tuple(miscovered))

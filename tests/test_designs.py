@@ -13,6 +13,7 @@ from designforge.catalog import get
 from designforge.core import PairSet
 from designforge.designs import (
     INF,
+    CdmReport,
     CheckResult,
     CyclicRounds,
     DifferenceMatrix,
@@ -20,7 +21,6 @@ from designforge.designs import (
     cdm_from_round,
     develop_rounds,
     initial_round,
-    verify_cbsec,
     verify_cdm,
     verify_whist,
 )
@@ -194,7 +194,13 @@ def test_whist_difference_shortcut_agrees_on_developed_starts(s, data):
     assert {k: r.passed for k, r in shortcut.items()} == {k: r.passed for k, r in full.items()}
 
 
-STARTERS = {**WHIST_STARTS, 133: initial_round(get("ps-133").pair_set())}
+# Rounds on an even u, where the starter holds the class {u/2} as the partner
+# pair (u/2, u/2); each partners every class, and u = 12 partners {1, 11} twice.
+EVEN_STARTS = {
+    8: ((1, 2, 7, 6), (3, 4, 5, 4)),
+    12: ((INF, 1, 0, 11), (2, 3, 10, 9), (4, 5, 8, 7), (6, 1, 6, 11)),
+}
+STARTERS = {**WHIST_STARTS, 133: initial_round(get("ps-133").pair_set()), **EVEN_STARTS}
 
 
 def _reference_development(r0, u):
@@ -205,18 +211,21 @@ def _reference_development(r0, u):
 
 @st.composite
 def corrupted_starters(draw):
-    """A PS(5), PS(13), PS(133) or APS(27,3,3) starter, as given or corrupted.
+    """A PS(5), PS(13), PS(133), APS(27,3,3) or even-u starter, as given or corrupted.
 
     "re-pair" keeps the shape (x, y, -x, -y), so the partner differences still
     tile and only the opponent rule can fail; "drop" leaves a three-seat game,
     which basic's seating rule refuses, and so do directed and ordered;
     "extra" adds a game, which may seat INF twice beside a round that is
-    otherwise directed.
+    otherwise directed; "repeat" adds a game of two partner pairs the round
+    already has, so the set of its partner pairs is unchanged; "move-inf"
+    swaps INF with a seat of a plain game, or puts it there when the round
+    has none; "grow" gives a game a fifth seat, a player it already seats.
     """
     u = draw(st.sampled_from(sorted(STARTERS)))
     r0 = [list(g) for g in STARTERS[u]]
     kind = draw(st.sampled_from(["none", "swap", "overwrite", "shuffle", "re-pair", "drop",
-                                 "extra"]))
+                                 "extra", "repeat", "move-inf", "grow"]))
     g, s = draw(st.integers(0, len(r0) - 1)), draw(st.integers(0, 3))
     if kind == "swap":
         g2, s2 = draw(st.integers(0, len(r0) - 1)), draw(st.integers(0, 3))
@@ -233,6 +242,21 @@ def corrupted_starters(draw):
         del r0[g][s]
     elif kind == "extra":
         r0.append(draw(st.lists(st.sampled_from([INF, *range(u)]), min_size=4, max_size=4)))
+    elif kind == "repeat":
+        pairs = [(game[i], game[i + 2]) for game in r0 for i in (0, 1)]
+        (a, c), (b, d) = draw(st.lists(st.sampled_from(pairs), min_size=2, max_size=2))
+        r0.append([a, b, c, d] if draw(st.booleans()) else [c, d, a, b])
+    elif kind == "move-inf":
+        plain = [(i, k) for i, game in enumerate(r0) if INF not in game for k in range(4)]
+        i, k = draw(st.sampled_from(plain))
+        held = [(j, game.index(INF)) for j, game in enumerate(r0) if INF in game]
+        if held:
+            (j, w), = held
+            r0[i][k], r0[j][w] = INF, r0[i][k]
+        else:
+            r0[i][k] = INF
+    elif kind == "grow":
+        r0[g].append(r0[g][s])
     return tuple(map(tuple, r0)), u
 
 
@@ -245,8 +269,126 @@ def _verdicts(t: WhistTournament) -> dict:
 def test_starter_level_checks_equal_seat_level_checks(start):
     r0, u = start
     t = develop_rounds(r0, u)
-    assert t.cyclic and t.rounds == _reference_development(r0, u)
+    ref = _reference_development(r0, u)
+    assert t.cyclic and t.rounds == ref and t.rounds[0] == ref[0]
     assert _verdicts(t) == _verdicts(replace(t, cyclic=False))
+
+
+# The frozenset and sorting versions of zcps and of the difference-matrix
+# checks, kept as references for the mark and set-size versions.
+
+def _frozenset_zcps(t: WhistTournament) -> CheckResult:
+    if not t.cyclic:
+        return CheckResult(False, "tournament is not cyclically developed")
+    for rnd in t.rounds[:1]:
+        if any(len(g) != 4 for g in rnd):
+            return CheckResult(False, f"a round must have {t.v // 4} games of four seats")
+    u = t.u
+    starter = {frozenset((x, (-x) % u)) for x in range(1, u)}
+    if t.v == u + 1:
+        starter.add(frozenset((INF, 0)))
+    got = {frozenset(p) for a, b, c, d in t.rounds[0] for p in ((a, c), (b, d))}
+    if got != starter:
+        return CheckResult(False, "initial-round partner pairs are not the patterned starter")
+    return CheckResult(True)
+
+
+def _sorted_cdm_from_round(r0) -> DifferenceMatrix:
+    games = [tuple(g) for g in r0]
+    if any(INF in g for g in games):
+        raise ValueError("rounds with the adjoined player do not yield difference matrices")
+    v = 4 * len(games) + 1
+    players = sorted(seat for g in games for seat in g)
+    if players != list(range(1, v)):
+        raise ValueError("round must contain every player of Z_v except 0 exactly once")
+    partner_diffs = sorted(
+        diff % v for a, b, c, d in games for diff in (a - c, c - a, b - d, d - b))
+    if partner_diffs != list(range(1, v)):
+        raise ValueError("partner differences do not tile Z_v - {0}")
+    directed_diffs = sorted((b - a) % v for g in games for a, b in _left(*g))
+    if directed_diffs != list(range(1, v)):
+        raise ValueError("directed condition fails: left-opponent differences do not tile")
+    rows = [[0] for _ in range(5)]
+    for a, b, c, d in games:
+        block = (a, b, c, d)
+        rows[0].extend([0, 0, 0, 0])
+        for r in range(4):
+            rows[r + 1].extend(block[r:] + block[:r])
+    return DifferenceMatrix(5, v, tuple(tuple(r) for r in rows))
+
+
+def _sorted_verify_cdm(d: DifferenceMatrix) -> CdmReport:
+    failures = []
+    for r in range(d.k):
+        for s in range(r + 1, d.k):
+            diffs = sorted((d.rows[r][l] - d.rows[s][l]) % d.v for l in range(len(d.rows[r])))
+            if diffs != list(range(d.v)):
+                failures.append((r, s))
+    return CdmReport(not failures, tuple(failures))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(corrupted_starters().map(lambda start: develop_rounds(*start)), whist_corpus()),
+       st.booleans())
+def test_zcps_agrees_with_the_frozenset_reference(t, other_v):
+    if other_v:  # INF in the rounds with v = u, or v = u + 1 without it
+        t = replace(t, v=2 * t.u + 1 - t.v)
+    assert verify_whist(t, ("zcps",))["zcps"] == _frozenset_zcps(t)
+
+
+def test_zcps_keeps_the_set_rule_on_even_u_and_repeated_pairs():
+    for u, r0 in EVEN_STARTS.items():
+        assert verify_whist(develop_rounds(r0, u), ("zcps",))["zcps"] == CheckResult(True)
+    again = initial_round(PS13) + (initial_round(PS13)[1],)
+    assert verify_whist(develop_rounds(again, 13), ("zcps",))["zcps"] == CheckResult(True)
+    for lost in (((1, 2, 7, 6), (3, 2, 5, 6)),  # {4} never partnered, {2, 6} twice
+                 ((1, 2, 7, 6), (3, 0, 5, 0))):  # {0} in place of {4}
+        t = develop_rounds(lost, 8)
+        assert verify_whist(t, ("zcps",))["zcps"] == _frozenset_zcps(t)
+        assert not _frozenset_zcps(t).passed
+
+
+def _outcome(f, arg):
+    try:
+        return f(arg)
+    except ValueError as e:
+        return str(e)
+
+
+@settings(max_examples=300, deadline=None)
+@given(corrupted_starters())
+def test_cdm_from_round_agrees_with_the_sorting_reference(start):
+    r0, _ = start
+    assert _outcome(cdm_from_round, r0) == _outcome(_sorted_cdm_from_round, r0)
+
+
+CDM_ROUNDS = (initial_round(PS5), initial_round(PS13), initial_round(get("ps-133").pair_set()))
+
+
+@st.composite
+def moved_matrices(draw):
+    """A small random matrix, or one from a directed round, often with one entry moved.
+
+    A move by a multiple of v keeps the entry's residue, so the matrix stays valid.
+    """
+    if draw(st.booleans()):  # rows may be a column short or long, no row shorter than one above
+        k, v = draw(st.integers(0, 5)), draw(st.integers(1, 9))
+        lengths = sorted(draw(st.lists(st.sampled_from([v - 1, v, v, v, v + 1]),
+                                       min_size=k, max_size=k)))
+        return DifferenceMatrix(k, v, tuple(
+            tuple(draw(st.lists(st.integers(-v, 2 * v), min_size=n, max_size=n))) for n in lengths))
+    m = cdm_from_round(draw(st.sampled_from(CDM_ROUNDS)))
+    rows = [list(r) for r in m.rows]
+    if draw(st.booleans()):
+        r, l = draw(st.integers(0, m.k - 1)), draw(st.integers(0, m.v - 1))
+        rows[r][l] += draw(st.integers(-m.v, m.v) | st.sampled_from([-2 * m.v, 3 * m.v]))
+    return DifferenceMatrix(m.k, m.v, tuple(map(tuple, rows)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(moved_matrices())
+def test_verify_cdm_agrees_with_the_sorting_reference(m):
+    assert verify_cdm(m) == _sorted_verify_cdm(m)
 
 
 APS27_ROUND = initial_round(get("aps-27-3-3").pair_set(), alpha=3)
@@ -313,6 +455,14 @@ def test_cyclic_flag_cannot_be_forged():
     assert replace(replace(t, cyclic=False), cyclic=True) == t
 
 
+def test_directed_names_a_single_miscounted_difference():
+    # Every difference of Z_8 - {0} once but 4, twice: the counts alone must not pass it.
+    t = develop_rounds(((0, 7, 1, 5), (1, 6, 2, 0)), 8)
+    miscount = CheckResult(False, "ordered pair (0, 4) covered 2 times")
+    assert verify_whist(t, ("directed",))["directed"] == miscount
+    assert verify_whist(replace(t, cyclic=False), ("directed",))["directed"] == miscount
+
+
 def test_whist_detects_perturbation():
     games = [list(g) for g in initial_round(PS13)]
     games[0][0], games[1][0] = games[1][0], games[0][0]
@@ -359,6 +509,16 @@ def test_whist_json_round_trip():
 def test_zcps_requires_cyclic_flag():
     t = develop_rounds(initial_round(PS13), 13)
     assert not verify_whist(replace(t, cyclic=False), ("zcps",))["zcps"].passed
+
+
+@pytest.mark.parametrize("r0", [(), ((INF, 0, 1, 2),)])
+@pytest.mark.parametrize("u", [0, -3])
+def test_zcps_fails_in_one_line_on_a_tournament_without_rounds(r0, u):
+    t = develop_rounds(r0, u)
+    assert t.cyclic and len(t.rounds) == 0 and t.v == u + len(r0)
+    results = verify_whist(t)
+    assert results["zcps"] == CheckResult(False, "tournament has no initial round")
+    assert not results["basic"].passed
 
 
 def test_from_json_works_out_cyclic_from_the_rounds():
@@ -434,59 +594,3 @@ def test_verify_cdm_oracles():
     assert not report.valid and report.failures == ((0, 1),)
     json_round = DifferenceMatrix.from_json(table.to_json())
     assert json_round == table
-
-
-def test_cbsec():
-    # base block found by exhaustive scan: differences +-{2, 5, 3} tile the
-    # non-contiguous classes of Z_9
-    report = verify_cbsec(9, 3, [(0, 2, 5)], cyclic=True)
-    assert report.valid
-
-    report = verify_cbsec(9, 3, [(0, 1, 3)], cyclic=True)
-    assert not report.valid and report.contiguous_hits
-
-    report = verify_cbsec(4, 3, [], cyclic=False)
-    assert not report.valid and report.miscovered
-
-    with pytest.raises(ValueError):
-        verify_cbsec(9, 3, [(0, 1)], cyclic=True)
-
-
-def test_cbsec_base_block_is_exhaustively_minimal():
-    # scanning all base blocks {0, a, b} confirms (0, 2, 5) is the first valid one
-    first = None
-    for a in range(1, 9):
-        for b in range(a + 1, 9):
-            if verify_cbsec(9, 3, [(0, a, b)], cyclic=True).valid:
-                first = (0, a, b)
-                break
-        if first:
-            break
-    assert first == (0, 2, 5)
-
-
-def _reference_cbsec(v, k, blocks, cyclic):
-    if cyclic:
-        blocks = [{(x + j) % v for x in b} for b in blocks for j in range(v)]
-    hits, miscovered = [], []
-    for x, y in combinations(range(v), 2):
-        count = sum(1 for b in blocks if x in b and y in b)
-        if (y - x) % v in (1, v - 1):
-            if count:
-                hits.append((x, y))
-        elif count != 1:
-            miscovered.append((x, y, count))
-    return not hits and not miscovered, tuple(hits), tuple(miscovered)
-
-
-@settings(max_examples=200, deadline=None)
-@given(st.data())
-def test_cbsec_agrees_with_reference(data):
-    v = data.draw(st.integers(3, 13))
-    k = data.draw(st.integers(2, min(v, 4)))
-    block = st.lists(st.integers(0, v - 1), min_size=k, max_size=k, unique=True)
-    blocks = data.draw(st.lists(block, max_size=2 * v))
-    cyclic = data.draw(st.booleans())
-    report = verify_cbsec(v, k, blocks, cyclic=cyclic)
-    assert (report.valid, report.contiguous_hits, report.miscovered) == \
-           _reference_cbsec(v, k, blocks, cyclic)
