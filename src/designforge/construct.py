@@ -180,9 +180,9 @@ def cyclotomic_witnesses(p: int, q: int) -> tuple[tuple[int, int], tuple[int, in
     Each is the lexicographically first (x, y) whose x, y, x+y and x-y fall
     in a pattern of square classes: square, square, square, square mod p;
     square, nonsquare, square, nonsquare mod q (zero is in neither class).
-    Above the class-pattern bound q_bound(2, 3) = 45.86 existence is
-    guaranteed; the handful of smaller primes all have witnesses too (pinned
-    in the catalog).
+    Above the class-pattern bound 45.86 (two classes, three conditions)
+    existence is guaranteed; the handful of smaller primes all have
+    witnesses too (pinned in the catalog).
     """
     found = []
     for m, pattern in ((p, (1, 1, 1, 1)), (q, (1, -1, 1, -1))):

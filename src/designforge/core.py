@@ -10,9 +10,7 @@ A1 = A2 = {0} ("PS") and A1 = {0, a, -a}, A2 = {0, b, -b} ("APS").
 from __future__ import annotations
 
 import enum
-import itertools
 import math
-import operator
 import time
 from dataclasses import dataclass
 
@@ -222,42 +220,6 @@ def _fold(marks: bytearray, hits: int) -> tuple[bool, int]:
     return not up & down and up.bit_count() + down.bit_count() == hits, up | down
 
 
-def _cover_counts(s: PairSet) -> tuple[list[int], list[int]]:
-    """Multiplicity of each residue in the unions of +-{x, y} and of +-{x+y, x-y}.
-
-    Tallied per +-class min(z, v - z) of each hit z, then unfolded: residue
-    z > v//2 reads class v - z, and the classes 0 and v/2, where z = -z,
-    count twice per hit.
-    """
-    v = s.v
-    h = v // 2
-    c1, c2 = [0] * (h + 1), [0] * (h + 1)
-    for x, y in s.pairs:
-        c1[x if x <= h else v - x] += 1
-        c1[y if y <= h else v - y] += 1
-        t = x + y
-        if t >= v:
-            t -= v
-        c2[t if t <= h else v - t] += 1
-        d = y - x
-        c2[d if d <= h else v - d] += 1
-    tail = slice(v - h - 1, 0, -1)
-    for c in (c1, c2):
-        c[0] *= 2
-        if v % 2 == 0:
-            c[h] *= 2
-    return c1 + c1[tail], c2 + c2[tail]
-
-
-def _diagnose(counts: list[int], excluded: frozenset[int]) -> tuple[frozenset, frozenset]:
-    """(missing, repeated) of one cover; both empty when it is exactly the 0/1 target."""
-    if counts.count(1) == len(counts) - len(excluded) and not any(counts[z] for z in excluded):
-        return frozenset(), frozenset()
-    missing = frozenset(itertools.compress(range(len(counts)), map(operator.not_, counts)))
-    repeated = frozenset(z for z, c in enumerate(counts) if c > 1)
-    return missing - excluded, repeated | {z for z in excluded if counts[z]}
-
-
 _VALID = VerifyReport(True, frozenset(), frozenset(), frozenset(), frozenset())
 
 
@@ -267,8 +229,11 @@ def verify_pps(s: PairSet, spec: PPSSpec) -> VerifyReport:
     One pass of :func:`_residue_marks` and one :func:`_fold` per cover
     decide a valid set: each cover hits 2n distinct classes of two residues,
     no excluded residue (A1 and A2 are closed under negation, so a class
-    outside them has neither side in them), and 4n = v - |A1|.  Only a
-    failing set is tallied for its diagnostics.
+    outside them has neither side in them), and 4n = v - |A1|.  A failing
+    set is diagnosed from the same marks: a cover misses the classes it
+    leaves unhit, less the excluded residues, and repeats the classes it
+    hits more than once (:func:`_repeated`) and every excluded residue whose
+    class it hits.
     """
     v = spec.v
     if s.v != v:
@@ -278,30 +243,72 @@ def verify_pps(s: PairSet, spec: PPSSpec) -> VerifyReport:
     if (4 * n == v - len(spec.a1) and _fold(m1, 2 * n)[0] and _fold(m2, 2 * n)[0]
             and not any(m1[z] for z in spec.a1) and not any(m2[z] for z in spec.a2)):
         return _VALID
-    c1, c2 = _cover_counts(s)
-    missing1, repeated1 = _diagnose(c1, spec.a1)
-    missing2, repeated2 = _diagnose(c2, spec.a2)
-    return VerifyReport(not (missing1 or repeated1 or missing2 or repeated2),
-                        missing1, repeated1, missing2, repeated2)
+    sides = []
+    for marks, excluded, strikes in (
+            (m1, spec.a1, (z for pair in s.pairs for z in pair)),
+            (m2, spec.a2, (z for x, y in s.pairs for z in (x + y - v, y - x)))):
+        hit = marks[:1] + _fold(marks, 2 * n)[1].to_bytes(v // 2, "little")  # byte c: c is hit
+        sides += (_residues(_runs(hit, 0), v) - excluded,
+                  _repeated(marks, 2 * n, strikes) | {z for z in excluded if marks[z] or marks[-z]})
+    return VerifyReport(not any(sides), *sides)
+
+
+def _runs(marks: bytearray, mark: int) -> list[int]:
+    """The indices at which marks holds ``mark`` (0 or 1), in ascending order.
+
+    ``marks.find`` steps from run to run: the loop grows with the runs, not the bytes.
+    """
+    found, c = [], marks.find(mark)
+    while c >= 0:
+        e = marks.find(1 - mark, c)
+        found += range(c, e if e >= 0 else len(marks))
+        c = marks.find(mark, e) if e >= 0 else -1
+    return found
 
 
 def _unmarked(marks: bytearray, v: int) -> frozenset[int]:
-    """The residues of the classes that marks leaves unmarked.
-
-    ``marks.find`` steps from run to run: the loop grows with the runs, not the classes.
-    """
-    unmarked, c = [], marks.find(0)
-    while c >= 0:
-        e = marks.find(1, c)
-        unmarked += range(c, e if e >= 0 else len(marks))
-        c = marks.find(0, e) if e >= 0 else -1
-    classes = frozenset(unmarked)
+    """The residues of the classes that marks leaves unmarked."""
+    classes = frozenset(_runs(marks, 0))
     return classes | {v - c for c in classes if c}
+
+
+def _residues(classes: list[int], v: int) -> frozenset[int]:
+    """The residues c and v - c of ascending classes c, stored in ascending order.
+
+    A set of ints iterates, and prints, in an order that follows the order
+    its members were stored in; so this set prints as one filled by a scan
+    over Z_v does.
+    """
+    return frozenset(classes + [v - c for c in reversed(classes) if c])
 
 
 def _leave(classes: int, v: int) -> frozenset[int]:
     """The residues of the classes that a fold's ``classes`` leaves unhit, 0 among them."""
     return _unmarked(b"\0" + classes.to_bytes(v // 2, "little"), v)
+
+
+def _repeated(marks: bytearray, hits: int, strikes) -> frozenset[int]:
+    """The residues of the +-classes that ``hits`` strikes, stored as marks, hit more than once.
+
+    A class is hit more than once when it is marked on both sides, when it is
+    its own negative (0, and v/2 for even v) and marked, or when one residue
+    was struck twice.  Only the last needs ``strikes``, an iterable of the
+    strikes again (a residue or its value less v), each tested against fresh
+    marks before it is stored; it is walked only when marks holds fewer marks
+    than there were hits.
+    """
+    v = len(marks)
+    h = v // 2
+    both = int.from_bytes(marks[1:h + 1], "little") & int.from_bytes(marks[v - h:], "big")
+    twice = marks[:1] + both.to_bytes(h, "little")  # byte c: class c is hit more than once
+    if marks.count(1) < hits:
+        seen = bytearray(v)
+        for z in strikes:
+            if seen[z]:
+                z %= v
+                twice[min(z, v - z)] = 1
+            seen[z] = 1
+    return _residues(_runs(twice, 1), v)
 
 
 def infer_params(s: PairSet) -> PPSSpec | None:

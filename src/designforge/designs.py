@@ -289,7 +289,10 @@ def _seated_rounds(t: WhistTournament):
 
 
 def _misseated(t: WhistTournament) -> CheckResult | None:
-    """Basic's failure when a game the checks read (round 0 on cyclic input) lacks four seats."""
+    """The failure of a tournament with no rounds, or basic's when a game the
+    checks read (round 0 on cyclic input) lacks four seats."""
+    if not t.rounds:
+        return CheckResult(False, "tournament has no initial round")
     for rnd in _seated_rounds(t):
         if any(len(g) != 4 for g in rnd):
             return CheckResult(False, f"a round must have {t.v // 4} games of four seats")
@@ -303,8 +306,6 @@ def _check_zcps(t: WhistTournament) -> CheckResult:
     """
     if not t.cyclic:
         return CheckResult(False, "tournament is not cyclically developed")
-    if not t.rounds:
-        return CheckResult(False, "tournament has no initial round")
     misseated = _misseated(t)
     if misseated:
         return misseated

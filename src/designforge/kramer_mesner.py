@@ -21,7 +21,6 @@ from dataclasses import dataclass
 
 from .core import (DEADLINE_EVERY, BudgetExceededError, PairSet, PPSSpec, check_deadline,
                    square_sums_agree, verify_pps)
-from .modarith import crt_lift, factorint, mult_order
 
 
 @dataclass(frozen=True)
@@ -57,39 +56,6 @@ class MultiplierGroup:
 
     def __len__(self) -> int:
         return len(self.elements)
-
-
-def suggest_multiplier(v: int) -> int:
-    """A unit whose powers give the product-of-primes multiplier group.
-
-    For v = p*q (optionally times 3) with primes p < q and (p-1) | (q-1),
-    combine the smallest elements of order p-1 in each prime component; the
-    3-component, when present, is set to -1.  The result generates a group
-    of order p-1 containing -1.  Other valid groups exist; this helper just
-    fixes one deterministic choice.
-    """
-    factors = factorint(v)
-    has3 = factors.pop(3, 0)
-    if has3 > 1 or len(factors) != 2 or any(e != 1 for e in factors.values()):
-        raise ValueError(f"no multiplier suggestion for v = {v}")
-    p, q = sorted(factors)
-    if (q - 1) % (p - 1) != 0:
-        raise ValueError(f"{p}-1 must divide {q}-1")
-
-    def smallest_of_order(t: int, modulus: int) -> int:
-        for x in range(2, modulus):
-            if math.gcd(x, modulus) == 1 and mult_order(x, modulus) == t:
-                return x
-        raise ValueError(f"no element of order {t} modulo {modulus}")
-
-    residues = [smallest_of_order(p - 1, p), smallest_of_order(p - 1, q)]
-    moduli = [p, q]
-    if has3:
-        if (p - 1) % 4 == 0:
-            raise ValueError("(p-1)/2 must be odd for the 3-component trick")
-        residues.append(2)  # -1 mod 3
-        moduli.append(3)
-    return crt_lift(residues, moduli)
 
 
 @dataclass(frozen=True)

@@ -107,10 +107,6 @@ def _totient_with_factors(v: int) -> tuple[int, tuple[int, ...]]:
     return phi, tuple(factorint(phi))
 
 
-def totient(v: int) -> int:
-    return _totient_with_factors(v)[0]
-
-
 def mult_order(x: int, v: int) -> int:
     """Least t > 0 with x**t == 1 (mod v)."""
     x %= v
@@ -134,16 +130,5 @@ def generates_mod_pm_one(x: int, v: int) -> bool:
     t = mult_order(x, v)
     minus_one_in_x = t % 2 == 0 and pow(x, t // 2, v) == v - 1
     size = t if minus_one_in_x else 2 * t
-    return size == totient(v)
+    return size == _totient_with_factors(v)[0]
 
-
-def q_bound(d: int, m: int) -> float:
-    """Threshold above which any m-fold pattern of d-class conditions is solvable.
-
-    Primes exceeding this bound always admit an element x lying in prescribed
-    power-residue classes relative to m fixed shifts.
-    """
-    if d < 1 or m < 1:
-        raise ValueError("d and m must be positive")
-    u = sum(math.comb(m, h) * (d - 1) ** h * (h - 1) for h in range(1, m + 1))
-    return 0.25 * (u + math.sqrt(u * u + 4 * d ** (m - 1) * m)) ** 2

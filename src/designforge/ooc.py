@@ -14,8 +14,8 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .construct import silver_pps_p2, silver_witness, union_pps_pq
-from .core import (BudgetExceededError, PairSet, SetKind, _fold, _leave, _trusted, infer_params,
-                   json_field)
+from .core import (BudgetExceededError, PairSet, SetKind, _fold, _leave, _repeated, _trusted,
+                   infer_params, json_field)
 from .modarith import crt_basis
 
 
@@ -75,21 +75,6 @@ class OOCReport:
         }
 
 
-def _difference_counts(n: int, blocks) -> list[int]:
-    """counts[d]: how often a - b = d (mod n), a and b at two places of one block.
-
-    verify_sdf's tally (SDF blocks are multisets, so a difference may be 0 or repeat),
-    and verify_ooc's once a difference is known to repeat.
-    """
-    counts = [0] * n
-    for block in blocks:
-        for i, a in enumerate(block):
-            for b in block[i + 1:]:
-                counts[(a - b) % n] += 1
-                counts[(b - a) % n] += 1
-    return counts
-
-
 def _difference_report(code: OOCode) -> OOCReport:
     """Residue marks a codeword at a time: each d = b - a, a < b in a codeword, marks d.
 
@@ -101,7 +86,9 @@ def _difference_report(code: OOCode) -> OOCReport:
     distinct exactly when the upper differences mark one +-class each, which
     ``core._fold`` decides (for even n it rules out n/2, its own negative);
     the leave is the classes left unhit.  A code with no codewords leaves
-    all of Z_n.  Only a failing code is tallied.
+    all of Z_n.  For a failing code, ``core._repeated`` reads the repeated
+    classes off the same marks, walking the upper differences again only
+    when one of them repeats.
     """
     n, k = code.n, code.k
     marks = bytearray(n)
@@ -119,13 +106,22 @@ def _difference_report(code: OOCode) -> OOCReport:
             for high in columns[i + 1:]:
                 for a, b in zip(low, high):
                     marks[b - a] = 1
-    once, classes = _fold(marks, len(code.codewords) * k * (k - 1) // 2)
-    repeated: frozenset[int] = frozenset()
-    if not once:
-        counts = _difference_counts(n, code.codewords)
-        repeated = frozenset(d for d, c in enumerate(counts) if c > 1)
+    hits = len(code.codewords) * k * (k - 1) // 2
+    once, classes = _fold(marks, hits)
+    repeated = frozenset() if once else _repeated(marks, hits, _upper_differences(code))
     leave = _leave(classes, n)
     return OOCReport(not repeated, repeated, leave, len(leave) <= k * (k - 1))
+
+
+def _upper_differences(code: OOCode):
+    """Each d = b - a, a < b in one codeword, in the order _difference_report marks them."""
+    if code.k == 4:
+        return (z for a, b, c, d in code.codewords
+                for z in (b - a, c - a, d - a, c - b, d - b, d - c))
+    if code.k == 5:
+        return (z for a, b, c, d, e in code.codewords
+                for z in (b - a, c - a, d - a, e - a, c - b, d - b, e - b, d - c, e - c, e - d))
+    return (b - a for cw in code.codewords for i, a in enumerate(cw) for b in cw[i + 1:])
 
 
 def verify_ooc(code: OOCode) -> OOCReport:
@@ -154,33 +150,6 @@ SIGMA45 = ((0, 1, 1, -1, -1),) + ((0, 3, 7, 13, 30),) * 4 + ((0, 5, 14, 26, 34),
 # First coordinates of the two codewords of Z_45 x {0} that close the leave of
 # the 45v code down to five elements.
 LEAVE45 = ((0, 1, 3, 29, 35), (0, 5, 20, 27, 41))
-
-
-@dataclass(frozen=True)
-class SDF:
-    """Family of k-multisets whose internal differences cover Z_g mu times."""
-
-    g: int
-    k: int
-    mu: int
-    base_blocks: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self) -> None:
-        blocks = tuple(tuple(x % self.g for x in b) for b in self.base_blocks)
-        if any(len(b) != self.k for b in blocks):
-            raise ValueError("every base block must have size k")
-        object.__setattr__(self, "base_blocks", blocks)
-
-
-@dataclass(frozen=True)
-class SDFReport:
-    valid: bool
-    counts: tuple[int, ...]
-
-
-def verify_sdf(sdf: SDF) -> SDFReport:
-    counts = _difference_counts(sdf.g, sdf.base_blocks)
-    return SDFReport(all(c == sdf.mu for c in counts), tuple(counts))
 
 
 def _template(k: int) -> int:

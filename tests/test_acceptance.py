@@ -9,6 +9,7 @@ from __future__ import annotations
 import math
 import random
 import time
+from collections import Counter
 
 from sympy import primerange
 
@@ -27,7 +28,6 @@ from designforge.designs import cdm_from_round, develop_rounds, initial_round, v
 from designforge.kramer_mesner import MultiplierGroup, develop, km_search
 from designforge.modarith import generates_mod_pm_one, mod_sqrt
 from designforge.ooc import (
-    SDF,
     SIGMA3,
     SIGMA5,
     SIGMA45,
@@ -39,7 +39,6 @@ from designforge.ooc import (
     ooc_45v_from_ps,
     ooc_from_pairs,
     verify_ooc,
-    verify_sdf,
 )
 from test_kramer_mesner import _all_pair_orbits, _class_multisets, _element_orbits
 
@@ -234,9 +233,10 @@ def test_criterion_7_maximal_codes():
 
 def test_criterion_8_block_pattern_fixtures():
     start = time.monotonic()
-    assert verify_sdf(SDF(3, 4, 4, SIGMA3)).valid
-    assert verify_sdf(SDF(5, 5, 4, SIGMA5)).valid
-    assert verify_sdf(SDF(45, 5, 4, SIGMA45)).valid
+    for g, blocks in ((3, SIGMA3), (5, SIGMA5), (45, SIGMA45)):
+        differences = Counter((a - b) % g for block in blocks
+                              for i, a in enumerate(block) for j, b in enumerate(block) if i != j)
+        assert [differences[d] for d in range(g)] == [4] * g
     elapsed = time.monotonic() - start
     _report(8, elapsed < 1.0,
             f"all three fixed block families have every difference exactly "

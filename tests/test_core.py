@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 import random
 from collections import Counter
 from unittest.mock import patch
@@ -235,9 +236,10 @@ def _fold_edge_cases(draw) -> PairSet:
     """Random pairs over odd and even v up to 10**4, with hits forced onto the fold's edges.
 
     Each edge puts a hit on 0 (cover 1 only: cover 2 cannot hit 0), on v//2
-    (its own negative when v is even), or on both sides z and -z of one
-    class of either cover, by an added pair whose entry, sum or difference
-    is the negative of a drawn pair's.
+    (its own negative when v is even), on both sides z and -z of one class
+    of either cover, by an added pair whose entry, sum or difference is the
+    negative of a drawn pair's, or twice on one residue z of either cover,
+    by an added pair whose entry, sum or difference is a drawn pair's.
     """
     v = draw(st.integers(20, 10_000))
     rng = random.Random(draw(st.integers(0, 2**32 - 1)))
@@ -249,7 +251,8 @@ def _fold_edge_cases(draw) -> PairSet:
         if (x - y) % v and (x + y) % v:
             pairs.append((x, y))
     for edge in draw(st.lists(st.sampled_from(("0", "v/2 on cover 1", "v/2 on cover 2",
-                                               "+-z on cover 1", "+-z on cover 2")),
+                                               "+-z on cover 1", "+-z on cover 2",
+                                               "z twice on cover 1", "z twice on cover 2")),
                               min_size=1, max_size=3)):
         i = rng.randrange(len(pairs))
         x, y = pairs[i]
@@ -262,9 +265,11 @@ def _fold_edge_cases(draw) -> PairSet:
             pairs[i] = (x, x + h) if rng.random() < 0.5 else (x, h - x)
         elif edge == "+-z on cover 1":
             pairs.append((-x, a))
-        else:  # the sum or the difference of the new pair is -(y - x) or -(x + y)
-            z = rng.choice((y - x, x + y))
-            pairs.append((a, -z - a) if rng.random() < 0.5 else (a, a + z))
+        elif edge == "z twice on cover 1":
+            pairs.append((x, a))
+        else:  # the sum or the difference of the new pair is +-(y - x) or +-(x + y)
+            z = rng.choice((y - x, x + y)) * (1 if edge == "z twice on cover 2" else -1)
+            pairs.append((a, z - a) if rng.random() < 0.5 else (a, a + z))
     assume(all((x - y) % v and (x + y) % v for x, y in pairs))
     return PairSet(v, tuple(pairs))
 
@@ -293,6 +298,84 @@ def test_fold_edges_agree_with_reference(s):
     assert infer_params(s) == _reference_infer(s)
     spec = _nearest_spec(s)
     assert verify_pps(s, spec) == _reference_report(s, spec)
+
+
+def _cover_counts(s: PairSet) -> tuple[list[int], list[int]]:
+    """Multiplicity of each residue in the unions of +-{x, y} and of +-{x+y, x-y}.
+
+    Tallied per +-class min(z, v - z) of each hit z, then unfolded: residue
+    z > v//2 reads class v - z, and the classes 0 and v/2, where z = -z,
+    count twice per hit.
+    """
+    v = s.v
+    h = v // 2
+    c1, c2 = [0] * (h + 1), [0] * (h + 1)
+    for x, y in s.pairs:
+        c1[x if x <= h else v - x] += 1
+        c1[y if y <= h else v - y] += 1
+        t = x + y
+        if t >= v:
+            t -= v
+        c2[t if t <= h else v - t] += 1
+        d = y - x
+        c2[d if d <= h else v - d] += 1
+    tail = slice(v - h - 1, 0, -1)
+    for c in (c1, c2):
+        c[0] *= 2
+        if v % 2 == 0:
+            c[h] *= 2
+    return c1 + c1[tail], c2 + c2[tail]
+
+
+def _diagnose(counts: list[int], excluded: frozenset[int]) -> tuple[frozenset, frozenset]:
+    """(missing, repeated) of one cover; both empty when it is exactly the 0/1 target."""
+    if counts.count(1) == len(counts) - len(excluded) and not any(counts[z] for z in excluded):
+        return frozenset(), frozenset()
+    missing = frozenset(itertools.compress(range(len(counts)), map(operator.not_, counts)))
+    repeated = frozenset(z for z, c in enumerate(counts) if c > 1)
+    return missing - excluded, repeated | {z for z in excluded if counts[z]}
+
+
+def _tally_report(s: PairSet, spec: PPSSpec) -> VerifyReport:
+    """verify_pps's report read off a per-residue tally of each cover."""
+    c1, c2 = _cover_counts(s)
+    (missing1, repeated1), (missing2, repeated2) = _diagnose(c1, spec.a1), _diagnose(c2, spec.a2)
+    return VerifyReport(not (missing1 or repeated1 or missing2 or repeated2),
+                        missing1, repeated1, missing2, repeated2)
+
+
+def _with_hit_excluded(s: PairSet, spec: PPSSpec, rng: random.Random) -> PPSSpec:
+    """spec with, in each cover, one excluded class other than 0 and v/2 swapped for a hit one."""
+    v = s.v
+    sides = []
+    for counts, excluded in zip(_reference_tally(s), (spec.a1, spec.a2)):
+        hit = [c for c in range(1, (v + 1) // 2) if counts[c] and c not in excluded]
+        free = [c for c in range(1, (v + 1) // 2) if c in excluded]
+        if hit and free:
+            c, e = rng.choice(hit), rng.choice(free)
+            excluded = excluded - {e, v - e} | {c, v - c}
+        sides.append(excluded)
+    return PPSSpec(v, *sides)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_fold_edge_cases(), st.booleans(), st.integers(0, 2**32 - 1))
+def test_verify_pps_agrees_with_the_per_residue_tally(s, hit_excluded, seed):
+    # PPSSpec puts v/2 into both excluded sets for even v (|A1| = v mod 2);
+    # the OOC differentials cover n/2 outside any excluded set
+    spec = _nearest_spec(s)
+    if hit_excluded:
+        spec = _with_hit_excluded(s, spec, random.Random(seed))
+    report = verify_pps(s, spec)
+    assert report == _tally_report(s, spec) == _reference_report(s, spec)
+    assert repr(report) == repr(_tally_report(s, spec))  # the sets stored in the same order
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(_tally_cases(), _large_corruptions()))
+def test_random_and_moved_sets_agree_with_the_per_residue_tally(case):
+    s, spec = case
+    assert repr(verify_pps(s, spec)) == repr(_tally_report(s, spec))
 
 
 def _reference_unmarked(marks: bytearray, v: int) -> frozenset[int]:

@@ -521,6 +521,23 @@ def test_zcps_fails_in_one_line_on_a_tournament_without_rounds(r0, u):
     assert not results["basic"].passed
 
 
+@pytest.mark.parametrize("r0", [(), ((INF, 0, 1, 2),)])
+@pytest.mark.parametrize("u", [0, -3])
+@pytest.mark.parametrize("check", ["directed", "ordered"])
+def test_directed_and_ordered_fail_on_a_tournament_without_rounds(r0, u, check):
+    result = verify_whist(develop_rounds(r0, u), (check,))[check]
+    assert result == CheckResult(False, "tournament has no initial round")
+
+
+@pytest.mark.parametrize("v", [1, 5])
+def test_every_check_fails_on_a_tournament_read_with_no_rounds(v):
+    t = WhistTournament.from_json({"v": v, "rounds": []})
+    assert not t.cyclic
+    assert not any(result.passed for result in verify_whist(t).values())
+    for check in ("directed", "ordered"):
+        assert verify_whist(t)[check] == CheckResult(False, "tournament has no initial round")
+
+
 def test_from_json_works_out_cyclic_from_the_rounds():
     t = develop_rounds(initial_round(PS13), 13)
     payload = t.to_json()

@@ -33,7 +33,6 @@ from designforge.kramer_mesner import (
     km_search,
     orbits,
     solve_binary,
-    suggest_multiplier,
 )
 
 
@@ -44,17 +43,6 @@ def test_multiplier_group_generation():
         MultiplierGroup.generate(7, [1])  # -1 missing
     with pytest.raises(ValueError):
         MultiplierGroup.generate(9, [3])  # not a unit
-
-
-def test_suggest_multiplier():
-    assert suggest_multiplier(133) == 122  # smallest order-6 picks 3 mod 7, 8 mod 19
-    xi = suggest_multiplier(651)
-    g = MultiplierGroup.generate(651, [xi])
-    assert len(g) == 6 and 650 in g.elements
-    with pytest.raises(ValueError):
-        suggest_multiplier(35)  # 4 does not divide 6
-    with pytest.raises(ValueError):
-        suggest_multiplier(49)
 
 
 def test_orbits_small():
@@ -717,9 +705,9 @@ def test_km_search_133():
     assert verify_pps(found, PPSSpec.ps(133)).valid
 
 
-def test_km_search_217_with_suggested_group():
-    xi = suggest_multiplier(217)
-    found = km_search(217, [xi], PPSSpec.ps(217))
+def test_km_search_217_under_the_order_6_multiplier_192():
+    # 192 is 3 mod 7 and 6 mod 31, the smallest elements of order 6 modulo each prime
+    found = km_search(217, [192], PPSSpec.ps(217))
     assert found is not None
     assert len(found.pairs) == 54
     assert verify_pps(found, PPSSpec.ps(217)).valid

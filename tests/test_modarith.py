@@ -20,8 +20,6 @@ from designforge.modarith import (
     generates_mod_pm_one,
     mod_sqrt,
     mult_order,
-    q_bound,
-    totient,
 )
 
 
@@ -174,8 +172,8 @@ def test_mult_order_against_bruteforce():
 
 def test_mult_order_divides_totient_exhaustively():
     for v in range(2, 1000):
-        phi = totient(v)
-        assert phi == int(sym_totient(v))
+        phi = int(sym_totient(v))
+        assert modarith._totient_with_factors(v)[0] == phi
         for x in range(1, v):
             if math.gcd(x, v) == 1:
                 assert phi % mult_order(x, v) == 0
@@ -224,19 +222,8 @@ def test_generates_matches_subgroup_enumeration():
         units = [x for x in range(1, v) if math.gcd(x, v) == 1]
         sample = units if v < 100 else rng.sample(units, min(10, len(units)))
         for x in sample:
-            expected = len(subgroup_with_minus_one(x, v)) == totient(v)
+            expected = len(subgroup_with_minus_one(x, v)) == sym_totient(v)
             assert generates_mod_pm_one(x, v) == expected, (x, v)
-
-
-def test_q_bound_values():
-    assert abs(q_bound(2, 3) - 45.86) < 0.01
-    # direct evaluation: U = 0 makes both small cases collapse to 1/4 * 4
-    assert q_bound(1, 1) == 1.0
-    assert q_bound(2, 1) == 1.0
-    with pytest.raises(ValueError):
-        q_bound(0, 1)
-    with pytest.raises(ValueError):
-        q_bound(1, 0)
 
 
 def test_only_modarith_imports_sympy():

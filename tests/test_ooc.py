@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import functools
 import math
+import random
 from collections import Counter
 
 import pytest
@@ -16,7 +17,6 @@ from designforge.core import BudgetExceededError, PairSet, scale_set
 from designforge.modarith import crt_basis, mod_sqrt
 from designforge.ooc import (
     LEAVE45,
-    SDF,
     SIGMA3,
     SIGMA5,
     SIGMA45,
@@ -29,19 +29,31 @@ from designforge.ooc import (
     ooc_45v_from_ps,
     ooc_from_pairs,
     verify_ooc,
-    verify_sdf,
 )
 
 PS13 = PairSet(13, ((1, 5), (2, 3), (4, 6)))
 
 
+def _difference_counts(n: int, blocks) -> list[int]:
+    """counts[d]: how often a - b = d (mod n), a and b at two places of one block.
+
+    Blocks may be multisets, so a difference may be 0 or repeat.
+    """
+    counts = [0] * n
+    for block in blocks:
+        for i, a in enumerate(block):
+            for b in block[i + 1:]:
+                counts[(a - b) % n] += 1
+                counts[(b - a) % n] += 1
+    return counts
+
+
 def test_sdf_fixtures():
-    assert verify_sdf(SDF(3, 4, 4, SIGMA3)).valid
-    assert verify_sdf(SDF(5, 5, 4, SIGMA5)).valid
-    assert verify_sdf(SDF(45, 5, 4, SIGMA45)).valid
-    assert not verify_sdf(SDF(3, 4, 4, ((0, 0, 1, 2),))).valid
-    with pytest.raises(ValueError):
-        SDF(3, 4, 4, ((1, 2),))
+    # each fixed block pattern is a strong difference family: every difference 4 times
+    assert _difference_counts(3, SIGMA3) == [4] * 3
+    assert _difference_counts(5, SIGMA5) == [4] * 5
+    assert _difference_counts(45, SIGMA45) == [4] * 45
+    assert _difference_counts(3, ((0, 0, 1, 2),)) == [2, 5, 5]
 
 
 def test_ooc_code_validation():
@@ -259,7 +271,7 @@ def test_verify_ooc_agrees_with_reference(data):
 
 def _reference_report(code: OOCode) -> OOCReport:
     """The report read off the full tally of differences."""
-    counts = ooc._difference_counts(code.n, code.codewords)
+    counts = _difference_counts(code.n, code.codewords)
     repeated = frozenset(d for d, c in enumerate(counts) if c > 1)
     leave = frozenset(d for d, c in enumerate(counts) if c == 0)
     return OOCReport(not repeated, repeated, leave, len(leave) <= code.k * (code.k - 1))
@@ -355,6 +367,39 @@ def test_verify_ooc_agrees_with_the_difference_tally_at_even_n(name, data):
     assert report.differences_distinct == name.startswith("distinct")
 
 
+
+@st.composite
+def _struck_codes(draw) -> OOCode:
+    """Random codes over odd and even n, 2 <= k <= 6, with upper differences forced onto edges.
+
+    Each edge adds a codeword whose upper differences include n//2 (its own
+    negative when n is even), a drawn codeword's upper difference d (one
+    residue struck twice), or n - d (both sides of one class).
+    """
+    n = draw(st.integers(12, 5_000))
+    k = draw(st.integers(2, 6))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    words = [sorted(rng.sample(range(n), k)) for _ in range(draw(st.integers(1, 10)))]
+    for edge in draw(st.lists(st.sampled_from(("n/2", "d twice", "d and -d")),
+                              min_size=1, max_size=3)):
+        word = words[rng.randrange(len(words))]
+        i, j = sorted(rng.sample(range(k), 2))
+        d = {"n/2": n // 2, "d twice": word[j] - word[i], "d and -d": n - word[j] + word[i]}[edge]
+        c = rng.randrange(n - d)
+        new = {c, c + d}
+        while len(new) < k:
+            new.add(rng.randrange(n))
+        words.append(sorted(new))
+    return OOCode(n, k, tuple(map(tuple, words)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_struck_codes())
+def test_verify_ooc_agrees_with_the_difference_tally_on_forced_strikes(code):
+    report, reference = verify_ooc(code), _reference_report(code)
+    assert report == reference
+    assert repr(report.repeated) == repr(reference.repeated)  # stored in the same order
+
 @pytest.mark.parametrize("m", [1, 2, 10, 36_386])
 def test_a_difference_of_n_over_2_alone_repeats(m):
     # d = n/2 equals its own negative, so it repeats though no two upper differences agree
@@ -364,21 +409,6 @@ def test_a_difference_of_n_over_2_alone_repeats(m):
     if m >= 10:
         report = verify_ooc(_even_codes(m)["only n/2"])
         assert not report.differences_distinct and report.repeated == {m}
-
-
-@settings(max_examples=100, deadline=None)
-@given(st.data())
-def test_verify_sdf_agrees_with_reference(data):
-    g = data.draw(st.integers(1, 15))
-    k = data.draw(st.integers(1, 5))
-    blocks = data.draw(st.lists(st.lists(st.integers(0, 2 * g), min_size=k, max_size=k),
-                                max_size=6))
-    mu = data.draw(st.integers(0, 4))
-    report = verify_sdf(SDF(g, k, mu, tuple(map(tuple, blocks))))
-    counts = Counter((a - b) % g for block in blocks
-                     for i, a in enumerate(block) for j, b in enumerate(block) if i != j)
-    assert report.counts == tuple(counts[d] for d in range(g))
-    assert report.valid == all(counts[d] == mu for d in range(g))
 
 
 def _pair_rows(pairs, k):
