@@ -248,43 +248,28 @@ def verify_pps(s: PairSet, spec: PPSSpec) -> VerifyReport:
             (m1, spec.a1, (z for pair in s.pairs for z in pair)),
             (m2, spec.a2, (z for x, y in s.pairs for z in (x + y - v, y - x)))):
         hit = marks[:1] + _fold(marks, 2 * n)[1].to_bytes(v // 2, "little")  # byte c: c is hit
-        sides += (_residues(_runs(hit, 0), v) - excluded,
+        sides += (_classes(hit, v, 0) - excluded,
                   _repeated(marks, 2 * n, strikes) | {z for z in excluded if marks[z] or marks[-z]})
     return VerifyReport(not any(sides), *sides)
 
 
-def _runs(marks: bytearray, mark: int) -> list[int]:
-    """The indices at which marks holds ``mark`` (0 or 1), in ascending order.
+def _classes(marks: bytearray, v: int, mark: int) -> frozenset[int]:
+    """The residues c and v - c of the classes c at which marks holds ``mark`` (0 or 1).
 
-    ``marks.find`` steps from run to run: the loop grows with the runs, not the bytes.
+    ``marks.find`` steps from run to run: the loop grows with the runs, not the classes.
     """
     found, c = [], marks.find(mark)
     while c >= 0:
         e = marks.find(1 - mark, c)
         found += range(c, e if e >= 0 else len(marks))
         c = marks.find(mark, e) if e >= 0 else -1
-    return found
-
-
-def _unmarked(marks: bytearray, v: int) -> frozenset[int]:
-    """The residues of the classes that marks leaves unmarked."""
-    classes = frozenset(_runs(marks, 0))
+    classes = frozenset(found)
     return classes | {v - c for c in classes if c}
-
-
-def _residues(classes: list[int], v: int) -> frozenset[int]:
-    """The residues c and v - c of ascending classes c, stored in ascending order.
-
-    A set of ints iterates, and prints, in an order that follows the order
-    its members were stored in; so this set prints as one filled by a scan
-    over Z_v does.
-    """
-    return frozenset(classes + [v - c for c in reversed(classes) if c])
 
 
 def _leave(classes: int, v: int) -> frozenset[int]:
     """The residues of the classes that a fold's ``classes`` leaves unhit, 0 among them."""
-    return _unmarked(b"\0" + classes.to_bytes(v // 2, "little"), v)
+    return _classes(b"\0" + classes.to_bytes(v // 2, "little"), v, 0)
 
 
 def _repeated(marks: bytearray, hits: int, strikes) -> frozenset[int]:
@@ -308,7 +293,7 @@ def _repeated(marks: bytearray, hits: int, strikes) -> frozenset[int]:
                 z %= v
                 twice[min(z, v - z)] = 1
             seen[z] = 1
-    return _residues(_runs(twice, 1), v)
+    return _classes(twice, v, 1)
 
 
 def infer_params(s: PairSet) -> PPSSpec | None:

@@ -285,7 +285,7 @@ def _seated_rounds(t: WhistTournament):
     Round j of a cyclic tournament is round 0 under a bijection of the
     players, so it is seated correctly exactly when round 0 is.
     """
-    return (t.rounds[0],) if t.cyclic and t.rounds else t.rounds
+    return (t.rounds[0],) if t.cyclic else t.rounds
 
 
 def _misseated(t: WhistTournament) -> CheckResult | None:
@@ -330,7 +330,7 @@ def _check_zcps(t: WhistTournament) -> CheckResult:
 
 def _check_pair_rule(t: WhistTournament, pairs_of, name: str, want: int) -> CheckResult:
     """Every ordered pair of distinct players want times among pairs_of(game), none with itself."""
-    if t.cyclic and t.rounds:
+    if t.cyclic:
         # Every pair (z, z + d) is covered alike, and so is every (z, INF) and
         # every (INF, z): the counts decide, and the first miscount in player
         # order is in row 0 or INF.

@@ -108,20 +108,10 @@ def _difference_report(code: OOCode) -> OOCReport:
                     marks[b - a] = 1
     hits = len(code.codewords) * k * (k - 1) // 2
     once, classes = _fold(marks, hits)
-    repeated = frozenset() if once else _repeated(marks, hits, _upper_differences(code))
+    repeated = frozenset() if once else _repeated(
+        marks, hits, (b - a for cw in code.codewords for i, a in enumerate(cw) for b in cw[i + 1:]))
     leave = _leave(classes, n)
     return OOCReport(not repeated, repeated, leave, len(leave) <= k * (k - 1))
-
-
-def _upper_differences(code: OOCode):
-    """Each d = b - a, a < b in one codeword, in the order _difference_report marks them."""
-    if code.k == 4:
-        return (z for a, b, c, d in code.codewords
-                for z in (b - a, c - a, d - a, c - b, d - b, d - c))
-    if code.k == 5:
-        return (z for a, b, c, d, e in code.codewords
-                for z in (b - a, c - a, d - a, e - a, c - b, d - b, e - b, d - c, e - c, e - d))
-    return (b - a for cw in code.codewords for i, a in enumerate(cw) for b in cw[i + 1:])
 
 
 def verify_ooc(code: OOCode) -> OOCReport:

@@ -396,9 +396,8 @@ def _struck_codes(draw) -> OOCode:
 @settings(max_examples=300, deadline=None)
 @given(_struck_codes())
 def test_verify_ooc_agrees_with_the_difference_tally_on_forced_strikes(code):
-    report, reference = verify_ooc(code), _reference_report(code)
-    assert report == reference
-    assert repr(report.repeated) == repr(reference.repeated)  # stored in the same order
+    assert verify_ooc(code) == _reference_report(code)
+
 
 @pytest.mark.parametrize("m", [1, 2, 10, 36_386])
 def test_a_difference_of_n_over_2_alone_repeats(m):
