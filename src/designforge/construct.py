@@ -203,28 +203,24 @@ def cyclotomic_pps(p: int, q: int) -> tuple[PairSet, PPSSpec]:
     pairs are the CRT lifts (x1*s1*ep + x2*s2*eq, y1*s1*ep + y2*s2*eq) mod pq
     over the nonzero squares s1 mod p and then s2 mod q, both ascending.  The
     p-side terms (one per s1) and the q-side terms (one per s2) are reduced
-    mod pq once each, and the p-side ones shifted down by pq, so each
-    coordinate of a pair is one addition and one correction of a negative sum.
+    mod pq once each, so each coordinate of a pair is one addition and one
+    reduction.
     """
     if not (isprime(p) and isprime(q)) or p % 4 != 3 or q % 4 != 3 or not p > q > 3:
         raise ValueError("need primes p > q > 3 with p, q = 3 modulo 4")
     (x1, y1), (x2, y2) = cyclotomic_witnesses(p, q)
     n = p * q
     ep, eq = crt_basis([p, q])
+    p_terms = [(x1 * s1 * ep % n, y1 * s1 * ep % n) for s1 in sorted(_nonzero_squares(p))]
     q_terms = [(x2 * s2 * eq % n, y2 * s2 * eq % n) for s2 in sorted(_nonzero_squares(q))]
-    pairs = []
-    for s1 in sorted(_nonzero_squares(p)):
-        a, b = x1 * s1 * ep % n - n, y1 * s1 * ep % n - n
-        for c, d in q_terms:
-            x = a + c
-            if x < 0:
-                x += n
-            y = b + d
-            if y < 0:
-                y += n
-            pairs.append((x, y) if x < y else (y, x))  # smaller first, as PairSet stores them
-    excluded = frozenset(range(0, n, p)) | frozenset(range(0, n, q))
-    return _trusted(PairSet, v=n, pairs=tuple(pairs)), PPSSpec(n, excluded, excluded)
+    # smaller first, as PairSet stores them
+    pairs = tuple([(x, y) if (x := (a + c) % n) < (y := (b + d) % n) else (y, x)
+                   for a, b in p_terms for c, d in q_terms])
+    # Reduced and closed under negation, as PPSSpec checks; inserted afresh from
+    # the union, as PPSSpec stores it, so that the set iterates (and prints) alike.
+    excluded = frozenset(iter(frozenset(range(0, n, p)) | frozenset(range(0, n, q))))
+    return (_trusted(PairSet, v=n, pairs=pairs),
+            _trusted(PPSSpec, v=n, a1=excluded, a2=excluded))
 
 
 def union_pps_pq(

@@ -85,6 +85,9 @@ def initial_round(s: PairSet, alpha: int | None = None) -> tuple[Game, ...]:
 class WhistTournament:
     """A full schedule; players are Z_u, plus INF when v = u + 1.
 
+    The constructor ties v to the rounds: v = u + 1 exactly when a round
+    seats INF, else v = u.  develop_rounds and from_json derive v that way.
+
     cyclic says that the rounds are the cyclic development of round 0; the
     constructor refuses cyclic=True on any other rounds, so the checks may
     work from round 0 alone.  develop_rounds gives a :class:`CyclicRounds`,
@@ -97,6 +100,13 @@ class WhistTournament:
     cyclic: bool
 
     def __post_init__(self):
+        v, u = self.v, self.u
+        if v not in (u, u + 1):
+            raise ValueError(f"v = {v} must be u = {u} or u + 1 = {u + 1}")
+        if (v > u) != any(INF in g for rnd in self.rounds for g in rnd):
+            raise ValueError(f"v = u + 1 = {v}, but no round seats the adjoined player {INF!r}"
+                             if v > u else f"v = u = {v}, but a round seats the adjoined "
+                             f"player {INF!r}")
         if self.cyclic and not _is_development(self.rounds, self.u):
             raise ValueError("cyclic is set, but the rounds are not the cyclic "
                              "development of round 0")
@@ -240,16 +250,6 @@ def _starter_counts(t: WhistTournament, pairs_of):
     return by_diff, with_inf
 
 
-def _partners_both_ways(game: Game) -> tuple[tuple[Seat, Seat], ...]:
-    a, b, c, d = game
-    return (a, c), (c, a), (b, d), (d, b)
-
-
-def _opponents_both_ways(game: Game) -> tuple[tuple[Seat, Seat], ...]:
-    a, b, c, d = game
-    return (a, b), (b, a), (b, c), (c, b), (c, d), (d, c), (d, a), (a, d)
-
-
 def _check_basic(t: WhistTournament) -> CheckResult:
     """The seating rules, then every pair partners once and opposes twice.
 
@@ -272,11 +272,10 @@ def _check_basic(t: WhistTournament) -> CheckResult:
             return CheckResult(False, "a player appears twice in one round")
         if not set(seen) <= everyone:
             return CheckResult(False, "unknown player in a round")
-    # Counted both ways, a pair's ordered count is its unordered one.
-    partners = _check_pair_rule(t, _partners_both_ways, "partner", 1)
+    partners = _check_pair_rule(t, partner_pairs, "partner", 1, unordered=True)
     if not partners.passed:
         return partners
-    return _check_pair_rule(t, _opponents_both_ways, "opponent", 2)
+    return _check_pair_rule(t, opponent_pairs, "opponent", 2, unordered=True)
 
 
 def _seated_rounds(t: WhistTournament):
@@ -309,32 +308,42 @@ def _check_zcps(t: WhistTournament) -> CheckResult:
     misseated = _misseated(t)
     if misseated:
         return misseated
-    u, has_inf = t.u, t.v == t.u + 1
+    u = t.u
     miss = CheckResult(False, "initial-round partner pairs are not the patterned starter")
-    marks = bytearray(u)  # marks[x] once x partners -x; the seats of round 0 lie in Z_u
-    inf_paired = False
+    # marks[x] once x partners -x; the seats of round 0 lie in Z_u.  INF, if the
+    # rounds seat it (exactly when v = u + 1), must partner 0.
+    marks = bytearray(u)
     for g in t.rounds[0]:
         for x, y in partner_pairs(g):
             if x == INF or y == INF:
                 if 0 not in (x, y):
                     return miss
-                inf_paired = True
             elif (x + y) % u:
                 return miss
             else:
                 marks[x] = marks[y] = 1
-    if marks[0] or marks.count(0) != 1 or inf_paired != has_inf:
+    if marks[0] or marks.count(0) != 1:
         return miss
     return CheckResult(True)
 
 
-def _check_pair_rule(t: WhistTournament, pairs_of, name: str, want: int) -> CheckResult:
-    """Every ordered pair of distinct players want times among pairs_of(game), none with itself."""
+def _check_pair_rule(t: WhistTournament, pairs_of, name: str, want: int,
+                     unordered: bool = False) -> CheckResult:
+    """Every ordered pair of distinct players want times among pairs_of(game), none with itself.
+
+    With unordered, pairs_of gives each pair once in one order, and a pair
+    (x, y) counts what (x, y) and (y, x) count together: its unordered count.
+    """
     if t.cyclic:
         # Every pair (z, z + d) is covered alike, and so is every (z, INF) and
         # every (INF, z): the counts decide, and the first miscount in player
         # order is in row 0 or INF.
         by_diff, with_inf = _starter_counts(t, pairs_of)
+        if unordered:  # a pair counted at y - x = d is also (y, x), at x - y = -d
+            by_diff = list(map(operator.add, by_diff, by_diff[:1] + by_diff[:0:-1]))
+            inf_once = with_inf[(0, INF)] + with_inf[(INF, 0)]
+            with_inf = {(0, INF): inf_once, (INF, 0): inf_once,
+                        (INF, INF): 2 * with_inf[(INF, INF)]}
         has_inf = t.v == t.u + 1
         if not by_diff[0] and by_diff.count(want) == t.u - 1 and (
                 not has_inf or with_inf == {(0, INF): want, (INF, 0): want, (INF, INF): 0}):
@@ -346,7 +355,8 @@ def _check_pair_rule(t: WhistTournament, pairs_of, name: str, want: int) -> Chec
         players = t.players
         n = len(players)
         counts = _pair_counts(players, _seat_pairs(t, pairs_of))
-        covered = (((x, y), counts[i * n + j])
+        covered = (((x, y), counts[i * n + j] + counts[j * n + i] if unordered
+                    else counts[i * n + j])
                    for i, x in enumerate(players) for j, y in enumerate(players))
     for (x, y), count in covered:
         if count != (want if x != y else 0):

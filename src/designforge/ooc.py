@@ -154,25 +154,30 @@ def _pair_template_code(m: int, k: int, pairs, v: int) -> OOCode:
 
     The pairs must come from a valid pair set: x, y, -x and -y are then
     distinct and nonzero modulo v, so each codeword has k distinct points.
-    X = x*ev and Y = y*ev are reduced mod n once each, so every point is
-    one addition or subtraction of two residues, reduced mod n.  The points
-    e1 +- X and e2 +- Y are put in order a pair at a time (one compare each)
-    and the two ordered pairs are merged straight into the codeword, behind
-    the (0, 0) point 0 when k = 5: two more compares when one pair lies
-    below the other, three when they interleave.
+    For 0 <= z < v the point (r, z) is z + v*((r - z)*v^-1 mod m), which
+    depends on z only through z mod m.  So for r = +-1 two m-entry tables
+    give both points of {(r, x), (r, -x)} from j = x mod m, with no
+    reduction mod n: (r, x) = x + up[j] and (r, -x) = down[j] - x, where
+    down[j] = v + v*((r - v + j)*v^-1 mod m) is the offset of v - x.  The
+    points are put in order a pair at a time (one compare each) and the two
+    ordered pairs are merged straight into the codeword, behind the (0, 0)
+    point 0 when k = 5: two more compares when one pair lies below the
+    other, three when they interleave.
     """
     n = m * v
-    e1, ev = crt_basis([m, v])  # (1, 0) and (0, 1)
-    e2 = n - e1  # (-1, 0)
+    inv = pow(v, -1, m)
+    # up[j] = v*((r - j)*inv mod m) and down[j] as above, for r = 1, then r = -1
+    up1, down1, up2, down2 = ([w + v * ((r - w + s * j) * inv % m) for j in range(m)]
+                              for r in (1, -1) for s, w in ((-1, 0), (1, v)))
     five = k == 5  # (0, 0) is 0, below every other point
     codewords = []
     for x, y in pairs:
-        xe = x * ev % n
-        ye = y * ev % n
-        a, b = (e1 + xe) % n, (e1 - xe) % n
+        j = x % m
+        a, b = x + up1[j], down1[j] - x
         if a > b:
             a, b = b, a
-        c, d = (e2 + ye) % n, (e2 - ye) % n
+        j = y % m
+        c, d = y + up2[j], down2[j] - y
         if c > d:
             c, d = d, c
         if a < c:
@@ -280,9 +285,11 @@ def is_maximal(code: OOCode) -> tuple[bool, tuple[int, ...] | None]:
 
     A new codeword needs k(k-1) distinct differences drawn from the leave
     minus 0, so translate it to contain 0 and search cliques among the
-    residues whose +- pair lies in the leave.  Returns (False, witness) with
-    an extending codeword when one exists.  Raises ValueError when the
-    code's own differences repeat, since it is then no OOC to extend.
+    residues whose +- pair lies in the leave, in ascending order; the
+    differences a partial codeword uses are bits of one int.  Returns
+    (False, witness) with the first extending codeword found, if any.
+    Raises ValueError when the code's own differences repeat, since it is
+    then no OOC to extend.
     """
     n, k = code.n, code.k
     report = verify_ooc(code)
@@ -295,27 +302,27 @@ def is_maximal(code: OOCode) -> tuple[bool, tuple[int, ...] | None]:
         raise BudgetExceededError(f"leave of size {len(report.leave)} exceeds "
                                   f"the search limit {MAXIMAL_LEAVE_LIMIT}")
     candidates = sorted(x for x in leave_nz if (n - x) % n in leave_nz)
+    # One bit per usable difference; bit 0 stands for every residue outside the
+    # leave and is always taken.  n/2 is its own negative, so a codeword can
+    # never use it and it gets no bit either.
+    bit = {d: 2 << i for i, d in enumerate(leave_nz) if d + d != n}
 
-    def extend(start: int, chosen: list[int], diffs: set[int]):
+    def extend(start: int, chosen: list[int], taken: int):
         if len(chosen) == k:
             return tuple(chosen)
         for idx in range(start, len(candidates)):
             c = candidates[idx]
-            fresh: set[int] = set()
-            ok = True
+            fresh = taken
             for b in chosen:
-                for d in ((c - b) % n, (b - c) % n):
-                    if d not in leave_nz or d in diffs or d in fresh:
-                        ok = False
-                        break
-                    fresh.add(d)
-                if not ok:
+                two = bit.get((c - b) % n, 1) | bit.get((b - c) % n, 1)
+                if two & fresh:
                     break
-            if ok:
-                found = extend(idx + 1, chosen + [c], diffs | fresh)
+                fresh |= two
+            else:
+                found = extend(idx + 1, chosen + [c], fresh)
                 if found:
                     return found
         return None
 
-    witness = extend(0, [0], set())
+    witness = extend(0, [0], 1)
     return (witness is None), witness

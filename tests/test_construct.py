@@ -288,6 +288,17 @@ def test_cyclotomic_pps_pairs_are_the_full_lifts_in_order(p, q):
     assert s.pairs == _cyclotomic_pairs_by_full_lift(p, q)
 
 
+def test_cyclotomic_pps_lifts_every_pair_and_excludes_the_multiples_up_to_300():
+    primes = [p for p in primerange(5, 300) if p % 4 == 3]
+    for p in primes:
+        for q in primes[:primes.index(p)]:
+            s, spec = cyclotomic_pps(p, q)
+            assert s.pairs == _cyclotomic_pairs_by_full_lift(p, q), (p, q)
+            n = p * q
+            excluded = {z for z in range(n) if z % p == 0 or z % q == 0}
+            assert spec == PPSSpec(n, excluded, excluded), (p, q)
+
+
 def test_union_pps_pq():
     sp, _ = aps_with_params(23, 1, 5)
     sq, _ = aps_with_params(7, 2, 1)

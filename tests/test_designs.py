@@ -331,8 +331,9 @@ def _sorted_verify_cdm(d: DifferenceMatrix) -> CdmReport:
 @given(st.one_of(corrupted_starters().map(lambda start: develop_rounds(*start)), whist_corpus()),
        st.booleans())
 def test_zcps_agrees_with_the_frozenset_reference(t, other_v):
-    if other_v:  # INF in the rounds with v = u, or v = u + 1 without it
-        t = replace(t, v=2 * t.u + 1 - t.v)
+    if other_v:  # INF in the rounds with v = u, or v = u + 1 without it: no tournament
+        with pytest.raises(ValueError):
+            replace(t, v=2 * t.u + 1 - t.v)
     assert verify_whist(t, ("zcps",))["zcps"] == _frozenset_zcps(t)
 
 
@@ -498,6 +499,52 @@ def test_basic_names_the_partner_pair_that_a_lost_round_leaves_out():
     payload["rounds"][5] = payload["rounds"][6]
     result = verify_whist(WhistTournament.from_json(payload), ("basic",))["basic"]
     assert result == CheckResult(False, "partner pair (0, 10) covered 0 times")
+
+
+def _both_ways_basic(t: WhistTournament) -> CheckResult:
+    """basic's result from a seat-level tally of every partner and opponent pair both ways."""
+    v, players = t.v, t.players
+    if v % 4 not in (0, 1):
+        return CheckResult(False, f"{v} players is not 0 or 1 modulo 4")
+    expected_rounds = v - 1 if v % 4 == 0 else v
+    if len(t.rounds) != expected_rounds:
+        return CheckResult(False, f"expected {expected_rounds} rounds, got {len(t.rounds)}")
+    for rnd in t.rounds[:1] if t.cyclic else t.rounds:
+        if len(rnd) != v // 4 or any(len(g) != 4 for g in rnd):
+            return CheckResult(False, f"a round must have {v // 4} games of four seats")
+        seen = [seat for g in rnd for seat in g]
+        if len(set(seen)) != len(seen):
+            return CheckResult(False, "a player appears twice in one round")
+        if not set(seen) <= set(players):
+            return CheckResult(False, "unknown player in a round")
+    for name, rule, want in (("partner", lambda a, b, c, d: ((a, c), (b, d)), 1),
+                             ("opponent", _left, 2)):
+        tally = Counter(pair for rnd in t.rounds for g in rnd for x, y in rule(*g)
+                        for pair in ((x, y), (y, x)))
+        for x in players:
+            for y in players:
+                if tally[(x, y)] != (want if x != y else 0):
+                    return CheckResult(False, f"{name} pair ({x}, {y}) covered "
+                                              f"{tally[(x, y)]} times")
+    return CheckResult(True)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(corrupted_starters().map(lambda start: develop_rounds(*start)), whist_corpus()))
+def test_basic_counts_each_pair_once_as_the_both_ways_tally_does(t):
+    """Developed, seat-swapped and one-round-altered schedules, cyclic or read as they are."""
+    assert verify_whist(t, ("basic",))["basic"] == _both_ways_basic(t)
+    assert verify_whist(replace(t, cyclic=False), ("basic",))["basic"] == _both_ways_basic(t)
+
+
+@pytest.mark.parametrize("v, u, start, alpha", [(27, 27, "aps-27-3-3", 3), (14, 13, "ps-13", None)])
+def test_tournament_refuses_a_v_its_rounds_contradict(v, u, start, alpha):
+    # v = u with INF in every round (ordered passed it), or v = u + 1 with INF in none
+    rounds = develop_rounds(initial_round(get(start).pair_set(), alpha), u).rounds
+    with pytest.raises(ValueError, match="adjoined player"):
+        WhistTournament(v, u, rounds, True)
+    with pytest.raises(ValueError, match="must be u"):
+        WhistTournament(u + 2, u, rounds, True)
 
 
 def test_whist_json_round_trip():

@@ -1,16 +1,17 @@
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import random
 from collections import Counter
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from designforge import ooc
-from designforge.catalog import get
+from designforge.catalog import SILVER_PRIMES, get
 from designforge.construct import (aps_with_params, ps_product, silver_aps, silver_pps_p2,
                                    union_pps_pq)
 from designforge.core import BudgetExceededError, PairSet, scale_set
@@ -31,6 +32,7 @@ from designforge.ooc import (
     verify_ooc,
 )
 
+PS5 = PairSet(5, ((1, 2),))
 PS13 = PairSet(13, ((1, 5), (2, 3), (4, 6)))
 
 
@@ -502,7 +504,11 @@ def test_maximal_p2_builder_emits_normalised_codes(p, k):
 
 
 def _list_sort_template(m, k, pairs, v):
-    """The pair template with each codeword's four points sorted as a list, (0,) put in front."""
+    """The pair template by CRT products, each codeword's four points sorted as a list.
+
+    Each point is e1 +- x*ev or e2 +- y*ev reduced mod n, (e1, ev) the CRT
+    basis of Z_m x Z_v and e2 = -e1; (0,) is put in front when k = 5.
+    """
     n = m * v
     e1, ev = crt_basis([m, v])
     e2 = n - e1
@@ -530,6 +536,135 @@ def test_pair_template_merges_as_the_list_sort_does(v, k):
     # the merge order: which of the sorted points are (1, +-x), which (-1, +-y)
     orders = {"".join("x" if c % m == 1 else "y" for c in cw[-4:]) for cw in code.codewords}
     assert orders == {"xxyy", "xyxy", "xyyx", "yxxy", "yxyx", "yyxx"}
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(("silver_aps", "ps_product", "union_pps_pq", "silver_pps_p2")),
+       st.sampled_from((3, 5)), st.data())
+def test_pair_template_offsets_give_the_crt_products(builder, m, data):
+    """The residue-class offsets place every point where the CRT products do."""
+    if builder == "silver_aps":
+        s = silver_aps(data.draw(st.sampled_from(SILVER_PRIMES), label="p"))[0]
+    elif builder == "ps_product":
+        s = ps_product(*data.draw(st.lists(st.sampled_from((PS5, PS13, PS133)), min_size=2,
+                                           max_size=2), label="PS inputs"))[0]
+    elif builder == "union_pps_pq":
+        q, p = sorted(data.draw(st.sets(st.sampled_from(SILVER_PRIMES[:6]), min_size=2,
+                                        max_size=2), label="p, q"))
+        s = union_pps_pq(p, q, silver_aps(p)[0], silver_aps(q)[0])[0]
+    else:
+        p = data.draw(st.sampled_from((7, 23, 47)), label="p")
+        s = silver_pps_p2(p, 1, mod_sqrt(2, p * p))[0]
+    assume(math.gcd(s.v, m) == 1)
+    lam = data.draw(st.integers(1, s.v - 1).filter(lambda x: math.gcd(x, s.v) == 1),
+                    label="scale")
+    s = scale_set(s, lam)
+    k = 4 if m == 3 else 5
+    code = ooc._pair_template_code(m, k, s.pairs, s.v)
+    assert code.codewords == _list_sort_template(m, k, s.pairs, s.v)
+
+
+def _set_search_is_maximal(code: OOCode) -> tuple[bool, tuple[int, ...] | None]:
+    """is_maximal with the used differences held in sets, a fresh set at every node."""
+    n, k = code.n, code.k
+    report = _reference_report(code)
+    if not report.differences_distinct:
+        raise ValueError("code differences repeat")
+    leave_nz = set(report.leave) - {0}
+    if len(leave_nz) < k * (k - 1):
+        return True, None
+    if len(report.leave) > ooc.MAXIMAL_LEAVE_LIMIT:
+        raise BudgetExceededError("leave too large")
+    candidates = sorted(x for x in leave_nz if (n - x) % n in leave_nz)
+
+    def extend(start, chosen, diffs):
+        if len(chosen) == k:
+            return tuple(chosen)
+        for idx in range(start, len(candidates)):
+            c = candidates[idx]
+            fresh = set()
+            ok = True
+            for b in chosen:
+                for d in ((c - b) % n, (b - c) % n):
+                    if d not in leave_nz or d in diffs or d in fresh:
+                        ok = False
+                        break
+                    fresh.add(d)
+                if not ok:
+                    break
+            if ok:
+                found = extend(idx + 1, chosen + [c], diffs | fresh)
+                if found:
+                    return found
+        return None
+
+    witness = extend(0, [0], set())
+    return witness is None, witness
+
+
+def _brute_force_extends(code: OOCode) -> bool:
+    """Whether some k-subset holding 0 has k(k-1) distinct differences, all in the leave."""
+    n, k = code.n, code.k
+    leave_nz = _reference_report(code).leave - {0}
+    for rest in itertools.combinations(sorted(leave_nz), k - 1):
+        word = (0,) + rest
+        diffs = [(a - b) % n for a in word for b in word if a != b]
+        if len(set(diffs)) == len(diffs) and leave_nz.issuperset(diffs):
+            return True
+    return False
+
+
+def _search_outcome(search, code):
+    try:
+        return search(code)
+    except BudgetExceededError:
+        return "budget"
+
+
+@functools.cache
+def _maximal_codes() -> tuple[OOCode, ...]:
+    """Maximal pq and p^2 codes of both weights, one codeword short of the maximum."""
+    pq = [maximal_ooc_pq(p, q, silver_aps(p)[0], silver_aps(q)[0], k)
+          for p, q in ((23, 7), (71, 23), (127, 7)) for k in (4, 5)]
+    return tuple(pq) + tuple(maximal_ooc_p2(p, k) for p in (7, 23, 47) for k in (4, 5))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, len(_maximal_codes()) - 1), st.integers(0, 3), st.data())
+def test_is_maximal_agrees_with_the_set_search_on_dropped_codewords(index, drops, data):
+    code = _maximal_codes()[index]
+    words = list(code.codewords)
+    for _ in range(drops):
+        del words[data.draw(st.integers(0, len(words) - 1), label="dropped")]
+    code = OOCode(code.n, code.k, tuple(words))
+    answer = _search_outcome(is_maximal, code)
+    assert answer == _search_outcome(_set_search_is_maximal, code)
+    if drops == 0:
+        assert answer == (True, None) and not _brute_force_extends(code)
+    elif answer != "budget":  # a dropped codeword leaves room for one
+        assert not answer[0]
+        assert verify_ooc(OOCode(code.n, code.k, code.codewords + (answer[1],))).differences_distinct
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(5, 60), st.integers(2, 4), st.randoms(use_true_random=False))
+def test_is_maximal_agrees_with_brute_force_on_small_leaves(n, k, rng):
+    """Greedy random codes: every leave of 25 or fewer is searched by brute force too."""
+    words: list[tuple[int, ...]] = []
+    used: set[int] = set()
+    for _ in range(rng.randrange(12)):
+        word = sorted(rng.sample(range(n), k))
+        diffs = [(a - b) % n for a in word for b in word if a != b]
+        if len(set(diffs)) == len(diffs) and used.isdisjoint(diffs):
+            words.append(tuple(word))
+            used.update(diffs)
+    code = OOCode(n, k, tuple(words))
+    answer = _search_outcome(is_maximal, code)
+    assert answer == _search_outcome(_set_search_is_maximal, code)
+    if len(verify_ooc(code).leave) <= 25:
+        assert answer[0] == (not _brute_force_extends(code))
+    if answer != "budget" and not answer[0]:
+        assert verify_ooc(OOCode(n, k, code.codewords + (answer[1],))).differences_distinct
 
 
 def test_verify_then_is_maximal_count_the_differences_once(monkeypatch):
