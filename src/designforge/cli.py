@@ -84,37 +84,71 @@ def _emit(obj: dict, as_json: bool) -> None:
         print(f"{key}: {value}")
 
 
-def _require(args, command: str, *flags: str) -> None:
-    """Raise ValueError naming the first of ``flags`` that was not given."""
-    for flag in flags:
+# For every command, the flags it requires and the other flags it reads.  A flag
+# given to a command that does not read it, while another command of its group
+# (the commands that share its first word) does, is a usage error: no flag is
+# parsed and then ignored.  Each subparser takes the flags of its group, those
+# of the --type group too when it takes --type, and requires a flag when every
+# command of its group does.  A flag is given when its value is not None.
+_FLAGS = {
+    "verify": ("file type", ""),
+    "search km": ("v type generators", ""),
+    "search exhaustive": ("v type", "force"),
+    "--type ps": ("", ""),
+    "--type aps": ("alpha beta", ""),
+    "--type pps": ("a1 a2", ""),
+    "construct silver": ("p", ""),
+    "construct silver with --alpha or --beta": ("p alpha beta", ""),
+    "construct silver-square": ("p", "alpha beta"),
+    "construct inflate": ("file u", ""),
+    "construct compose": ("ps aps", ""),
+    "construct product": ("ps ps2", ""),
+    "construct cyclotomic": ("p q", ""),
+    "construct union": ("p q", "sp sq"),
+    "whist round": ("file", "alpha"),
+    "whist develop": ("file", "alpha checks"),
+    "whist verify": ("file", "checks"),
+    "cdm from-pairs": ("file", ""),
+    "cdm verify": ("file", ""),
+    "ooc build": ("kind", ""),
+    "ooc build --kind pairs": ("kind file", "k"),
+    "ooc build --kind block45": ("kind file", ""),
+    "ooc build --kind pq": ("kind p q", "sp sq k"),
+    "ooc build --kind p2": ("kind p", "k"),
+    "ooc verify": ("file", ""),
+    "ooc maximal": ("file", ""),
+}
+_DEFAULT_CHECKS = "basic,zcps,directed,ordered"
+_DEFAULT_K = 4
+
+
+def _readers(group: str) -> dict[str, dict[str, bool]]:
+    """Each flag read in ``group``: the commands that read it, and whether each requires it."""
+    readers: dict[str, dict[str, bool]] = {}
+    for command, (required, other) in _FLAGS.items():
+        if command.split()[0] == group:
+            for flag in required.split() + other.split():
+                readers.setdefault(flag, {})[command] = flag in required.split()
+    return readers
+
+
+def _check_flags(args, command: str) -> None:
+    """Raise ValueError naming a flag ``command`` requires and was not given, or one
+    that it does not read and another command of its group does."""
+    for flag in _FLAGS[command][0].split():
         if getattr(args, flag) is None:
             raise ValueError(f"--{flag} is required for {command}")
-
-
-def _refuse_unread(args, command: str) -> None:
-    """Raise ValueError naming a given flag that ``command`` does not read.
-
-    The flags checked are those that the commands of ``_READS`` sharing the
-    first word of ``command`` read between them.
-    """
-    group, reads = command.split()[0], _READS[command]
-    for key, flags in _READS.items():
-        if key.split()[0] == group:
-            for flag in flags:
-                if flag not in reads and getattr(args, flag) is not None:
-                    raise ValueError(f"--{flag} is not read by {command}")
+    for flag, commands in _readers(command.split()[0]).items():
+        if command not in commands and getattr(args, flag) is not None:
+            raise ValueError(f"--{flag} is not read by {command}")
 
 
 def _spec_from_args(args, v: int) -> PPSSpec:
-    _refuse_unread(args, f"--type {args.type}")
+    _check_flags(args, f"--type {args.type}")
     if args.type == "ps":
         return PPSSpec.ps(v)
     if args.type == "aps":
-        if args.alpha is None or args.beta is None:
-            raise ValueError("--alpha and --beta are required for type aps")
         return PPSSpec.aps(v, args.alpha, args.beta)
-    if args.a1 is None or args.a2 is None:
-        raise ValueError("--a1 and --a2 are required for type pps")
     parse = lambda text: frozenset(int(x) for x in text.split(","))
     return PPSSpec(v, parse(args.a1), parse(args.a2))
 
@@ -129,16 +163,12 @@ def _cmd_verify(args) -> int:
 
 def _cmd_search(args) -> int:
     spec = _spec_from_args(args, args.v)
+    _check_flags(args, f"search {args.engine}")
     if args.engine == "km":
-        _require(args, "search km", "generators")
-        if args.force:
-            raise ValueError("--force is for the exhaustive engine, not km")
         gens = [int(g) for g in args.generators.split(",")]
         found = km_search(args.v, gens, spec, deadline=_deadline())
-    elif args.generators is not None:
-        raise ValueError("--generators is for the km engine, not exhaustive")
     else:
-        found = exhaustive_search(spec, force=args.force, deadline=_deadline())
+        found = exhaustive_search(spec, force=bool(args.force), deadline=_deadline())
     if found is None:
         print("no solution exists", file=sys.stderr)
         return EXHAUSTED
@@ -168,41 +198,14 @@ def _print_construction(result: tuple[PairSet, PPSSpec], as_json: bool) -> int:
     return OK if payload["valid"] else INVALID
 
 
-_CONSTRUCT_FLAGS = {
-    "silver": ("p",), "silver-square": ("p",), "inflate": ("file", "u"),
-    "compose": ("ps", "aps"), "product": ("ps", "ps2"), "cyclotomic": ("p", "q"),
-    "union": ("p", "q"),
-}
-_OOC_BUILD_FLAGS = {"pairs": ("file",), "block45": ("file",), "pq": ("p", "q"), "p2": ("p",)}
-# Every flag each command reads, the required ones above included.  A flag
-# given to a command that does not read it, while another command of its
-# group does, is a usage error: no flag is parsed and then ignored.
-_READS = {
-    "construct silver": ("p", "alpha", "beta"), "construct silver-square": ("p", "alpha", "beta"),
-    "construct inflate": ("file", "u"), "construct compose": ("ps", "aps"),
-    "construct product": ("ps", "ps2"), "construct cyclotomic": ("p", "q"),
-    "construct union": ("p", "q", "sp", "sq"),
-    "whist round": ("file", "alpha"), "whist develop": ("file", "alpha", "checks"),
-    "whist verify": ("file", "checks"),
-    "ooc build --kind pairs": ("kind", "file", "k"), "ooc build --kind block45": ("kind", "file"),
-    "ooc build --kind pq": ("kind", "p", "q", "sp", "sq", "k"),
-    "ooc build --kind p2": ("kind", "p", "k"), "ooc verify": ("file",), "ooc maximal": ("file",),
-    "--type ps": (), "--type aps": ("alpha", "beta"), "--type pps": ("a1", "a2"),
-}
-_DEFAULT_CHECKS = "basic,zcps,directed,ordered"
-_DEFAULT_K = 4
-
-
 def _cmd_construct(args) -> int:
     command = f"construct {args.what}"
-    _require(args, command, *_CONSTRUCT_FLAGS[args.what])
-    _refuse_unread(args, command)
+    if args.what == "silver" and (args.alpha is not None or args.beta is not None):
+        command += " with --alpha or --beta"
+    _check_flags(args, command)
     if args.what == "silver":
-        if args.alpha is None and args.beta is None:
-            result = silver_aps(args.p)
-        else:
-            _require(args, f"{command} with --alpha or --beta", "alpha", "beta")
-            result = aps_with_params(args.p, args.alpha, args.beta)
+        result = (silver_aps(args.p) if args.alpha is None else
+                  aps_with_params(args.p, args.alpha, args.beta))
     elif args.what == "silver-square":
         alpha = 1 if args.alpha is None else args.alpha
         # theta - 1 is sqrt(2) mod p^2, so alpha * sqrt(2) meets 2 alpha^2 = beta^2.
@@ -226,8 +229,7 @@ def _cmd_construct(args) -> int:
 
 
 def _cmd_whist(args) -> int:
-    command = f"whist {args.action}"
-    _refuse_unread(args, command)
+    _check_flags(args, f"whist {args.action}")
     checks = tuple((_DEFAULT_CHECKS if args.checks is None else args.checks).split(","))
     if args.action == "verify":
         tournament = WhistTournament.from_json(_load_json(args.file))
@@ -263,11 +265,11 @@ def _cmd_cdm(args) -> int:
 
 
 def _cmd_ooc(args) -> int:
+    command = f"ooc {args.action}"
+    if args.action == "build" and args.kind is not None:
+        command += f" --kind {args.kind}"
+    _check_flags(args, command)
     if args.action == "build":
-        _require(args, "ooc build", "kind")
-        command = f"ooc build --kind {args.kind}"
-        _require(args, command, *_OOC_BUILD_FLAGS[args.kind])
-        _refuse_unread(args, command)
         k = _DEFAULT_K if args.k is None else args.k
         if args.kind == "pairs":
             code = ooc_from_pairs(PairSet.from_json(_load_json(args.file)), k)
@@ -280,8 +282,6 @@ def _cmd_ooc(args) -> int:
             code = maximal_ooc_p2(args.p, k)
         _emit(code.to_json(), args.json)
         return OK
-    _require(args, f"ooc {args.action}", "file")
-    _refuse_unread(args, f"ooc {args.action}")
     code = OOCode.from_json(_load_json(args.file))
     if args.action == "verify":
         report = verify_ooc(code)
@@ -315,80 +315,66 @@ def _cmd_catalog(args) -> int:
     return OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors, like every other error, are one line."""
+
+    def error(self, message: str):
+        self.exit(USAGE, f"error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="designforge",
         description="Construct, search and verify partitionable pair sets "
                     "and the designs built from them.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_spec_flags(p):
-        p.add_argument("--type", choices=["ps", "aps", "pps"], required=True)
-        p.add_argument("--alpha", type=int)
-        p.add_argument("--beta", type=int)
-        p.add_argument("--a1", help="comma-separated excluded residues, element side")
-        p.add_argument("--a2", help="comma-separated excluded residues, sum/diff side")
+    def words(prefix: str) -> list[str]:
+        """The word after ``prefix`` in each command of the table, in order."""
+        return list(dict.fromkeys(command[len(prefix):].split()[0]
+                                  for command in _FLAGS if command.startswith(prefix)))
 
-    p = sub.add_parser("verify", help="verify a pair-set file against a spec")
-    p.add_argument("--file", required=True)
-    add_spec_flags(p)
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_verify)
-
-    p = sub.add_parser("search", help="search for a pair set")
-    p.add_argument("engine", choices=["km", "exhaustive"])
-    p.add_argument("--v", type=int, required=True)
-    add_spec_flags(p)
-    p.add_argument("--generators", help="comma-separated multiplier-group generators")
-    p.add_argument("--force", action="store_true",
-                   help="ignore the size budget of the exhaustive engine")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_search)
-
-    p = sub.add_parser("construct", help="run a direct or recursive construction")
-    p.add_argument("what", choices=["silver", "silver-square", "inflate", "compose",
-                                    "product", "cyclotomic", "union"])
-    p.add_argument("--p", type=int)
-    p.add_argument("--q", type=int)
-    p.add_argument("--u", type=int)
-    p.add_argument("--alpha", type=int)
-    p.add_argument("--beta", type=int)
-    p.add_argument("--file", help="input pair-set file (inflate)")
-    p.add_argument("--ps", help="PS input file (compose/product)")
-    p.add_argument("--ps2", help="second PS input file (product)")
-    p.add_argument("--aps", help="APS input file (compose)")
-    p.add_argument("--sp", help="APS file for the larger prime (union)")
-    p.add_argument("--sq", help="APS file for the smaller prime (union)")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_construct)
-
-    p = sub.add_parser("whist", help="derive or verify whist schedules")
-    p.add_argument("action", choices=["round", "develop", "verify"])
-    p.add_argument("--file", required=True,
-                   help="pair-set file (round/develop) or tournament file (verify)")
-    p.add_argument("--alpha", type=int, help="special-game parameter for APS input")
-    p.add_argument("--checks",
-                   help=f"comma-separated checks (develop, verify; default {_DEFAULT_CHECKS})")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_whist)
-
-    p = sub.add_parser("cdm", help="difference matrices from pair sets")
-    p.add_argument("action", choices=["from-pairs", "verify"])
-    p.add_argument("--file", required=True)
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_cdm)
-
-    p = sub.add_parser("ooc", help="optical orthogonal codes")
-    p.add_argument("action", choices=["build", "verify", "maximal"])
-    p.add_argument("--kind", choices=["pairs", "block45", "pq", "p2"])
-    p.add_argument("--file")
-    p.add_argument("--k", type=int, help=f"codeword weight (build; default {_DEFAULT_K})")
-    p.add_argument("--p", type=int)
-    p.add_argument("--q", type=int)
-    p.add_argument("--sp")
-    p.add_argument("--sq")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_ooc)
+    declared = {
+        "file": {"help": "input file: a pair set, or the tournament, matrix or code to verify"},
+        "type": {"choices": words("--type ")},
+        "v": {"type": int}, "p": {"type": int}, "q": {"type": int}, "u": {"type": int},
+        "alpha": {"type": int, "help": "the APS parameter alpha"},
+        "beta": {"type": int},
+        "a1": {"help": "comma-separated excluded residues, element side"},
+        "a2": {"help": "comma-separated excluded residues, sum/diff side"},
+        "generators": {"help": "comma-separated multiplier-group generators"},
+        "force": {"action": "store_true", "default": None,
+                  "help": "ignore the size budget of the exhaustive engine"},
+        "ps": {"help": "PS input file"}, "ps2": {"help": "second PS input file"},
+        "aps": {"help": "APS input file"},
+        "sp": {"help": "APS file for the larger prime (default: its silver APS)"},
+        "sq": {"help": "APS file for the smaller prime (default: its silver APS)"},
+        "checks": {"help": f"comma-separated checks (default {_DEFAULT_CHECKS})"},
+        "kind": {"choices": words("ooc build --kind ")},
+        "k": {"type": int, "help": f"codeword weight (default {_DEFAULT_K})"},
+    }
+    for name, text, func, positional in (
+            ("verify", "verify a pair-set file against a spec", _cmd_verify, None),
+            ("search", "search for a pair set", _cmd_search, "engine"),
+            ("construct", "run a direct or recursive construction", _cmd_construct, "what"),
+            ("whist", "derive or verify whist schedules", _cmd_whist, "action"),
+            ("cdm", "difference matrices from pair sets", _cmd_cdm, "action"),
+            ("ooc", "optical orthogonal codes", _cmd_ooc, "action")):
+        p = sub.add_parser(name, help=text)
+        if positional:
+            p.add_argument(positional, choices=words(f"{name} "))
+        for group in [name] + ["--type"] * ("type" in _readers(name)):
+            size = sum(command.split()[0] == group for command in _FLAGS)
+            for flag, commands in _readers(group).items():
+                kwargs = dict(declared[flag])
+                if len(commands) < size:  # name the commands that read it
+                    read_by = ", ".join(dict.fromkeys(
+                        command.removeprefix(f"{name} ").split(" with ")[0] for command in commands))
+                    kwargs["help"] = f"{kwargs.get('help', '')} ({read_by})".lstrip()
+                every = len(commands) == size and all(commands.values())
+                p.add_argument(f"--{flag}", required=every, **kwargs)
+        p.add_argument("--json", action="store_true")
+        p.set_defaults(func=func)
 
     p = sub.add_parser("catalog", help="embedded witnesses")
     p.add_argument("id", nargs="?")
@@ -401,8 +387,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (ValueError, KeyError, OSError, json.JSONDecodeError) as exc:

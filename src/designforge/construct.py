@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .core import (PairSet, PPSSpec, SetKind, _ordered, _trusted, infer_params, scale_set,
+from .core import (PairSet, PPSSpec, SetKind, _ordered, _trusted, infer_params,
                    verify_pps)
 from .modarith import crt_basis, generates_mod_pm_one, isprime, mod_sqrt
 
@@ -50,21 +50,27 @@ def _power_chain(theta: int, m: int, count: int, scale: int) -> list[tuple[int, 
     return pairs
 
 
-def silver_aps(p: int) -> tuple[PairSet, PPSSpec]:
-    """APS(p, 1, theta-1) from the power chain of theta = 1 + sqrt(2)."""
+def _silver_chain(p: int, alpha: int) -> tuple[SilverWitness, PairSet]:
+    """The witness mod p and the power chain of theta = 1 + sqrt(2) started at alpha."""
     w = silver_witness(p)
     if not w.generates:
         raise ValueError(
             f"1 + sqrt(2) does not generate the units of Z_{p} up to sign")
-    pairs = _power_chain(w.theta, p, (p - 3) // 4, 1)
-    return _trusted(PairSet, v=p, pairs=tuple(pairs)), PPSSpec.aps(p, 1, w.theta - 1)
+    return w, _trusted(PairSet, v=p, pairs=tuple(_power_chain(w.theta, p, (p - 3) // 4, alpha)))
+
+
+def silver_aps(p: int) -> tuple[PairSet, PPSSpec]:
+    """APS(p, 1, theta-1) from the power chain of theta = 1 + sqrt(2)."""
+    w, pairs = _silver_chain(p, 1)
+    return pairs, PPSSpec.aps(p, 1, w.theta - 1)
 
 
 def aps_with_params(p: int, alpha: int, beta: int) -> tuple[PairSet, PPSSpec]:
     """APS(p, alpha, beta) for any admissible target: the silver APS scaled by alpha.
 
     Requires 2*alpha**2 == beta**2 (mod p).  Scaling APS(p, 1, sqrt(2)) by
-    alpha excludes {0, +-alpha} and {0, +-alpha*sqrt(2)} = {0, +-beta}.
+    alpha excludes {0, +-alpha} and {0, +-alpha*sqrt(2)} = {0, +-beta}; the
+    scaled set is the power chain started at alpha, built as such.
     """
     alpha %= p
     beta %= p
@@ -73,7 +79,7 @@ def aps_with_params(p: int, alpha: int, beta: int) -> tuple[PairSet, PPSSpec]:
     if (2 * alpha * alpha - beta * beta) % p != 0:
         raise ValueError(
             f"2*{alpha}^2 - {beta}^2 is not 0 modulo {p}; no such APS exists")
-    return scale_set(silver_aps(p)[0], alpha), PPSSpec.aps(p, alpha, beta)
+    return _silver_chain(p, alpha)[1], PPSSpec.aps(p, alpha, beta)
 
 
 def _checked_spec(s: PairSet, spec: PPSSpec | None, name: str) -> PPSSpec:

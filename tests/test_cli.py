@@ -1,12 +1,13 @@
 from __future__ import annotations
 
 import json
+import re
 import time
 
 import pytest
 
 from designforge.catalog import get, ids
-from designforge.cli import main
+from designforge.cli import _FLAGS, main
 from designforge.construct import silver_pps_p2
 from designforge.core import PairSet
 
@@ -38,6 +39,75 @@ def test_usage_errors(example_file):
     with pytest.raises(SystemExit) as err:
         main(["frobnicate"])
     assert err.value.code == 2
+
+
+@pytest.mark.parametrize("command", [
+    ["search", "km", "--v", "13", "--type", "foo"],
+    ["construct", "silver", "--p", "abc"],
+    ["whist", "round"],
+    ["search", "km", "--type", "ps"],
+    [],
+    ["nonsense"],
+], ids=["bad-choice", "bad-int", "no-file", "no-v", "no-command", "unknown-command"])
+def test_an_argparse_usage_error_is_one_line(capsys, command):
+    with pytest.raises(SystemExit) as err:
+        main(command)
+    assert err.value.code == 2
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), captured.err
+    assert not captured.out
+
+
+# A value for each flag; no command reads a file before it refuses a flag.
+_VALUES = {"file": "in.json", "type": "ps", "v": "13", "generators": "12", "alpha": "1",
+           "beta": "3", "a1": "0", "a2": "0", "p": "23", "q": "7", "u": "5", "ps": "ps.json",
+           "ps2": "ps.json", "aps": "aps.json", "sp": "aps.json", "sq": "aps.json",
+           "checks": "basic", "kind": "pairs", "k": "4"}
+
+
+def _words(command: str) -> list[str]:
+    """The command line words that pick ``command`` in the flag table."""
+    return command.split(" with ")[0].split()
+
+
+def _flag(flag: str) -> list[str]:
+    return [f"--{flag}"] if flag == "force" else [f"--{flag}", _VALUES[flag]]
+
+
+def _one_usage_line(capsys, argv: list[str]) -> str:
+    try:
+        status = main(argv)
+    except SystemExit as exc:
+        status = exc.code
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert status == 2 and len(lines) == 1 and lines[0].startswith("error: "), (argv, captured.err)
+    assert "Traceback" not in captured.err and not captured.out
+    return lines[0]
+
+
+@pytest.mark.parametrize("command", list(_FLAGS))
+def test_the_flag_table_is_the_contract(capsys, command):
+    """Leaving out any flag a command requires, or giving one that only other
+    commands of its group read, is one usage line naming that flag."""
+    host = ["search", "exhaustive", "--v", "13"] if command.startswith("--type") else []
+    given = [flag for flag in _FLAGS[command][0].split() if f"--{flag}" not in _words(command)]
+    line_without = lambda left_out: host + _words(command) + [
+        arg for flag in given if flag != left_out for arg in _flag(flag)]
+    for left_out in given:
+        line = _one_usage_line(capsys, line_without(left_out))
+        assert re.search(rf"--{left_out}\b", line), line
+    argv = line_without(None)
+    # a flag no command picked by the same words reads (silver with or without --alpha)
+    near = [" ".join(_FLAGS[c]).split() for c in _FLAGS
+            if _words(c)[:len(_words(command))] == _words(command)]
+    group = [flag for c in _FLAGS if c.split()[0] == command.split()[0]
+             for flag in " ".join(_FLAGS[c]).split()]
+    unread = [flag for flag in group if not any(flag in reads for reads in near)]
+    if unread:
+        line = _one_usage_line(capsys, argv + _flag(unread[0]))
+        assert re.search(rf"--{unread[0]}\b", line) and "is not read by" in line, line
 
 
 def test_search_km(capsys):

@@ -99,6 +99,12 @@ def test_aps_with_params():
     with pytest.raises(ValueError):
         aps_with_params(7, 0, 1)
 
+    # the chain started at alpha is the silver APS scaled by alpha
+    for p in SILVER_PRIMES:
+        silver = silver_aps(p)[0]
+        for alpha, beta in admissible_params(p):
+            assert aps_with_params(p, alpha, beta)[0] == scale_set(silver, alpha), (p, alpha)
+
 
 @pytest.mark.parametrize("p", [p for p in SILVER_PRIMES if p <= 71])
 def test_aps_with_params_on_every_admissible_target(p):

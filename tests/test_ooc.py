@@ -11,7 +11,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from designforge import ooc
-from designforge.catalog import SILVER_PRIMES, get
+from designforge.catalog import SILVER_PRIMES, SILVER_SQUARE_PRIMES, get
 from designforge.construct import (aps_with_params, ps_product, silver_aps, silver_pps_p2,
                                    union_pps_pq)
 from designforge.core import BudgetExceededError, PairSet, scale_set
@@ -219,11 +219,26 @@ def test_is_maximal_translation_invariant():
         assert is_maximal(translated)[0] == base
 
 
-def test_is_maximal_budget():
-    # a single tiny codeword in a large ring leaves nearly everything open
+def test_is_maximal_budget(monkeypatch):
+    # a single tiny codeword in a large ring leaves nearly everything open, and a
+    # witness is found at once, however large the leave
     code = OOCode(997, 4, ((0, 1, 5, 20),))
+    assert is_maximal(code) == (False, (0, 2, 8, 11))
+    assert verify_ooc(OOCode(997, 4, code.codewords + ((0, 2, 8, 11),))).differences_distinct
+    # the budget counts the search's work, not the size of the leave
+    maximal = maximal_ooc_p2(7, 4)
+    assert is_maximal(maximal) == (True, None)  # after 145 nodes
+    monkeypatch.setattr(ooc, "MAXIMAL_SEARCH_NODES", 20)
     with pytest.raises(BudgetExceededError):
-        is_maximal(code)
+        is_maximal(maximal)
+
+
+def test_is_maximal_searches_a_leave_of_65():
+    """The (5*151*31, 5, 1) code less its first two codewords leaves 65 residues."""
+    code = maximal_ooc_pq(151, 31, silver_aps(151)[0], silver_aps(31)[0], 5)
+    code = OOCode(code.n, 5, code.codewords[2:])
+    assert len(verify_ooc(code).leave) == 65
+    assert is_maximal(code) == (False, (0, 1, 3469, 9361, 10574))
 
 
 def test_first_coordinate_projections_are_sdfs():
@@ -573,8 +588,6 @@ def _set_search_is_maximal(code: OOCode) -> tuple[bool, tuple[int, ...] | None]:
     leave_nz = set(report.leave) - {0}
     if len(leave_nz) < k * (k - 1):
         return True, None
-    if len(report.leave) > ooc.MAXIMAL_LEAVE_LIMIT:
-        raise BudgetExceededError("leave too large")
     candidates = sorted(x for x in leave_nz if (n - x) % n in leave_nz)
 
     def extend(start, chosen, diffs):
@@ -614,19 +627,26 @@ def _brute_force_extends(code: OOCode) -> bool:
     return False
 
 
-def _search_outcome(search, code):
-    try:
-        return search(code)
-    except BudgetExceededError:
-        return "budget"
-
-
 @functools.cache
 def _maximal_codes() -> tuple[OOCode, ...]:
     """Maximal pq and p^2 codes of both weights, one codeword short of the maximum."""
     pq = [maximal_ooc_pq(p, q, silver_aps(p)[0], silver_aps(q)[0], k)
           for p, q in ((23, 7), (71, 23), (127, 7)) for k in (4, 5)]
     return tuple(pq) + tuple(maximal_ooc_p2(p, k) for p in (7, 23, 47) for k in (4, 5))
+
+
+@pytest.mark.parametrize("p, q, k", [
+    (p, q, k) for q, p in itertools.combinations(SILVER_PRIMES, 2) for k in (4, 5)] + [
+    (p, None, k) for p in SILVER_SQUARE_PRIMES if p <= 400 for k in (4, 5)])
+def test_every_maximal_code_is_one_codeword_short_of_the_maximum(p, q, k):
+    """The 110 pq codes over SILVER_PRIMES and the 28 p^2 codes at p <= 400, counted here."""
+    code = (maximal_ooc_p2(p, k) if q is None else
+            maximal_ooc_pq(p, q, silver_aps(p)[0], silver_aps(q)[0], k))
+    counts = _difference_counts(code.n, code.codewords)
+    assert max(counts) == 1
+    assert len(code) == max_codeword_bound(code.n, k) - 1
+    assert counts.count(0) == (15 if k == 4 else 25)  # the leave, 0 included
+    assert is_maximal(code) == (True, None)
 
 
 @settings(max_examples=150, deadline=None)
@@ -637,11 +657,11 @@ def test_is_maximal_agrees_with_the_set_search_on_dropped_codewords(index, drops
     for _ in range(drops):
         del words[data.draw(st.integers(0, len(words) - 1), label="dropped")]
     code = OOCode(code.n, code.k, tuple(words))
-    answer = _search_outcome(is_maximal, code)
-    assert answer == _search_outcome(_set_search_is_maximal, code)
+    answer = is_maximal(code)
+    assert answer == _set_search_is_maximal(code)
     if drops == 0:
         assert answer == (True, None) and not _brute_force_extends(code)
-    elif answer != "budget":  # a dropped codeword leaves room for one
+    else:  # a dropped codeword leaves room for one
         assert not answer[0]
         assert verify_ooc(OOCode(code.n, code.k, code.codewords + (answer[1],))).differences_distinct
 
@@ -659,11 +679,11 @@ def test_is_maximal_agrees_with_brute_force_on_small_leaves(n, k, rng):
             words.append(tuple(word))
             used.update(diffs)
     code = OOCode(n, k, tuple(words))
-    answer = _search_outcome(is_maximal, code)
-    assert answer == _search_outcome(_set_search_is_maximal, code)
+    answer = is_maximal(code)
+    assert answer == _set_search_is_maximal(code)
     if len(verify_ooc(code).leave) <= 25:
         assert answer[0] == (not _brute_force_extends(code))
-    if answer != "budget" and not answer[0]:
+    if not answer[0]:
         assert verify_ooc(OOCode(n, k, code.codewords + (answer[1],))).differences_distinct
 
 
