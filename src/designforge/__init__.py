@@ -6,7 +6,6 @@ from .core import (
     PPSSpec,
     SetKind,
     VerifyReport,
-    aps_necessary,
     admissible_params,
     admissible_witness,
     infer_params,
@@ -24,7 +23,6 @@ __all__ = [
     "VerifyReport",
     "admissible_params",
     "admissible_witness",
-    "aps_necessary",
     "exhaustive_search",
     "infer_params",
     "nonexistence_case",

@@ -143,14 +143,22 @@ def _check_flags(args, command: str) -> None:
             raise ValueError(f"--{flag} is not read by {command}")
 
 
+def _ints(args, flag: str) -> list[int]:
+    """The comma-separated integers given to --flag; an error about them names the flag."""
+    text = getattr(args, flag)
+    try:
+        return [int(x) for x in text.split(",")]
+    except ValueError:
+        raise ValueError(f"{flag} must be comma-separated integers, got {text!r}") from None
+
+
 def _spec_from_args(args, v: int) -> PPSSpec:
     _check_flags(args, f"--type {args.type}")
     if args.type == "ps":
         return PPSSpec.ps(v)
     if args.type == "aps":
         return PPSSpec.aps(v, args.alpha, args.beta)
-    parse = lambda text: frozenset(int(x) for x in text.split(","))
-    return PPSSpec(v, parse(args.a1), parse(args.a2))
+    return PPSSpec(v, frozenset(_ints(args, "a1")), frozenset(_ints(args, "a2")))
 
 
 def _cmd_verify(args) -> int:
@@ -165,8 +173,7 @@ def _cmd_search(args) -> int:
     spec = _spec_from_args(args, args.v)
     _check_flags(args, f"search {args.engine}")
     if args.engine == "km":
-        gens = [int(g) for g in args.generators.split(",")]
-        found = km_search(args.v, gens, spec, deadline=_deadline())
+        found = km_search(args.v, _ints(args, "generators"), spec, deadline=_deadline())
     else:
         found = exhaustive_search(spec, force=bool(args.force), deadline=_deadline())
     if found is None:

@@ -323,20 +323,6 @@ def square_sums_agree(spec: PPSSpec) -> bool:
     return (2 * sum(z * z for z in spec.a1) - sum(z * z for z in spec.a2) - total) % v == 0
 
 
-def aps_necessary(v: int, alpha: int, beta: int) -> bool:
-    """Square-sum necessary condition for an APS(v, alpha, beta) to exist."""
-    if v % 4 != 3:
-        raise ValueError("v must be 3 modulo 4")
-    alpha %= v
-    beta %= v
-    if alpha == 0 or beta == 0:
-        raise ValueError("alpha and beta must be nonzero")
-    lhs = (2 * alpha * alpha - beta * beta) % v
-    if v % 12 == 3:
-        return lhs == v // 3
-    return lhs == 0
-
-
 class NonexistenceCase(enum.Enum):
     """Why no APS (or PS) can exist at a given modulus."""
 
@@ -378,7 +364,11 @@ ADMISSIBLE_SCAN_LIMIT = 100_000
 
 
 def admissible_params(v: int) -> list[tuple[int, int]]:
-    """All nonzero (alpha, beta) passing aps_necessary, by full scan."""
+    """All nonzero (alpha, beta) whose APS spec meets the square-sum identity, by full scan.
+
+    On an APS spec the identity reads 2 alpha^2 - beta^2 = v/3 (mod v) when
+    v = 3 (mod 12), and 0 otherwise (see ``square_sums_agree``).
+    """
     if v % 4 != 3:
         raise ValueError("v must be 3 modulo 4")
     if v > ADMISSIBLE_SCAN_LIMIT:
@@ -396,7 +386,7 @@ def admissible_params(v: int) -> list[tuple[int, int]]:
 
 
 def admissible_witness(v: int) -> tuple[int, int] | None:
-    """One nonzero (alpha, beta) passing aps_necessary, assembled by CRT.
+    """One nonzero (alpha, beta) that admissible_params would list, assembled by CRT.
 
     Works at any scale, unlike the full scan: the congruence is solved in
     one prime-power component (the smallest repeated prime factor, else the

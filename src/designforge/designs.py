@@ -11,10 +11,11 @@ from __future__ import annotations
 import operator
 from collections.abc import Sequence
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import chain
 from typing import Union
 
-from .core import PairSet, PPSSpec, _trusted, json_field, verify_pps
+from .core import PairSet, PPSSpec, json_field, verify_pps
 
 INF = "inf"  # the adjoined player for tournaments on 4n players; INF + 1 = INF
 
@@ -83,33 +84,30 @@ def initial_round(s: PairSet, alpha: int | None = None) -> tuple[Game, ...]:
 
 @dataclass(frozen=True)
 class WhistTournament:
-    """A full schedule; players are Z_u, plus INF when v = u + 1.
+    """A full schedule: u and its rounds.  The players are Z_u, plus INF when a round seats it.
 
-    The constructor ties v to the rounds: v = u + 1 exactly when a round
-    seats INF, else v = u.  develop_rounds and from_json derive v that way.
-
-    cyclic says that the rounds are the cyclic development of round 0; the
-    constructor refuses cyclic=True on any other rounds, so the checks may
-    work from round 0 alone.  develop_rounds gives a :class:`CyclicRounds`,
-    which develops a round only when it is read; other rounds are a tuple.
+    The tournament is cyclic when its rounds are a :class:`CyclicRounds`, the
+    development of round 0 over Z_u; the checks then work from round 0 alone.
+    A tuple of rounds is read seat by seat, even when it is a development.
+    develop_rounds gives cyclic rounds, and so does from_json for a development.
     """
 
-    v: int
     u: int
     rounds: Sequence[tuple[Game, ...]]
-    cyclic: bool
 
     def __post_init__(self):
-        v, u = self.v, self.u
-        if v not in (u, u + 1):
-            raise ValueError(f"v = {v} must be u = {u} or u + 1 = {u + 1}")
-        if (v > u) != any(INF in g for rnd in self.rounds for g in rnd):
-            raise ValueError(f"v = u + 1 = {v}, but no round seats the adjoined player {INF!r}"
-                             if v > u else f"v = u = {v}, but a round seats the adjoined "
-                             f"player {INF!r}")
-        if self.cyclic and not _is_development(self.rounds, self.u):
-            raise ValueError("cyclic is set, but the rounds are not the cyclic "
-                             "development of round 0")
+        if self.cyclic and len(self.rounds) != max(self.u, 0):
+            raise ValueError(f"the cyclic rounds develop round 0 over Z_{len(self.rounds)}, "
+                             f"not over Z_{self.u}")
+
+    @property
+    def cyclic(self) -> bool:
+        return isinstance(self.rounds, CyclicRounds)
+
+    @cached_property
+    def v(self) -> int:
+        """Players: u + 1 when a round seats INF (round 0 decides on cyclic rounds), else u."""
+        return self.u + any(INF in g for rnd in _seated_rounds(self) for g in rnd)
 
     @property
     def players(self) -> list[Seat]:
@@ -128,7 +126,9 @@ class WhistTournament:
         if v < 1:
             raise ValueError(f"v must be positive, got {v}")
         u = v - 1 if any(INF in g for rnd in rounds for g in rnd) else v
-        return _trusted(cls, v=v, u=u, rounds=rounds, cyclic=_is_development(rounds, u))
+        if rounds and (developed := CyclicRounds(rounds[0], u)) == rounds:
+            rounds = developed
+        return cls(u, rounds)
 
 
 def _game_from_json(g) -> Game:
@@ -147,8 +147,6 @@ def _development(r0, u: int, shifts=None):
 
     shifts defaults to 0, 1, ..., u - 1; each j must lie in that range.
     """
-    if u < 1:
-        return
     # Four-seat games of integers are shifted by a lookup in the rotated ring;
     # games with INF (or of another shape) are shifted seat by seat and put
     # back at their place.
@@ -164,12 +162,6 @@ def _development(r0, u: int, shifts=None):
         yield tuple(rnd)
 
 
-def _is_development(rounds, u: int) -> bool:
-    """Whether rounds are the cyclic development of rounds[0], stopping at the first miss."""
-    return (bool(rounds) and len(rounds) == u
-            and all(rnd == dev for rnd, dev in zip(rounds, _development(rounds[0], u))))
-
-
 class CyclicRounds(Sequence):
     """The u rounds of a cyclic schedule, each developed from round 0 when it is read.
 
@@ -180,16 +172,19 @@ class CyclicRounds(Sequence):
 
     __slots__ = ("_r0", "_u")
 
-    def __init__(self, r0: tuple[Game, ...], u: int):
-        """r0 is round 0 as the development gives it, seats reduced modulo u."""
-        self._r0, self._u = r0, max(u, 0)
+    def __init__(self, r0: Sequence[Game], u: int):
+        """Round 0 is stored with its seats reduced modulo u, so the rounds are always its
+        development; there are no rounds when u < 1."""
+        self._u = max(u, 0)
+        self._r0 = () if u < 1 else tuple([tuple([seat if seat == INF else seat % u for seat in g])
+                                           for g in r0])
 
     def __len__(self) -> int:
         return self._u
 
     def __getitem__(self, j):
         if isinstance(j, slice):
-            return tuple(_development(self._r0, self._u, range(self._u)[j]))
+            return tuple(map(self.__getitem__, range(self._u)[j]))
         j = range(self._u)[j]  # IndexError past either end
         return self._r0 if j == 0 else next(_development(self._r0, self._u, (j,)))
 
@@ -198,7 +193,7 @@ class CyclicRounds(Sequence):
 
     def __eq__(self, other):
         if isinstance(other, CyclicRounds):
-            return self._u == other._u and (not self._u or self._r0 == other._r0)
+            return self._u == other._u and self._r0 == other._r0
         if isinstance(other, tuple):
             return len(other) == self._u and all(map(operator.eq, self, other))
         return NotImplemented
@@ -215,12 +210,7 @@ def develop_rounds(r0: tuple[Game, ...] | list[Game], u: int) -> WhistTournament
 
     Only round 0 is built here; the rounds are a :class:`CyclicRounds`.
     """
-    r0 = tuple(tuple(g) for g in r0)
-    has_inf = any(INF in g for g in r0)
-    reduced = () if u < 1 else tuple([tuple([seat if seat == INF else seat % u for seat in g])
-                                      for g in r0])
-    rounds = CyclicRounds(reduced, u)
-    return _trusted(WhistTournament, v=u + 1 if has_inf else u, u=u, rounds=rounds, cyclic=True)
+    return WhistTournament(u, CyclicRounds(r0, u))
 
 
 @dataclass(frozen=True)
@@ -284,7 +274,7 @@ def _seated_rounds(t: WhistTournament):
     Round j of a cyclic tournament is round 0 under a bijection of the
     players, so it is seated correctly exactly when round 0 is.
     """
-    return (t.rounds[0],) if t.cyclic else t.rounds
+    return t.rounds[:1] if t.cyclic else t.rounds
 
 
 def _misseated(t: WhistTournament) -> CheckResult | None:

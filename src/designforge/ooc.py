@@ -286,9 +286,9 @@ def is_maximal(code: OOCode) -> tuple[bool, tuple[int, ...] | None]:
 
     A new codeword needs k(k-1) distinct differences drawn from the leave
     minus 0, so translate it to contain 0 and search cliques among the
-    residues whose +- pair lies in the leave, in ascending order, depth
-    first; a candidate takes its differences and their negatives from one
-    set of free ones and gives them back when it is dropped.  Returns
+    nonzero residues of the leave, in ascending order, depth first; a
+    candidate takes its differences and their negatives from one set of
+    free ones and gives them back when it is dropped.  Returns
     (False, witness) with the first extending codeword found, if any.
     Raises ValueError when the code's own differences repeat, since it is
     then no OOC to extend, and BudgetExceededError past MAXIMAL_SEARCH_NODES.
@@ -297,11 +297,10 @@ def is_maximal(code: OOCode) -> tuple[bool, tuple[int, ...] | None]:
     report = verify_ooc(code)
     if not report.differences_distinct:
         raise ValueError(f"code differences repeat: {sorted(report.repeated)}")
-    leave_nz = set(report.leave) - {0}
-    if len(leave_nz) < k * (k - 1):
+    candidates = sorted(report.leave - {0})  # the leave holds each class with its negative
+    if len(candidates) < k * (k - 1):
         return True, None
-    candidates = sorted(x for x in leave_nz if (n - x) % n in leave_nz)
-    # closed under negation; n/2 is its own negative, so no codeword can use it
+    # n/2 is its own negative, so no codeword can use it
     free = {d for d in candidates if d + d != n}
     nodes = 0
 

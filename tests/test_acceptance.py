@@ -19,9 +19,9 @@ from designforge.core import (
     PairSet,
     PPSSpec,
     admissible_params,
-    aps_necessary,
     exhaustive_search,
     scale_set,
+    square_sums_agree,
     verify_pps,
 )
 from designforge.designs import cdm_from_round, develop_rounds, initial_round, verify_cdm, verify_whist
@@ -89,7 +89,7 @@ def test_criterion_3_necessary_conditions_match_search():
             for beta in range(1, (v - 1) // 2 + 1):
                 spec = PPSSpec.aps(v, alpha, beta)
                 found = exhaustive_search(spec)
-                necessary = aps_necessary(v, alpha, beta)
+                necessary = square_sums_agree(spec)
                 assert (found is not None) == necessary, (v, alpha, beta)
                 if found is not None:
                     assert verify_pps(found, spec).valid

@@ -8,8 +8,9 @@ import pytest
 
 from designforge.catalog import get, ids
 from designforge.cli import _FLAGS, main
-from designforge.construct import silver_pps_p2
+from designforge.construct import aps_with_params, silver_aps, silver_pps_p2, union_pps_pq
 from designforge.core import PairSet
+from designforge.ooc import maximal_ooc_pq, ooc_45v_from_ps
 
 
 @pytest.fixture()
@@ -126,6 +127,36 @@ def test_search_requires_generators_for_km():
     assert main(["search", "km", "--v", "13", "--type", "ps"]) == 2
 
 
+def test_verify_reads_a_pps_spec_from_a1_and_a2(example_file, capsys):
+    assert main(["construct", "cyclotomic", "--p", "11", "--q", "7", "--json"]) == 0
+    built = json.loads(capsys.readouterr().out)
+    path = example_file("pps77.json", built["pairs"])
+    excluded = ",".join(map(str, built["spec"]["A1"]))
+    assert built["spec"]["A1"] == built["spec"]["A2"] and len(built["spec"]["A1"]) == 17
+    command = ["verify", "--type", "pps", "--file", path, "--a1", excluded, "--json"]
+    assert main(command + ["--a2", excluded]) == 0
+    assert json.loads(capsys.readouterr().out)["valid"] is True
+    moved = sorted(set(built["spec"]["A2"]) - {7, 70} | {1, 76})  # the class of 1 for 7's
+    assert main(command + ["--a2", ",".join(map(str, moved))]) == 1
+    report = json.loads(capsys.readouterr().out)
+    assert report["valid"] is False and report["cover2_missing"] == [7, 70]
+
+
+@pytest.mark.parametrize("command, flag", [
+    (["verify", "--type", "pps", "--a1", "0,x", "--a2", "0"], "a1"),
+    (["verify", "--type", "pps", "--a1", "0", "--a2", ""], "a2"),
+    (["search", "km", "--v", "13", "--type", "ps", "--generators", "12,3.5"], "generators"),
+])
+def test_a_bad_list_of_integers_is_named_by_its_flag(example_file, capsys, command, flag):
+    if command[0] == "verify":
+        command = command + ["--file", example_file("ps13.json", get("ps-13").pair_set().to_json())]
+    assert main(command) == 2
+    captured = capsys.readouterr()
+    given = command[command.index(f"--{flag}") + 1]
+    assert captured.err == f"error: {flag} must be comma-separated integers, got {given!r}\n"
+    assert not captured.out
+
+
 def test_construct_silver(capsys):
     assert main(["construct", "silver", "--p", "7", "--json"]) == 0
     payload = json.loads(capsys.readouterr().out)
@@ -179,6 +210,31 @@ def test_construct_union_with_default_silver_inputs(capsys):
     assert len(payload["pairs"]["pairs"]) == 39 and payload["valid"]
 
 
+@pytest.mark.parametrize("command", [["construct", "union"], ["ooc", "build", "--kind", "pq"]])
+def test_the_aps_of_each_prime_is_read_from_its_file(example_file, capsys, command):
+    # APS(7, 2, 1) is not the silver APS(7), so the answer shows which set was read
+    aps7 = aps_with_params(7, 2, 1)[0]
+    silver23 = example_file("aps23.json", silver_aps(23)[0].to_json())
+    base = command + ["--p", "23", "--q", "7", "--json"]
+    outputs = []
+    for files in ([], ["--sp", silver23, "--sq", example_file("aps7.json", aps7.to_json())]):
+        assert main(base + files) == 0
+        outputs.append(json.loads(capsys.readouterr().out))
+    default, read = outputs
+    if command[0] == "construct":
+        pairs, _ = union_pps_pq(23, 7, silver_aps(23)[0], aps7)
+        assert read["pairs"] == pairs.to_json() and read["valid"] is True
+    else:
+        assert read == maximal_ooc_pq(23, 7, silver_aps(23)[0], aps7, 4).to_json()
+    assert read != default
+
+
+def test_construct_prints_one_line_a_field_without_json(capsys):
+    assert main(["construct", "silver", "--p", "7"]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "spec: {'type': 'APS', 'v': 7, 'alpha': 1, 'beta': 3}", "pairs: [[2, 4]]", "valid: True"]
+
+
 def test_whist_pipeline(example_file, capsys):
     path = example_file("ps13.json", get("ps-13").pair_set().to_json())
     assert main(["whist", "round", "--file", path, "--json"]) == 0
@@ -206,6 +262,16 @@ def test_whist_verify_works_out_cyclic_from_the_rounds(example_file, capsys, che
     bad = example_file("bad.json", {"v": payload["v"], "rounds": payload["rounds"],
                                     "cyclic": True})
     assert main(["whist", "verify", "--file", bad, "--checks", check]) == 1
+
+
+def test_whist_verify_refuses_an_unknown_check(example_file, capsys):
+    path = example_file("ps13.json", get("ps-13").pair_set().to_json())
+    assert main(["whist", "develop", "--file", path, "--json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    tournament = example_file("t13.json", {k: payload[k] for k in ("v", "rounds")})
+    assert main(["whist", "verify", "--file", tournament, "--checks", "basic,foo"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: unknown checks: ['foo']\n" and not captured.out
 
 
 def test_whist_verify_failure(example_file):
@@ -249,6 +315,16 @@ def test_ooc_pipeline(example_file, capsys):
     assert main(["ooc", "maximal", "--file", partial_path, "--json"]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["is_maximal"] is False and payload["witness"]
+
+
+def test_ooc_build_block45_writes_the_maximum_45v_code(example_file, capsys):
+    path = example_file("ps13.json", get("ps-13").pair_set().to_json())
+    assert main(["ooc", "build", "--kind", "block45", "--file", path, "--json"]) == 0
+    code = json.loads(capsys.readouterr().out)
+    assert code == ooc_45v_from_ps(get("ps-13").pair_set()).to_json()
+    assert main(["ooc", "verify", "--file", example_file("code.json", code), "--json"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert code["n"] == 45 * 13 and report["is_maximum"] and len(report["leave"]) == 5
 
 
 def test_ooc_build_p2(capsys):

@@ -377,7 +377,7 @@ def test_constructions_verify_on_a_grid():
 
 
 def test_constructed_aps_always_satisfy_necessary_condition():
-    from designforge.core import SetKind, aps_necessary, infer_params
+    from designforge.core import PPSSpec, SetKind, infer_params, square_sums_agree
 
     aps7, _ = aps_with_params(7, 2, 1)
     outputs = [
@@ -389,7 +389,7 @@ def test_constructed_aps_always_satisfy_necessary_condition():
     for s in outputs:
         spec = infer_params(s)
         assert spec is not None and spec.kind is SetKind.APS
-        assert aps_necessary(spec.v, spec.alpha, spec.beta)
+        assert square_sums_agree(PPSSpec.aps(spec.v, spec.alpha, spec.beta))
 
 
 def test_inflate_projection_recovers_input_classes():

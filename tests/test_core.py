@@ -21,7 +21,6 @@ from designforge.core import (
     VerifyReport,
     admissible_params,
     admissible_witness,
-    aps_necessary,
     exhaustive_search,
     infer_params,
     nonexistence_case,
@@ -419,26 +418,30 @@ def test_an_empty_pair_set_leaves_every_residue_on_both_sides(v):
     assert spec.a1 == spec.a2 == frozenset(range(v))
 
 
+def _aps_necessary(v: int, alpha: int, beta: int) -> bool:
+    """The square-sum identity on APS(v, alpha, beta), v = 3 (mod 4), in closed form."""
+    lhs = (2 * alpha * alpha - beta * beta) % v
+    return lhs == (v // 3 if v % 12 == 3 else 0)
+
+
 def test_aps_necessary_examples():
-    assert aps_necessary(27, 3, 6) is True
-    assert aps_necessary(7, 2, 1) is True
-    assert aps_necessary(7, 1, 1) is False
+    for v, alpha, beta, holds in ((27, 3, 6, True), (7, 2, 1, True), (7, 1, 1, False)):
+        assert core.square_sums_agree(PPSSpec.aps(v, alpha, beta)) is holds
+        assert _aps_necessary(v, alpha, beta) is holds
     with pytest.raises(ValueError):
-        aps_necessary(13, 1, 1)
-    with pytest.raises(ValueError):
-        aps_necessary(27, 0, 6)
+        PPSSpec.aps(27, 0, 6)
 
 
 @settings(max_examples=300, deadline=None)
 @given(st.sampled_from(range(3, 400, 2)), st.data())
 def test_square_sums_agree_matches_the_closed_forms(v, data):
-    """The square-sum identity is aps_necessary on APS specs and v != 9 (mod 12) on PS."""
+    """The square-sum identity is _aps_necessary on APS specs and v != 9 (mod 12) on PS."""
     if v % 4 == 1:
         assert core.square_sums_agree(PPSSpec.ps(v)) is (v % 12 != 9)
         return
     alpha = data.draw(st.integers(1, v - 1), label="alpha")
     beta = data.draw(st.integers(1, v - 1), label="beta")
-    assert core.square_sums_agree(PPSSpec.aps(v, alpha, beta)) is aps_necessary(v, alpha, beta)
+    assert core.square_sums_agree(PPSSpec.aps(v, alpha, beta)) is _aps_necessary(v, alpha, beta)
 
 
 def test_nonexistence_examples():
@@ -477,7 +480,7 @@ def test_nonexistence_classification_below_300():
 def test_admissible_params_examples():
     adm7 = admissible_params(7)
     assert {(2, 1), (1, 3), (1, 4)} <= set(adm7)
-    assert all(aps_necessary(7, a, b) for a, b in adm7)
+    assert all(core.square_sums_agree(PPSSpec.aps(7, a, b)) for a, b in adm7)
     assert admissible_params(11) == []
     adm27 = set(admissible_params(27))
     assert {(3, 6), (3, 3)} <= adm27
@@ -510,15 +513,15 @@ def test_admissible_witness_agrees_with_scan():
 def test_admissible_witness_beyond_scan_range():
     # prime power component
     alpha, beta = admissible_witness(7 ** 5)
-    assert aps_necessary(7 ** 5, alpha, beta)
+    assert core.square_sums_agree(PPSSpec.aps(7 ** 5, alpha, beta))
     # 3 times two large primes, one of them with 2 a square
     v = 3 * 10007 * 10039
     alpha, beta = admissible_witness(v)
     assert alpha % v and beta % v
-    assert aps_necessary(v, alpha, beta)
+    assert core.square_sums_agree(PPSSpec.aps(v, alpha, beta))
     # large pure power of 3
     alpha, beta = admissible_witness(3 ** 13)
-    assert aps_necessary(3 ** 13, alpha, beta)
+    assert core.square_sums_agree(PPSSpec.aps(3 ** 13, alpha, beta))
     # an obstructed composite stays empty: squarefree product of 3 (mod 8) primes
     assert admissible_witness(11 * 13 * 29) is None  # 4147 = 7 mod 12, all +-3 mod 8
 
@@ -531,7 +534,7 @@ def test_admissible_witness_exists_exactly_off_the_obstructions():
         else:
             alpha, beta = witness
             assert alpha % v and beta % v, v
-            assert aps_necessary(v, alpha, beta), v
+            assert core.square_sums_agree(PPSSpec.aps(v, alpha, beta)), v
 
 
 def test_admissible_witness_plants_in_the_smallest_prime(monkeypatch):

@@ -86,7 +86,7 @@ def test_whist_checks_on_classical_rounds():
 def test_whist_difference_shortcut_matches_full_count():
     t = develop_rounds(initial_round(PS13), 13)
     shortcut = verify_whist(t, ("directed", "ordered"))
-    full = verify_whist(replace(t, cyclic=False), ("directed", "ordered"))
+    full = verify_whist(replace(t, rounds=tuple(t.rounds)), ("directed", "ordered"))
     assert {k: v.passed for k, v in shortcut.items()} == \
            {k: v.passed for k, v in full.items()} == \
            {"directed": True, "ordered": True}
@@ -190,7 +190,7 @@ def test_whist_difference_shortcut_agrees_on_developed_starts(s, data):
     t = develop_rounds([tuple(seats[i:i + 4]) for i in range(0, len(seats), 4)], s.v)
     assert t.cyclic and WhistTournament.from_json(t.to_json()).cyclic
     shortcut = verify_whist(t, ("directed", "ordered"))
-    full = verify_whist(replace(t, cyclic=False), ("directed", "ordered"))
+    full = verify_whist(replace(t, rounds=tuple(t.rounds)), ("directed", "ordered"))
     assert {k: r.passed for k, r in shortcut.items()} == {k: r.passed for k, r in full.items()}
 
 
@@ -271,7 +271,7 @@ def test_starter_level_checks_equal_seat_level_checks(start):
     t = develop_rounds(r0, u)
     ref = _reference_development(r0, u)
     assert t.cyclic and t.rounds == ref and t.rounds[0] == ref[0]
-    assert _verdicts(t) == _verdicts(replace(t, cyclic=False))
+    assert _verdicts(t) == _verdicts(replace(t, rounds=tuple(t.rounds)))
 
 
 # The frozenset and sorting versions of zcps and of the difference-matrix
@@ -331,8 +331,8 @@ def _sorted_verify_cdm(d: DifferenceMatrix) -> CdmReport:
 @given(st.one_of(corrupted_starters().map(lambda start: develop_rounds(*start)), whist_corpus()),
        st.booleans())
 def test_zcps_agrees_with_the_frozenset_reference(t, other_v):
-    if other_v:  # INF in the rounds with v = u, or v = u + 1 without it: no tournament
-        with pytest.raises(ValueError):
+    if other_v:  # v is read off the rounds: no tournament holds the other one
+        with pytest.raises(TypeError):
             replace(t, v=2 * t.u + 1 - t.v)
     assert verify_whist(t, ("zcps",))["zcps"] == _frozenset_zcps(t)
 
@@ -440,20 +440,26 @@ def test_a_developed_tournament_equals_its_json_round_trip():
     for r0, u in ((APS27_ROUND, 27), (initial_round(PS13), 13)):
         t = develop_rounds(r0, u)
         back = WhistTournament.from_json(t.to_json())
-        assert type(back.rounds) is tuple and back.cyclic
+        assert type(back.rounds) is CyclicRounds and back.cyclic and back.v == t.v
         assert develop_rounds(r0, u) == back and back == t
         assert hash(t) == hash(back)
 
 
 def test_cyclic_flag_cannot_be_forged():
+    # Only CyclicRounds are cyclic, and they hold a development of round 0 over Z_u.
     t = develop_rounds(initial_round(PS13), 13)
-    rounds = t.rounds[:5] + t.rounds[6:7] + t.rounds[6:]
-    with pytest.raises(ValueError):
-        WhistTournament(13, 13, rounds, True)
-    with pytest.raises(ValueError):
-        WhistTournament(13, 13, t.rounds[:12], True)
-    assert not WhistTournament(13, 13, rounds, False).cyclic
-    assert replace(replace(t, cyclic=False), cyclic=True) == t
+    assert not WhistTournament(13, tuple(t.rounds)).cyclic
+    assert WhistTournament(13, CyclicRounds(t.rounds[0], 13)) == t
+    with pytest.raises(TypeError):
+        replace(t, cyclic=False)
+    with pytest.raises(AttributeError):
+        t.cyclic = False
+    # Over another modulus the cyclic checks would read round 0 over Z_u while
+    # the rounds develop it over Z_13, and the two would disagree.
+    for u in (12, 14, 0, -3):
+        with pytest.raises(ValueError, match="over Z_13, not over Z_"):
+            WhistTournament(u, CyclicRounds(t.rounds[0], 13))
+    assert WhistTournament(-3, CyclicRounds(t.rounds[0], 0)).rounds == ()
 
 
 def test_directed_names_a_single_miscounted_difference():
@@ -461,7 +467,7 @@ def test_directed_names_a_single_miscounted_difference():
     t = develop_rounds(((0, 7, 1, 5), (1, 6, 2, 0)), 8)
     miscount = CheckResult(False, "ordered pair (0, 4) covered 2 times")
     assert verify_whist(t, ("directed",))["directed"] == miscount
-    assert verify_whist(replace(t, cyclic=False), ("directed",))["directed"] == miscount
+    assert verify_whist(replace(t, rounds=tuple(t.rounds)), ("directed",))["directed"] == miscount
 
 
 def test_whist_detects_perturbation():
@@ -476,7 +482,7 @@ def test_whist_detects_perturbation():
 def test_basic_refuses_a_round_of_games_without_four_seats():
     seats = [seat for g in initial_round(PS13) for seat in g]
     t = develop_rounds((tuple(seats[:3]), tuple(seats[3:8]), tuple(seats[8:])), 13)
-    for copy in (t, replace(t, cyclic=False)):
+    for copy in (t, replace(t, rounds=tuple(t.rounds))):
         result = verify_whist(copy, ("basic",))["basic"]
         assert result == CheckResult(False, "a round must have 3 games of four seats")
 
@@ -488,7 +494,7 @@ def test_checks_that_count_seats_refuse_a_game_without_four_seats(check):
     t = develop_rounds([tuple(g) for g in r0], 13)
     misseated = CheckResult(False, "a round must have 3 games of four seats")
     assert verify_whist(t, (check,))[check] == misseated
-    copy = verify_whist(replace(t, cyclic=False), (check,))[check]
+    copy = verify_whist(replace(t, rounds=tuple(t.rounds)), (check,))[check]
     assert copy == (CheckResult(False, "tournament is not cyclically developed")
                     if check == "zcps" else misseated)
 
@@ -534,17 +540,19 @@ def _both_ways_basic(t: WhistTournament) -> CheckResult:
 def test_basic_counts_each_pair_once_as_the_both_ways_tally_does(t):
     """Developed, seat-swapped and one-round-altered schedules, cyclic or read as they are."""
     assert verify_whist(t, ("basic",))["basic"] == _both_ways_basic(t)
-    assert verify_whist(replace(t, cyclic=False), ("basic",))["basic"] == _both_ways_basic(t)
+    seat_level = replace(t, rounds=tuple(t.rounds))
+    assert verify_whist(seat_level, ("basic",))["basic"] == _both_ways_basic(t)
 
 
 @pytest.mark.parametrize("v, u, start, alpha", [(27, 27, "aps-27-3-3", 3), (14, 13, "ps-13", None)])
 def test_tournament_refuses_a_v_its_rounds_contradict(v, u, start, alpha):
-    # v = u with INF in every round (ordered passed it), or v = u + 1 with INF in none
-    rounds = develop_rounds(initial_round(get(start).pair_set(), alpha), u).rounds
-    with pytest.raises(ValueError, match="adjoined player"):
-        WhistTournament(v, u, rounds, True)
-    with pytest.raises(ValueError, match="must be u"):
-        WhistTournament(u + 2, u, rounds, True)
+    # v = u with INF in every round, or v = u + 1 with INF in none, cannot be
+    # built: v is read off the rounds, cyclic or not, and is no field to replace.
+    t = develop_rounds(initial_round(get(start).pair_set(), alpha), u)
+    for tournament in (t, WhistTournament(u, tuple(t.rounds))):
+        assert tournament.v == 2 * u + 1 - v and len(tournament.players) == tournament.v
+        with pytest.raises(TypeError):
+            replace(tournament, v=v)
 
 
 def test_whist_json_round_trip():
@@ -555,14 +563,14 @@ def test_whist_json_round_trip():
 
 def test_zcps_requires_cyclic_flag():
     t = develop_rounds(initial_round(PS13), 13)
-    assert not verify_whist(replace(t, cyclic=False), ("zcps",))["zcps"].passed
+    assert not verify_whist(replace(t, rounds=tuple(t.rounds)), ("zcps",))["zcps"].passed
 
 
 @pytest.mark.parametrize("r0", [(), ((INF, 0, 1, 2),)])
 @pytest.mark.parametrize("u", [0, -3])
 def test_zcps_fails_in_one_line_on_a_tournament_without_rounds(r0, u):
     t = develop_rounds(r0, u)
-    assert t.cyclic and len(t.rounds) == 0 and t.v == u + len(r0)
+    assert t.cyclic and len(t.rounds) == 0 and t.v == u and t.players == []
     results = verify_whist(t)
     for check in ("zcps", "directed", "ordered"):
         assert results[check] == CheckResult(False, "tournament has no initial round")
@@ -607,7 +615,7 @@ def test_directed_and_ordered_reject_a_player_paired_with_itself():
     # An extra game (0, 0, 0, 0) in every round adds only self-pairs, which
     # the full count must not overlook once the difference shortcut is off.
     t = develop_rounds(initial_round(PS13) + ((0, 0, 0, 0),), 13)
-    results = verify_whist(replace(t, cyclic=False), ("directed", "ordered"))
+    results = verify_whist(replace(t, rounds=tuple(t.rounds)), ("directed", "ordered"))
     assert not results["directed"].passed and not results["ordered"].passed
     assert "(0, 0)" in results["directed"].detail
 

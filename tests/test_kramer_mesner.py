@@ -20,7 +20,6 @@ from designforge.core import (
     BudgetExceededError,
     PairSet,
     PPSSpec,
-    aps_necessary,
     exhaustive_search,
     square_sums_agree,
     verify_pps,
@@ -749,7 +748,7 @@ def test_sign_group_search_agrees_with_exhaustive_search(data):
     spec = PPSSpec.aps(v, alpha, beta)
     by_orbits = km_search(v, [1, v - 1], spec)
     direct = exhaustive_search(spec)
-    assert (by_orbits is not None) == (direct is not None) == aps_necessary(v, alpha, beta)
+    assert (by_orbits is not None) == (direct is not None) == square_sums_agree(spec)
 
 
 def test_km_search_checks_its_deadline_before_the_costly_stages(monkeypatch):
